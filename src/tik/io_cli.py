@@ -1,8 +1,8 @@
 """File formats, exporters, and the `tik` command-line interface.
 
-Exit codes: 0 yes/valid, 1 no/invalid, 2 inconclusive (budget), 3 usage or
-input error.  Results go to stdout, diagnostics to stderr, and identical
-invocations produce byte-identical output.
+Exit codes: 0 yes/valid, 1 no/invalid, 2 inconclusive (budget), 3 usage,
+input or internal error.  Results go to stdout, diagnostics to stderr,
+and identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -510,6 +510,9 @@ def cli_main(argv=None, out=None, err=None) -> int:
         return _COMMANDS[args.command](args, out, err)
     except (FormatError, GraphError, ModelError, ValueError, OSError) as exc:
         err.write(f"error: {exc}\n")
+        return EXIT_ERROR
+    except Exception as exc:  # a crash must never read as a verdict
+        err.write(f"error: internal: {type(exc).__name__}: {exc}\n")
         return EXIT_ERROR
 
 

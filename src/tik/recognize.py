@@ -3,8 +3,9 @@
 Three engines share the Budget/SearchOutcome surface:
 
 * endpoint-order enumeration with pruning (2interval, balanced, unit,
-  interval, unit-interval); metric families add an exact rational linear
-  feasibility check per complete word,
+  interval, unit-interval); balanced adds an exact rational linear
+  feasibility check per complete word, and the equal-length families
+  unitize their FIFO words by difference constraints instead,
 * integer placement enumeration in a normalized window (xx),
 * cyclic endpoint-order enumeration with one pinned event (circular-arc).
 
@@ -19,7 +20,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import lp
+from . import lp, transforms
 from .graphs import Graph
 from .model import (
     Arc,
@@ -134,18 +135,34 @@ def check_word(word) -> None:
         raise RecognizeError(f"intervals never closed: {bad!r}")
 
 
+def word_intervals(word, values=None) -> dict:
+    """The closed intervals {id: Interval} of a word, with endpoints at
+    `values` ({event: value}) or, by default, at the events' positions."""
+    if values is None:
+        values = {event: q(i) for i, event in enumerate(word)}
+    ends = {}
+    for (iid, kind), val in values.items():
+        ends.setdefault(iid, [None, None])[kind] = val
+    return {iid: Interval(lo, hi) for iid, (lo, hi) in ends.items()}
+
+
 def order_feasible(word, family: FamilySelector, pairing=None):
     """Decide whether rational endpoint values realize the strict event
-    order together with the family's metric equalities.
+    order of a balanced word, where `pairing` maps each vertex to the ids
+    of its two intervals, which must get equal lengths.
 
     Solved as an exact LP over the gaps between consecutive events:
     maximize a slack eps subject to every gap >= eps (and eps <= 1) plus
-    the equalities (balanced: per-vertex equal lengths; unit: every
-    length exactly 1).  The order is strictly realizable iff the optimum
-    is positive.  Returns {event: value} or None.
+    one length equality per vertex.  The order is strictly realizable iff
+    the optimum is positive.  Returns {event: value} or None.
+
+    Unit and unit-interval words need no LP: every FIFO word unitizes
+    (see _OrderSearch._realize).
     """
-    if family.kind not in ("balanced", "unit", "unit-interval"):
+    if family.kind != "balanced":
         raise RecognizeError(f"order_feasible does not handle family {family}")
+    if pairing is None:
+        raise RecognizeError("balanced feasibility needs a pairing")
     word = list(word)
     check_word(word)
     m = len(word)
@@ -177,27 +194,16 @@ def order_feasible(word, family: FamilySelector, pairing=None):
     b_ub.append(Fraction(1))
 
     a_eq, b_eq = [], []
-    if family.kind in ("unit", "unit-interval"):
-        iids = sorted({iid for iid, _ in word}, key=repr)
-        for iid in iids:
-            row = [Fraction(0)] * n_vars
-            for gi in gap_range(iid):
-                row[gi] = Fraction(1)
+    for v in sorted(pairing, key=repr):
+        left, right = pairing[v]
+        row = [Fraction(0)] * n_vars
+        for gi in gap_range(left):
+            row[gi] += 1
+        for gi in gap_range(right):
+            row[gi] -= 1
+        if any(row):
             a_eq.append(row)
-            b_eq.append(Fraction(1))
-    else:  # balanced
-        if pairing is None:
-            raise RecognizeError("balanced feasibility needs a pairing")
-        for v in sorted(pairing, key=repr):
-            left, right = pairing[v]
-            row = [Fraction(0)] * n_vars
-            for gi in gap_range(left):
-                row[gi] += 1
-            for gi in gap_range(right):
-                row[gi] -= 1
-            if any(row):
-                a_eq.append(row)
-                b_eq.append(Fraction(0))
+            b_eq.append(Fraction(0))
 
     c = [Fraction(0)] * n_vars
     c[eps_col] = Fraction(1)
@@ -232,7 +238,6 @@ class _OrderSearch:
             self.adj[idx[u]].add(idx[v])
             self.adj[idx[v]].add(idx[u])
         self.slots = 1 if family.kind in ("interval", "unit-interval") else 2
-        self.metric = family.kind in ("balanced", "unit", "unit-interval")
         self.fifo = family.kind in ("unit", "unit-interval")
         self.counter = counter
         self.visitor = visitor
@@ -365,34 +370,27 @@ class _OrderSearch:
             self.found = rep
 
     def _realize(self):
-        word = list(self.word)
-        if self.metric:
-            pairing = None
-            if self.family.kind == "balanced":
-                pairing = {v: ((v, 0), (v, 1)) for v in range(self.n)}
-            values = order_feasible(word, self.family, pairing)
+        values = None
+        if self.family.kind == "balanced":
+            pairing = {v: ((v, 0), (v, 1)) for v in range(self.n)}
+            values = order_feasible(self.word, self.family, pairing)
             if values is None:
                 return None
-        else:
-            values = {event: q(i) for i, event in enumerate(word)}
-
-        ends = {}
-        for event, val in values.items():
-            iid, kind = event
-            ends.setdefault(iid, [None, None])[kind] = val
+        ivs = word_intervals(self.word, values)
+        if self.fifo:
+            # intervals close in the order they open, so none contains
+            # another and the proper system unitizes with the same pattern
+            ivs = transforms.proper_to_unit_interval(ivs)
         items = {}
         if self.slots == 2:
             for v in range(self.n):
-                a = Interval(*ends[(v, 0)])
-                b = Interval(*ends[(v, 1)])
-                items[self.labels[v]] = two_interval(a, b)
+                items[self.labels[v]] = two_interval(ivs[(v, 0)], ivs[(v, 1)])
         else:
             # pad with far-away dummy rights so each pair is a 2-interval
-            hi = max(values.values())
+            hi = max(iv.hi for iv in ivs.values())
             for v in range(self.n):
-                a = Interval(*ends[(v, 0)])
                 lo = hi + 2 + 2 * v
-                items[self.labels[v]] = two_interval(a, Interval(lo, lo + 1))
+                items[self.labels[v]] = two_interval(ivs[(v, 0)], Interval(lo, lo + 1))
         return Representation(items)
 
 
@@ -711,48 +709,37 @@ def _readd_universal(ca: CircularArcRep, stripped) -> CircularArcRep:
 # --- public operations --------------------------------------------------------
 
 
+def _run(search) -> bool:
+    """Run a search; False iff the node budget cut it off."""
+    try:
+        search.run()
+    except _BudgetExhausted:
+        return False
+    return True
+
+
 def recognize(g: Graph, family: FamilySelector, budget: Budget) -> SearchOutcome:
     """Budgeted exact membership search; see module docstring."""
     if g.n == 0:
         raise RecognizeError("recognize needs a nonempty graph")
 
+    counter = _Counter(budget.max_nodes)
     if family.kind == "xx":
-        counter = _Counter(budget.max_nodes)
         search = _XXSearch(g, family.x, counter)
-        try:
-            search.run()
-            exhausted = True
-        except _BudgetExhausted:
-            exhausted = False
-        if search.found is not None:
-            return member(search.found, counter.nodes)
-        return nonmember(counter.nodes) if exhausted else inconclusive(counter.nodes)
-
-    if family.kind == "circular-arc":
+    elif family.kind == "circular-arc":
         core, stripped = _strip_universal(g)
-        counter = _Counter(budget.max_nodes)
         if core.n == 0:
             base = CircularArcRep(q(1), {})
             return member(_readd_universal(base, stripped), counter.nodes)
         search = _CircSearch(core, counter)
-        try:
-            search.run()
-            exhausted = True
-        except _BudgetExhausted:
-            exhausted = False
-        if search.found is not None:
-            return member(_readd_universal(search.found, stripped), counter.nodes)
-        return nonmember(counter.nodes) if exhausted else inconclusive(counter.nodes)
-
-    counter = _Counter(budget.max_nodes)
-    search = _OrderSearch(g, family, counter)
-    try:
-        search.run()
-        exhausted = True
-    except _BudgetExhausted:
-        exhausted = False
+    else:
+        search = _OrderSearch(g, family, counter)
+    exhausted = _run(search)
     if search.found is not None:
-        return member(search.found, counter.nodes)
+        cert = search.found
+        if family.kind == "circular-arc":
+            cert = _readd_universal(cert, stripped)
+        return member(cert, counter.nodes)
     return nonmember(counter.nodes) if exhausted else inconclusive(counter.nodes)
 
 
@@ -777,10 +764,6 @@ def enumerate_realizations(g: Graph, family: FamilySelector, budget: Budget,
         search = _OrderSearch(g, family, counter, visitor=visitor)
     else:
         raise RecognizeError(f"enumerate_realizations does not handle {family}")
-    try:
-        search.run()
-        complete = True
-    except _BudgetExhausted:
-        complete = False
+    complete = _run(search)
     return Enumeration(complete=complete, count=search.count,
                        nodes_used=counter.nodes)

@@ -1,13 +1,17 @@
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
 from conftest import random_circular_rep, random_closed_rep, random_graph
+import tik
 from tik import model
 from tik.gadgets import k53_balanced_realization
-from tik.graphs import complete_bipartite, to_edge_list
+from tik.graphs import complete_bipartite, path, to_edge_list
 from tik.io_cli import (
     EXIT_ERROR,
     EXIT_INCONCLUSIVE,
@@ -218,3 +222,26 @@ def test_cli_usage_errors():
     assert code == EXIT_ERROR
     code, _, err = run_cli(["gen", "kneser"])
     assert code == EXIT_ERROR and "kneser" in err
+
+
+def test_cli_internal_error_is_not_a_verdict(tmp_path):
+    # the recursive order search overflows the stack on path(300); the
+    # crash must exit 3, never 1 ("nonmember")
+    p300 = tmp_path / "path300.edges"
+    p300.write_text(to_edge_list(path(300)))
+    code, out, err = run_cli(["recognize", "--family", "2interval", str(p300)])
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert err.startswith("error: internal: RecursionError: ")
+
+
+def test_python_dash_m_tik():
+    src = os.path.dirname(os.path.dirname(tik.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tik", "gen", "path", "--n", "3"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == EXIT_YES
+    assert proc.stdout == run_cli(["gen", "path", "--n", "3"])[1]

@@ -31,6 +31,7 @@ from tik.recognize import (
     enumerate_realizations,
     order_feasible,
     recognize,
+    word_intervals,
 )
 
 BIG = Budget(10**7)
@@ -48,25 +49,82 @@ def test_check_word_rejects_malformed():
         check_word([("a", OPEN)])
 
 
+def _unitized(word):
+    # the certificate path of the unit engines: FIFO word -> proper
+    # position intervals -> unit intervals
+    for family in (UNIT, UNIT_INTERVAL):
+        with pytest.raises(RecognizeError, match="does not handle"):
+            order_feasible(word, family)
+    return transforms.proper_to_unit_interval(word_intervals(word))
+
+
 def test_order_feasible_unit_staggered():
     word = [("i1", OPEN), ("i2", OPEN), ("i1", CLOSE), ("i2", CLOSE)]
-    values = order_feasible(word, UNIT)
-    assert values is not None
-    assert values[("i1", CLOSE)] - values[("i1", OPEN)] == 1
-    assert values[("i2", CLOSE)] - values[("i2", OPEN)] == 1
-    assert values[("i1", OPEN)] < values[("i2", OPEN)] < values[("i1", CLOSE)]
+    units = _unitized(word)
+    assert units["i1"].length == units["i2"].length == 1
+    assert units["i1"].lo < units["i2"].lo <= units["i1"].hi
+    assert model.intersects(units["i1"], units["i2"])
 
 
 def test_order_feasible_unit_containment_impossible():
+    # the unit engines never build this word (FIFO close rule); the
+    # unitization refuses it
     word = [("i1", OPEN), ("i2", OPEN), ("i2", CLOSE), ("i1", CLOSE)]
-    assert order_feasible(word, UNIT) is None
+    with pytest.raises(transforms.TransformError, match="containment"):
+        _unitized(word)
 
 
 def test_order_feasible_unit_disjoint():
     word = [("i1", OPEN), ("i1", CLOSE), ("i2", OPEN), ("i2", CLOSE)]
-    values = order_feasible(word, UNIT)
-    assert values is not None
-    assert values[("i2", OPEN)] > values[("i1", CLOSE)]
+    units = _unitized(word)
+    assert units["i1"].length == units["i2"].length == 1
+    assert units["i2"].lo > units["i1"].hi
+
+
+def _fifo_words(k):
+    # intervals 0..k-1 open and close in the same order; the words are
+    # the Dyck paths of length 2k
+    def extend(word, opened, closed):
+        if closed == k:
+            yield list(word)
+            return
+        if opened < k:
+            word.append((opened, OPEN))
+            yield from extend(word, opened + 1, closed)
+            word.pop()
+        if closed < opened:
+            word.append((closed, CLOSE))
+            yield from extend(word, opened, closed + 1)
+            word.pop()
+    yield from extend([], 0, 0)
+
+
+def test_fifo_words_unitize_with_same_pattern():
+    total = 0
+    for k in range(1, 9):
+        for word in _fifo_words(k):
+            total += 1
+            pos = {event: i for i, event in enumerate(word)}
+            units = transforms.proper_to_unit_interval(word_intervals(word))
+            assert all(iv.length == 1 for iv in units.values())
+            for a in range(k):
+                for b in range(a + 1, k):
+                    # b opens after a; they meet iff a is still open then
+                    meet = pos[(b, OPEN)] < pos[(a, CLOSE)]
+                    assert model.intersects(units[a], units[b]) == meet, word
+    assert total == 2055  # Catalan numbers C1 + ... + C8
+
+
+def test_unit_certificate_touching_endpoints_survive():
+    # unitized certificates may hold closed intervals touching at one
+    # point; normalization and the integer re-grid must keep them meeting
+    g = domino()
+    out = recognize(g, UNIT, BIG)
+    assert_member_sound(out, g, UNIT)
+    ivs = [iv for _, _, iv in out.certificate.ground_set()]
+    assert any(a.hi == b.lo for a in ivs for b in ivs)
+    assert intersection_graph(model.normalize(out.certificate)) == g
+    assert intersection_graph(transforms.unit_rep_to_integer_xx(out.certificate)) == g
 
 
 def test_order_feasible_balanced_needs_pairing():
