@@ -9,6 +9,9 @@ Three engines share the Budget/SearchOutcome surface:
 * integer placement enumeration in a normalized window (xx),
 * cyclic endpoint-order enumeration with one pinned event (circular-arc).
 
+All three run on one search loop, `_run`, which walks their generators
+on an explicit stack, so a search may go as deep as memory allows.
+
 NonMember is returned only when the search space was provably exhausted
 within budget.  Every Member certificate re-verifies: family_check passes
 and its intersection graph equals the input under labeled equality.
@@ -219,17 +222,17 @@ def order_feasible(word, family: FamilySelector, pairing=None):
     return values
 
 
-# --- order-enumeration engine ------------------------------------------------
+# --- search engines ------------------------------------------------------------
 
 
-class _OrderSearch:
-    """DFS over endpoint words.  Interval ids are (vertex_index, slot);
-    slot 0 is whichever of a vertex's intervals opens first, which halves
-    the space without losing realizations."""
+class _Search:
+    """State every engine shares: vertex labels, adjacency sets by vertex
+    index, the node counter, and the realizations accepted so far.
 
-    def __init__(self, g: Graph, family: FamilySelector, counter: _Counter,
-                 visitor=None):
-        self.family = family
+    An engine's `run` and `_dfs` are generators driven by `_run`; its
+    `_realize` returns the certificate of a complete candidate, or None."""
+
+    def __init__(self, g: Graph, counter: _Counter, visitor=None):
         self.labels = sorted(g.vertices)
         self.n = len(self.labels)
         idx = {v: i for i, v in enumerate(self.labels)}
@@ -237,10 +240,36 @@ class _OrderSearch:
         for u, v in g.edges:
             self.adj[idx[u]].add(idx[v])
             self.adj[idx[v]].add(idx[u])
-        self.slots = 1 if family.kind in ("interval", "unit-interval") else 2
-        self.fifo = family.kind in ("unit", "unit-interval")
         self.counter = counter
         self.visitor = visitor
+        self.found = None
+        self.count = 0
+
+    def _leaf(self):
+        rep = self._realize()
+        if rep is None:
+            return
+        if self.visitor is not None:
+            self.visitor(rep)
+            self.count += 1
+        if self.found is None:
+            self.found = rep
+
+
+# --- order-enumeration engine ------------------------------------------------
+
+
+class _OrderSearch(_Search):
+    """DFS over endpoint words.  Interval ids are (vertex_index, slot);
+    slot 0 is whichever of a vertex's intervals opens first, which halves
+    the space without losing realizations."""
+
+    def __init__(self, g: Graph, family: FamilySelector, counter: _Counter,
+                 visitor=None):
+        super().__init__(g, counter, visitor)
+        self.family = family
+        self.slots = 1 if family.kind in ("interval", "unit-interval") else 2
+        self.fifo = family.kind in ("unit", "unit-interval")
         self.total_events = 2 * self.slots * self.n
 
         self.word = []
@@ -249,8 +278,6 @@ class _OrderSearch:
         self.open_now = [0] * self.n
         self.closed = [0] * self.n
         self.covered = [set() for _ in range(self.n)]
-        self.found = None
-        self.count = 0
 
     def _possible(self, u, w):
         # can edge (u, w) still gain an intersection later in this branch?
@@ -288,14 +315,9 @@ class _OrderSearch:
             not self._capacity_ok(u) for u in range(self.n)
         ):
             return
-        self._dfs()
-
-    def _done(self):
-        return self.found is not None and self.visitor is None
+        yield self._dfs()
 
     def _dfs(self):
-        if self._done():
-            return
         if len(self.word) == self.total_events:
             self._leaf()
             return
@@ -312,13 +334,11 @@ class _OrderSearch:
             self.open_now[v] -= 1
             self.closed[v] += 1
             if self._coverage_ok(v):
-                self._dfs()
+                yield self._dfs()
             self.closed[v] -= 1
             self.open_now[v] += 1
             self.open_list.insert(pos, iid)
             self.word.pop()
-            if self._done():
-                return
 
         # open moves, vertex order
         for v in range(self.n):
@@ -345,7 +365,7 @@ class _OrderSearch:
                 self.covered[v].add(w)
                 self.covered[w].add(v)
             if self._coverage_ok(v):
-                self._dfs()
+                yield self._dfs()
             for w in newly:
                 self.covered[v].discard(w)
                 self.covered[w].discard(v)
@@ -353,23 +373,10 @@ class _OrderSearch:
             self.open_list.pop()
             self.open_now[v] -= 1
             self.opened[v] -= 1
-            if self._done():
-                return
-
-    def _leaf(self):
-        for u in range(self.n):
-            if len(self.covered[u]) != len(self.adj[u]):
-                return
-        rep = self._realize()
-        if rep is None:
-            return
-        if self.visitor is not None:
-            self.visitor(rep)
-            self.count += 1
-        if self.found is None:
-            self.found = rep
 
     def _realize(self):
+        if any(len(c) != len(a) for c, a in zip(self.covered, self.adj)):
+            return None  # some edge never met
         values = None
         if self.family.kind == "balanced":
             pairing = {v: ((v, 0), (v, 1)) for v in range(self.n)}
@@ -397,7 +404,7 @@ class _OrderSearch:
 # --- integer-placement engine for (x,x) --------------------------------------
 
 
-class _XXSearch:
+class _XXSearch(_Search):
     """Enumerate integer placements of the 2n open length-x intervals in
     canonical form: the leftmost left endpoint is 0 and consecutive sorted
     left endpoints differ by at most x.
@@ -411,29 +418,16 @@ class _XXSearch:
     """
 
     def __init__(self, g: Graph, x: int, counter: _Counter, visitor=None):
+        super().__init__(g, counter, visitor)
         self.x = x
-        self.labels = sorted(g.vertices)
-        self.n = len(self.labels)
-        idx = {v: i for i, v in enumerate(self.labels)}
-        self.adj = [set() for _ in range(self.n)]
-        for u, v in g.edges:
-            self.adj[idx[u]].add(idx[v])
-            self.adj[idx[v]].add(idx[u])
-        self.counter = counter
-        self.visitor = visitor
         self.total = 2 * self.n
         self.pos = [[None, None] for _ in range(self.n)]
         self.copies = [0] * self.n
         self.covered = [set() for _ in range(self.n)]
         self.seq = []  # (position, vertex, copy) in placement order
-        self.found = None
-        self.count = 0
 
     def run(self):
-        self._dfs()
-
-    def _done(self):
-        return self.found is not None and self.visitor is None
+        yield self._dfs()
 
     def _edges_alive(self, p):
         # every uncovered edge must still be coverable: future copies start
@@ -483,8 +477,6 @@ class _XXSearch:
         return True
 
     def _dfs(self):
-        if self._done():
-            return
         depth = len(self.seq)
         if depth == self.total:
             self._leaf()
@@ -539,28 +531,17 @@ class _XXSearch:
                     self.covered[v].add(w)
                     self.covered[w].add(v)
                 if self._edges_alive(p):
-                    self._dfs()
+                    yield self._dfs()
                 for w in newly:
                     self.covered[v].discard(w)
                     self.covered[w].discard(v)
                 self.seq.pop()
                 self.copies[v] -= 1
                 self.pos[v][c] = None
-                if self._done():
-                    return
-
-    def _leaf(self):
-        for u in range(self.n):
-            if len(self.covered[u]) != len(self.adj[u]):
-                return
-        rep = self._realize()
-        if self.visitor is not None:
-            self.visitor(rep)
-            self.count += 1
-        if self.found is None:
-            self.found = rep
 
     def _realize(self):
+        if any(len(c) != len(a) for c, a in zip(self.covered, self.adj)):
+            return None  # some edge never met
         x = self.x
         items = {}
         for v in range(self.n):
@@ -575,25 +556,17 @@ class _XXSearch:
 # --- cyclic-order engine for circular-arc ------------------------------------
 
 
-class _CircSearch:
+class _CircSearch(_Search):
     """Enumerate cyclic endpoint orders: 2n labeled events on positions
     0..2n-1, with vertex 0's start pinned at position 0 to break rotation.
     Arc intersections are decided as soon as both arcs involved are fully
     placed (or an event lands strictly inside a completed arc)."""
 
     def __init__(self, g: Graph, counter: _Counter):
-        self.labels = sorted(g.vertices)
-        self.n = len(self.labels)
-        idx = {v: i for i, v in enumerate(self.labels)}
-        self.adj = [[False] * self.n for _ in range(self.n)]
-        for u, v in g.edges:
-            self.adj[idx[u]][idx[v]] = True
-            self.adj[idx[v]][idx[u]] = True
-        self.counter = counter
+        super().__init__(g, counter)
         self.m = 2 * self.n
         self.pos = [[-1, -1] for _ in range(self.n)]  # [start, end] positions
         self.complete_arcs = []
-        self.found = None
 
     def run(self):
         self.pos[0][0] = 0
@@ -604,7 +577,7 @@ class _CircSearch:
             events.append((v, 1))
         self.events = events
         self.used = [False] * len(events)
-        self._dfs(1)
+        yield self._dfs(1)
 
     def _inside(self, v, t):
         s, e = self.pos[v]
@@ -619,11 +592,9 @@ class _CircSearch:
             self._inside(v, sw) or self._inside(v, ew)
             or self._inside(w, sv) or self._inside(w, ev)
         )
-        return meet == self.adj[v][w]
+        return meet == (w in self.adj[v])
 
     def _dfs(self, t):
-        if self.found is not None:
-            return
         if t == self.m:
             self._leaf()
             return
@@ -643,37 +614,35 @@ class _CircSearch:
                     for w in range(self.n):
                         if w == v or self.pos[w][0] == -1 or self.pos[w][1] != -1:
                             continue
-                        if self._inside(v, self.pos[w][0]) and not self.adj[v][w]:
+                        if self._inside(v, self.pos[w][0]) and w not in self.adj[v]:
                             ok = False
                             break
             else:
                 for w in self.complete_arcs:
-                    if self._inside(w, t) and not self.adj[v][w]:
+                    if self._inside(w, t) and w not in self.adj[v]:
                         ok = False
                         break
             if ok:
                 self.used[ei] = True
                 if completes:
                     self.complete_arcs.append(v)
-                self._dfs(t + 1)
+                yield self._dfs(t + 1)
                 if completes:
                     self.complete_arcs.pop()
                 self.used[ei] = False
             self.pos[v][kind] = -1
-            if self.found is not None:
-                return
 
-    def _leaf(self):
+    def _realize(self):
         for v in range(self.n):
             for w in range(v + 1, self.n):
                 if not self._decide_pair(v, w):
-                    return
+                    return None
         circumference = q(self.m)
         arcs = {}
         for v in range(self.n):
             s, e = self.pos[v]
             arcs[self.labels[v]] = Arc(q(s), q(e))
-        self.found = CircularArcRep(circumference, arcs)
+        return CircularArcRep(circumference, arcs)
 
 
 def _strip_universal(g: Graph):
@@ -710,9 +679,22 @@ def _readd_universal(ca: CircularArcRep, stripped) -> CircularArcRep:
 
 
 def _run(search) -> bool:
-    """Run a search; False iff the node budget cut it off."""
+    """Drive a search depth first on an explicit stack of its generators;
+    False iff the node budget cut it off.
+
+    Each generator yields the generator of the child node it enters and
+    resumes, to undo its move, once that child is finished.  A search
+    without a visitor stops at its first realization."""
+    stack = [search.run()]
     try:
-        search.run()
+        while stack:
+            child = next(stack[-1], None)
+            if child is not None:
+                stack.append(child)
+            else:
+                stack.pop()
+                if search.found is not None and search.visitor is None:
+                    break
     except _BudgetExhausted:
         return False
     return True

@@ -224,15 +224,32 @@ def test_cli_usage_errors():
     assert code == EXIT_ERROR and "kneser" in err
 
 
-def test_cli_internal_error_is_not_a_verdict(tmp_path):
-    # the recursive order search overflows the stack on path(300); the
-    # crash must exit 3, never 1 ("nonmember")
-    p300 = tmp_path / "path300.edges"
-    p300.write_text(to_edge_list(path(300)))
-    code, out, err = run_cli(["recognize", "--family", "2interval", str(p300)])
+def test_cli_internal_error_is_not_a_verdict(tmp_path, monkeypatch):
+    # a crash inside a command must exit 3, never 1 ("nonmember")
+    def boom(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(tik.recognize, "recognize", boom)
+    p3 = tmp_path / "path3.edges"
+    p3.write_text(to_edge_list(path(3)))
+    code, out, err = run_cli(["recognize", "--family", "2interval", str(p3)])
     assert code == EXIT_ERROR
     assert out == ""
-    assert err.startswith("error: internal: RecursionError: ")
+    assert err == "error: internal: RuntimeError: boom\n"
+
+
+def test_cli_recognizes_path300_2interval(tmp_path):
+    # the search is far deeper than the interpreter's recursion limit
+    p300 = tmp_path / "path300.edges"
+    p300.write_text(to_edge_list(path(300)))
+    cert = tmp_path / "cert.json"
+    code, _, _ = run_cli([
+        "recognize", "--family", "2interval", "--emit", str(cert), str(p300),
+    ])
+    assert code == EXIT_YES
+    code, _, _ = run_cli(["verify", "--family", "2interval", str(cert)])
+    assert code == EXIT_YES
+    assert model.intersection_graph(parse_representation(str(cert))) == path(300)
 
 
 def test_python_dash_m_tik():

@@ -1,6 +1,8 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     assert_member_sound,
@@ -454,3 +456,75 @@ def test_k53_is_balanced_but_not_unit():
     from tik.gadgets import k53_balanced_realization
 
     assert model.intersection_graph(k53_balanced_realization()) == k53
+
+
+# --- search loop ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("g, family", [
+    (path(300), TWO_INTERVAL),
+    (path(600), INTERVAL_CLASS),
+    (path(520), XX(2)),
+], ids=["path300-2interval", "path600-interval", "path520-xx2"])
+def test_deep_search_answers(g, family):
+    # these searches run more than a thousand moves deep
+    out = recognize(g, family, BIG)
+    assert_member_sound(out, g, family)
+
+
+@pytest.mark.parametrize("g, family, kind, nodes", [
+    (domino(), UNIT, "member", 430),
+    (complete_bipartite(2, 3), BALANCED, "member", 51),
+    (complete_bipartite(2, 3), CIRCULAR_ARC, "nonmember", 71_731),
+    (domino(), XX(2), "member", 113),
+    (cycle(5), INTERVAL_CLASS, "nonmember", 80),
+    (path(200), TWO_INTERVAL, "member", 2_081),
+], ids=["domino-unit", "k23-balanced", "k23-circular-arc", "domino-xx2",
+        "c5-interval", "path200-2interval"])
+def test_node_counts_pinned(g, family, kind, nodes):
+    out = recognize(g, family, BIG)
+    assert (out.kind, out.nodes_used) == (kind, nodes)
+
+
+def test_enumeration_counts_pinned():
+    out = enumerate_realizations(path(3), TWO_INTERVAL, BIG, lambda rep: None)
+    assert (out.complete, out.count, out.nodes_used) == (True, 1_968, 8_764)
+
+
+# --- differential: the class hierarchy ----------------------------------------------
+
+
+@st.composite
+def small_graphs(draw):
+    vs = [f"v{i}" for i in range(draw(st.integers(1, 5)))]
+    pairs = list(itertools.combinations(vs, 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph.build(vs, [e for e, k in zip(pairs, keep) if k])
+
+
+# (smaller class, larger class): membership must carry upwards
+HIERARCHY = [
+    (XX(1), XX(2)),
+    (XX(2), UNIT),
+    (UNIT, BALANCED),
+    (BALANCED, TWO_INTERVAL),
+    (UNIT_INTERVAL, INTERVAL_CLASS),
+]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(small_graphs())
+def test_hierarchy_is_monotone(g):
+    outs = {}
+    for family in (XX(1), XX(2), UNIT, BALANCED, TWO_INTERVAL,
+                   UNIT_INTERVAL, INTERVAL_CLASS):
+        out = recognize(g, family, Budget(10**5))
+        if out.is_member():
+            assert_member_sound(out, g, family)
+        outs[family] = out
+    for small, large in HIERARCHY:
+        if outs[small].is_member():
+            assert not outs[large].is_nonmember(), (small, large)
+    interval = outs[INTERVAL_CLASS]
+    if not interval.is_inconclusive():
+        assert interval.is_member() == is_interval_graph_oracle(g)
