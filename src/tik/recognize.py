@@ -154,10 +154,13 @@ def order_feasible(word, family: FamilySelector, pairing=None):
     order of a balanced word, where `pairing` maps each vertex to the ids
     of its two intervals, which must get equal lengths.
 
-    Solved as an exact LP over the gaps between consecutive events:
-    maximize a slack eps subject to every gap >= eps (and eps <= 1) plus
-    one length equality per vertex.  The order is strictly realizable iff
-    the optimum is positive.  Returns {event: value} or None.
+    Solved as an exact LP over the gaps between consecutive events.  The
+    length equalities A g = 0 have a solution with every gap g > 0 iff
+    they have one with g >= 1 (scale it), so each gap is written 1 + h
+    with h >= 0, and each vertex keeps one row
+    sum_left h - sum_right h = |right gaps| - |left gaps|
+    (negated where needed so its right-hand side is >= 0).  Returns
+    {event: value}, the prefix sums of the gaps, or None.
 
     Unit and unit-interval words need no LP: every FIFO word unitizes
     (see _OrderSearch._realize).
@@ -181,43 +184,43 @@ def order_feasible(word, family: FamilySelector, pairing=None):
         return range(index[(iid, OPEN)], index[(iid, CLOSE)])
 
     n_gaps = m - 1
-    n_vars = n_gaps + 1  # gap variables, then eps
-    eps_col = n_gaps
-
-    a_ub, b_ub = [], []
-    for i in range(n_gaps):
-        row = [Fraction(0)] * n_vars
-        row[eps_col] = Fraction(1)
-        row[i] = Fraction(-1)
-        a_ub.append(row)
-        b_ub.append(Fraction(0))
-    cap = [Fraction(0)] * n_vars
-    cap[eps_col] = Fraction(1)
-    a_ub.append(cap)
-    b_ub.append(Fraction(1))
-
     a_eq, b_eq = [], []
     for v in sorted(pairing, key=repr):
-        left, right = pairing[v]
-        row = [Fraction(0)] * n_vars
+        try:
+            left, right = pairing[v]
+        except (TypeError, ValueError):
+            raise RecognizeError(
+                f"pairing of {v!r} must be two interval ids, got {pairing[v]!r}"
+            ) from None
+        if left == right:
+            raise RecognizeError(f"pairing of {v!r} names interval {left!r} twice")
+        for iid in (left, right):
+            if (iid, OPEN) not in index:
+                raise RecognizeError(
+                    f"pairing of {v!r} names interval {iid!r}, which is not in the word"
+                )
+        row = [0] * n_gaps
         for gi in gap_range(left):
             row[gi] += 1
         for gi in gap_range(right):
             row[gi] -= 1
+        rhs = -sum(row)
+        if rhs < 0:
+            row = [-a for a in row]
+            rhs = -rhs
         if any(row):
             a_eq.append(row)
-            b_eq.append(Fraction(0))
+            b_eq.append(rhs)
 
-    c = [Fraction(0)] * n_vars
-    c[eps_col] = Fraction(1)
-    status, x, objective = lp.solve_lp(c, a_ub, b_ub, a_eq, b_eq)
-    if status != lp.OPTIMAL or objective <= 0:
+    # positional: tikbench/spans.py unpacks these five arguments
+    status, h, _ = lp.solve_lp([0] * n_gaps, [], [], a_eq, b_eq)
+    if status != lp.OPTIMAL:
         return None
     values = {}
     acc = Fraction(0)
     for i, event in enumerate(word):
         if i > 0:
-            acc += x[i - 1]
+            acc += 1 + h[i - 1]
         values[event] = acc
     return values
 

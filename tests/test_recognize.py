@@ -12,7 +12,15 @@ from conftest import (
     random_xx_rep,
 )
 from tik import model, transforms
-from tik.graphs import Graph, complete_bipartite, cycle, domino, from_edge_list, path
+from tik.graphs import (
+    Graph,
+    complete_bipartite,
+    cycle,
+    domino,
+    from_edge_list,
+    path,
+    petersen,
+)
 from tik.model import (
     BALANCED,
     CIRCULAR_ARC,
@@ -137,15 +145,68 @@ def test_order_feasible_balanced_needs_pairing():
     assert values is not None
 
 
-def test_order_feasible_balanced_chain_contradiction():
-    # two vertices, each left interval strictly inside the other's right:
-    # lengths cannot balance both ways
-    word = [
-        (("a", 0), OPEN), (("b", 0), OPEN), (("b", 0), CLOSE), (("a", 0), CLOSE),
-        (("b", 1), OPEN), (("a", 1), OPEN), (("a", 1), CLOSE), (("b", 1), CLOSE),
-    ]
-    pairing = {"a": (("a", 0), ("a", 1)), "b": (("b", 0), ("b", 1))}
+def _chain_word(k, closed=True):
+    # vertices 0..k-1: the left intervals nest, 0 innermost, so each is
+    # strictly shorter than the next; with `closed`, the right interval of
+    # k-1 sits strictly inside that of 0, closing the cycle of strict
+    # length inequalities
+    lefts = [((v, 0), OPEN) for v in reversed(range(k))]
+    lefts += [((v, 0), CLOSE) for v in range(k)]
+    if closed:
+        rights = [((0, 1), OPEN), ((k - 1, 1), OPEN), ((k - 1, 1), CLOSE), ((0, 1), CLOSE)]
+    else:
+        rights = [((0, 1), OPEN), ((0, 1), CLOSE), ((k - 1, 1), OPEN), ((k - 1, 1), CLOSE)]
+    for v in range(1, k - 1):
+        rights += [((v, 1), OPEN), ((v, 1), CLOSE)]
+    return lefts + rights, {v: ((v, 0), (v, 1)) for v in range(k)}
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_order_feasible_balanced_chain_contradiction(k):
+    # len 0 < len 1 < ... < len k-1 < len 0: infeasible; opening the
+    # cycle makes the same lefts feasible
+    word, pairing = _chain_word(k)
     assert order_feasible(word, BALANCED, pairing) is None
+    word, pairing = _chain_word(k, closed=False)
+    assert order_feasible(word, BALANCED, pairing) is not None
+
+
+@pytest.mark.parametrize("pair, message", [
+    ((("v", 0), ("x", 1)), "not in the word"),
+    ((("v", 0), ("v", 0)), "twice"),
+    ((("v", 0),), "two interval ids"),
+], ids=["missing-interval", "self-pair", "one-tuple"])
+def test_order_feasible_rejects_bad_pairing(pair, message):
+    word = [(("v", 0), OPEN), (("v", 0), CLOSE), (("v", 1), OPEN), (("v", 1), CLOSE)]
+    with pytest.raises(RecognizeError, match=message):
+        order_feasible(word, BALANCED, {"v": pair})
+
+
+def test_order_feasible_accepts_words_of_balanced_reps():
+    # every word read off a balanced representation with distinct
+    # endpoints is feasible; the returned values keep the order strict
+    # and the lengths balanced
+    rng = random.Random(5)
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        while True:
+            ends = {}
+            for v in range(n):
+                length = rng.randint(1, 12)
+                a = rng.randint(0, 60)
+                b = a + length + rng.randint(1, 12)
+                ends[((v, 0), OPEN)], ends[((v, 0), CLOSE)] = a, a + length
+                ends[((v, 1), OPEN)], ends[((v, 1), CLOSE)] = b, b + length
+            if len(set(ends.values())) == len(ends):
+                break
+        word = sorted(ends, key=ends.get)
+        pairing = {v: ((v, 0), (v, 1)) for v in range(n)}
+        values = order_feasible(word, BALANCED, pairing)
+        assert values is not None, word
+        assert all(values[a] < values[b] for a, b in zip(word, word[1:]))
+        for left, right in pairing.values():
+            assert (values[(left, CLOSE)] - values[(left, OPEN)]
+                    == values[(right, CLOSE)] - values[(right, OPEN)])
 
 
 # --- recognize: basics -----------------------------------------------------------
@@ -479,11 +540,19 @@ def test_deep_search_answers(g, family):
     (domino(), XX(2), "member", 113),
     (cycle(5), INTERVAL_CLASS, "nonmember", 80),
     (path(200), TWO_INTERVAL, "member", 2_081),
+    # balanced members whose one leaf goes through the LP
+    (complete_bipartite(3, 3), BALANCED, "member", 465),
+    (complete_bipartite(2, 4), BALANCED, "member", 84),
+    (petersen(), BALANCED, "member", 895),
+    (complete_bipartite(3, 4), BALANCED, "member", 8_455),
 ], ids=["domino-unit", "k23-balanced", "k23-circular-arc", "domino-xx2",
-        "c5-interval", "path200-2interval"])
+        "c5-interval", "path200-2interval", "k33-balanced", "k24-balanced",
+        "petersen-balanced", "k34-balanced"])
 def test_node_counts_pinned(g, family, kind, nodes):
     out = recognize(g, family, BIG)
     assert (out.kind, out.nodes_used) == (kind, nodes)
+    if out.is_member():
+        assert_member_sound(out, g, family)
 
 
 def test_enumeration_counts_pinned():
