@@ -1,16 +1,17 @@
 """Budgeted exact recognition of 2-interval graph classes.
 
-Three engines share the Budget/SearchOutcome surface:
+Two engines share the Budget/SearchOutcome surface:
 
 * endpoint-order enumeration with pruning (2interval, balanced, unit,
-  interval, unit-interval); balanced adds an exact rational linear
-  feasibility check per complete word, and the equal-length families
-  unitize their FIFO words by difference constraints instead,
-* integer placement enumeration in a normalized window (xx),
-* cyclic endpoint-order enumeration with one pinned event (circular-arc).
+  interval, unit-interval, circular-arc); balanced adds an exact rational
+  linear feasibility check per complete word, the equal-length families
+  unitize their FIFO words by difference constraints instead, and
+  circular-arc searches the words of each cut of the circle (the arcs
+  over the cut point, a clique, start and end the word open),
+* integer placement enumeration in a normalized window (xx).
 
-All three run on one search loop, `_run`, which walks their generators
-on an explicit stack, so a search may go as deep as memory allows.
+Both run on one search loop, `_run`, which walks their generators on an
+explicit stack, so a search may go as deep as memory allows.
 
 NonMember is returned only when the search space was provably exhausted
 within budget.  Every Member certificate re-verifies: family_check passes
@@ -265,27 +266,35 @@ class _Search:
 class _OrderSearch(_Search):
     """DFS over endpoint words.  Interval ids are (vertex_index, slot);
     slot 0 is whichever of a vertex's intervals opens first, which halves
-    the space without losing realizations."""
+    the space without losing realizations.
+
+    Circular-arc runs the same search once per cut: a clique W of arcs
+    over a point of the circle that is no endpoint, read from that point.
+    Each w in W has two slots, a prefix open from the start of the word
+    (slot 0) and a suffix that never closes (slot 1); every other arc is
+    one interval."""
 
     def __init__(self, g: Graph, family: FamilySelector, counter: _Counter,
                  visitor=None):
         super().__init__(g, counter, visitor)
         self.family = family
-        self.slots = 1 if family.kind in ("interval", "unit-interval") else 2
+        one = family.kind in ("interval", "unit-interval", "circular-arc")
+        self.slots = [1 if one else 2] * self.n
         self.fifo = family.kind in ("unit", "unit-interval")
-        self.total_events = 2 * self.slots * self.n
+        self.total_events = 2 * sum(self.slots)
+        self.cut = frozenset()
 
         self.word = []
-        self.open_list = []  # interval ids, oldest first
+        self.open_list = []  # pinned suffixes, then interval ids oldest first
+        self.pinned = 0  # suffixes at the front of open_list, never closed
         self.opened = [0] * self.n
         self.open_now = [0] * self.n
-        self.closed = [0] * self.n
         self.covered = [set() for _ in range(self.n)]
 
     def _possible(self, u, w):
         # can edge (u, w) still gain an intersection later in this branch?
-        u_unopened = self.opened[u] < self.slots
-        w_unopened = self.opened[w] < self.slots
+        u_unopened = self.opened[u] < self.slots[u]
+        w_unopened = self.opened[w] < self.slots[w]
         u_unclosed = u_unopened or self.open_now[u] > 0
         w_unclosed = w_unopened or self.open_now[w] > 0
         return (u_unopened and w_unclosed) or (w_unopened and u_unclosed)
@@ -304,7 +313,7 @@ class _OrderSearch(_Search):
         # nothing new, so uncovered pairwise-nonadjacent neighbors must fit
         # in twice the live interval count
         uncovered = [w for w in self.adj[u] if w not in self.covered[u]]
-        live = (self.slots - self.opened[u]) + self.open_now[u]
+        live = (self.slots[u] - self.opened[u]) + self.open_now[u]
         if len(uncovered) <= 2 * live:
             return True
         kept = []
@@ -318,7 +327,42 @@ class _OrderSearch(_Search):
             not self._capacity_ok(u) for u in range(self.n)
         ):
             return
-        yield self._dfs()
+        if self.family.kind != "circular-arc":
+            yield self._dfs()
+            return
+        for cut in self._cliques():
+            self.cut = frozenset(cut)
+            for w in cut:
+                self.slots[w] = 2
+                self.opened[w] = self.open_now[w] = 1
+                self.open_list.append((w, 0))
+                self.word.append(((w, 0), OPEN))
+            self.total_events = 2 * self.n + len(cut)
+            yield self._dfs()
+            for w in cut:
+                self.slots[w] = 1
+                self.opened[w] = self.open_now[w] = 0
+            self.open_list.clear()
+            self.word.clear()
+
+    def _cliques(self):
+        # every clique of the graph, smallest first and in lexicographic
+        # order of sorted index tuples within a size, generated lazily
+        size, more = 0, True
+        while more:
+            more = False
+            stack = [((), list(range(self.n - 1, -1, -1)))]  # clique, extensions
+            while stack:
+                clique, ext = stack[-1]
+                if len(clique) == size:
+                    more = True
+                    yield clique
+                if len(clique) == size or len(clique) + len(ext) < size:
+                    stack.pop()
+                    continue
+                v = ext.pop()
+                stack.append((clique + (v,), [w for w in ext if w in self.adj[v]]))
+            size += 1
 
     def _dfs(self):
         if len(self.word) == self.total_events:
@@ -327,7 +371,7 @@ class _OrderSearch(_Search):
 
         # close moves, oldest open first; equal-length families may only
         # close the oldest open interval (containment is infeasible there)
-        closables = self.open_list[:1] if self.fifo else list(self.open_list)
+        closables = self.open_list[:1] if self.fifo else self.open_list[self.pinned:]
         for iid in closables:
             self.counter.tick()
             v = iid[0]
@@ -335,17 +379,16 @@ class _OrderSearch(_Search):
             self.word.append((iid, CLOSE))
             self.open_list.pop(pos)
             self.open_now[v] -= 1
-            self.closed[v] += 1
             if self._coverage_ok(v):
                 yield self._dfs()
-            self.closed[v] -= 1
             self.open_now[v] += 1
             self.open_list.insert(pos, iid)
             self.word.pop()
 
         # open moves, vertex order
+        opened, open_now, slots = self.opened, self.open_now, self.slots
         for v in range(self.n):
-            if self.open_now[v] > 0 or self.opened[v] >= self.slots:
+            if open_now[v] > 0 or opened[v] >= slots[v]:
                 continue
             self.counter.tick()
             ok = True
@@ -359,10 +402,15 @@ class _OrderSearch(_Search):
                     newly.append(w)
             if not ok:
                 continue
-            iid = (v, self.opened[v])
-            self.opened[v] += 1
-            self.open_now[v] += 1
-            self.open_list.append(iid)
+            iid = (v, opened[v])
+            opened[v] += 1
+            open_now[v] += 1
+            pin = v in self.cut  # a cut arc's suffix: open to the word's end
+            if pin:
+                self.open_list.insert(0, iid)
+                self.pinned += 1
+            else:
+                self.open_list.append(iid)
             self.word.append((iid, OPEN))
             for w in newly:
                 self.covered[v].add(w)
@@ -373,13 +421,26 @@ class _OrderSearch(_Search):
                 self.covered[v].discard(w)
                 self.covered[w].discard(v)
             self.word.pop()
-            self.open_list.pop()
-            self.open_now[v] -= 1
-            self.opened[v] -= 1
+            if pin:
+                self.open_list.pop(0)
+                self.pinned -= 1
+            else:
+                self.open_list.pop()
+            open_now[v] -= 1
+            opened[v] -= 1
 
     def _realize(self):
         if any(len(c) != len(a) for c, a in zip(self.covered, self.adj)):
             return None  # some edge never met
+        if self.family.kind == "circular-arc":
+            # glue the cut back: a cut arc runs from its suffix's open
+            # around the circle to its prefix's close
+            at = {event: q(i) for i, event in enumerate(self.word)}
+            arcs = {}
+            for v in range(self.n):
+                start = at[((v, self.slots[v] - 1), OPEN)]
+                arcs[self.labels[v]] = Arc(start, at[((v, 0), CLOSE)])
+            return CircularArcRep(q(len(self.word)), arcs)
         values = None
         if self.family.kind == "balanced":
             pairing = {v: ((v, 0), (v, 1)) for v in range(self.n)}
@@ -392,7 +453,7 @@ class _OrderSearch(_Search):
             # another and the proper system unitizes with the same pattern
             ivs = transforms.proper_to_unit_interval(ivs)
         items = {}
-        if self.slots == 2:
+        if self.slots[0] == 2:
             for v in range(self.n):
                 items[self.labels[v]] = two_interval(ivs[(v, 0)], ivs[(v, 1)])
         else:
@@ -556,98 +617,6 @@ class _XXSearch(_Search):
         return Representation(items)
 
 
-# --- cyclic-order engine for circular-arc ------------------------------------
-
-
-class _CircSearch(_Search):
-    """Enumerate cyclic endpoint orders: 2n labeled events on positions
-    0..2n-1, with vertex 0's start pinned at position 0 to break rotation.
-    Arc intersections are decided as soon as both arcs involved are fully
-    placed (or an event lands strictly inside a completed arc)."""
-
-    def __init__(self, g: Graph, counter: _Counter):
-        super().__init__(g, counter)
-        self.m = 2 * self.n
-        self.pos = [[-1, -1] for _ in range(self.n)]  # [start, end] positions
-        self.complete_arcs = []
-
-    def run(self):
-        self.pos[0][0] = 0
-        events = []
-        events.append((0, 1))
-        for v in range(1, self.n):
-            events.append((v, 0))
-            events.append((v, 1))
-        self.events = events
-        self.used = [False] * len(events)
-        yield self._dfs(1)
-
-    def _inside(self, v, t):
-        s, e = self.pos[v]
-        if s < e:
-            return s < t < e
-        return t > s or t < e
-
-    def _decide_pair(self, v, w):
-        sv, ev = self.pos[v]
-        sw, ew = self.pos[w]
-        meet = (
-            self._inside(v, sw) or self._inside(v, ew)
-            or self._inside(w, sv) or self._inside(w, ev)
-        )
-        return meet == (w in self.adj[v])
-
-    def _dfs(self, t):
-        if t == self.m:
-            self._leaf()
-            return
-        for ei, (v, kind) in enumerate(self.events):
-            if self.used[ei]:
-                continue
-            self.counter.tick()
-            self.pos[v][kind] = t
-            completes = self.pos[v][1 - kind] != -1
-            ok = True
-            if completes:
-                for w in self.complete_arcs:
-                    if not self._decide_pair(v, w):
-                        ok = False
-                        break
-                if ok:
-                    for w in range(self.n):
-                        if w == v or self.pos[w][0] == -1 or self.pos[w][1] != -1:
-                            continue
-                        if self._inside(v, self.pos[w][0]) and w not in self.adj[v]:
-                            ok = False
-                            break
-            else:
-                for w in self.complete_arcs:
-                    if self._inside(w, t) and w not in self.adj[v]:
-                        ok = False
-                        break
-            if ok:
-                self.used[ei] = True
-                if completes:
-                    self.complete_arcs.append(v)
-                yield self._dfs(t + 1)
-                if completes:
-                    self.complete_arcs.pop()
-                self.used[ei] = False
-            self.pos[v][kind] = -1
-
-    def _realize(self):
-        for v in range(self.n):
-            for w in range(v + 1, self.n):
-                if not self._decide_pair(v, w):
-                    return None
-        circumference = q(self.m)
-        arcs = {}
-        for v in range(self.n):
-            s, e = self.pos[v]
-            arcs[self.labels[v]] = Arc(q(s), q(e))
-        return CircularArcRep(circumference, arcs)
-
-
 def _strip_universal(g: Graph):
     """Peel universal vertices; a graph is circular-arc iff the peeled
     graph is (each one returns as a near-full arc)."""
@@ -716,7 +685,7 @@ def recognize(g: Graph, family: FamilySelector, budget: Budget) -> SearchOutcome
         if core.n == 0:
             base = CircularArcRep(q(1), {})
             return member(_readd_universal(base, stripped), counter.nodes)
-        search = _CircSearch(core, counter)
+        search = _OrderSearch(core, family, counter)
     else:
         search = _OrderSearch(g, family, counter)
     exhausted = _run(search)

@@ -22,6 +22,50 @@ def random_graph(rng: random.Random, n: int, p: float = 0.4) -> Graph:
     return Graph.build(vs, es)
 
 
+def _canonical_key(n: int, edges) -> tuple:
+    """An isomorphism invariant that separates non-isomorphic graphs: the
+    least sorted edge list over all relabellings that list vertices by
+    nondecreasing degree (a relabelling-invariant set of orders)."""
+    deg = [0] * n
+    for a, b in edges:
+        deg[a] += 1
+        deg[b] += 1
+    classes = [
+        [v for v in range(n) if deg[v] == d] for d in sorted(set(deg))
+    ]
+    best = None
+    for parts in itertools.product(*(itertools.permutations(c) for c in classes)):
+        order = [v for part in parts for v in part]
+        where = {v: i for i, v in enumerate(order)}
+        key = tuple(sorted(
+            (min(where[a], where[b]), max(where[a], where[b])) for a, b in edges
+        ))
+        if best is None or key < best:
+            best = key
+    return best
+
+
+def nonisomorphic_graphs(n: int) -> list[Graph]:
+    """One graph per isomorphism class on n vertices, labelled v0..v{n-1}
+    and edged by their canonical keys, sorted by key.
+
+    Every graph on n vertices is a graph on n - 1 vertices plus one vertex
+    with some neighbourhood, so extending each class on n - 1 vertices in
+    every way and keeping one graph per key reaches every class."""
+    keys = {()}
+    for m in range(1, n):
+        keys = {
+            _canonical_key(m + 1, list(key) + [(v, m) for v in range(m) if mask >> v & 1])
+            for key in keys
+            for mask in range(1 << m)
+        }
+    labels = [f"v{i}" for i in range(n)]
+    return [
+        Graph.build(labels, [(labels[a], labels[b]) for a, b in key])
+        for key in sorted(keys)
+    ]
+
+
 def random_closed_rep(rng: random.Random, n: int) -> Representation:
     items = {}
     for i in range(n):

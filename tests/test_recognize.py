@@ -1,5 +1,7 @@
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,6 +31,8 @@ from tik.model import (
     UNIT,
     UNIT_INTERVAL,
     XX,
+    Arc,
+    CircularArcRep,
     intersection_graph,
     q,
 )
@@ -455,6 +459,76 @@ def test_circular_engine_against_brute_force():
         assert out.kind == ("member" if expected else "nonmember"), g
 
 
+def test_circular_engine_on_random_models():
+    # most of these models wrap an arc past 0, yet nearly all their graphs
+    # are interval and the empty cut decides them; the next test forces
+    # nonempty cuts
+    from conftest import random_circular_rep
+
+    rng = random.Random(163)
+    for _ in range(200):
+        ca = random_circular_rep(rng, rng.randint(1, 8))
+        g = model.circular_intersection_graph(ca)
+        out = recognize(g, CIRCULAR_ARC, Budget(10**5))
+        assert_member_sound(out, g, CIRCULAR_ARC)
+
+
+def test_circular_engine_finds_nonempty_cuts():
+    # arcs around the circle that meet only their neighbours induce a
+    # chordless cycle, so these graphs are not interval, the empty cut
+    # fails and the search must cut through a clique of arcs
+    from conftest import random_circular_rep
+
+    rng = random.Random(173)
+    for _ in range(100):
+        k = rng.randint(4, 6)
+        arcs = {f"c{i}": Arc(q(4 * i), q(4 * i + 5) % (4 * k)) for i in range(k)}
+        extra = rng.randint(0, 3)
+        if extra:
+            other = random_circular_rep(rng, extra)
+            scale = q(4 * k) / other.circumference
+            for v, a in other.arcs.items():
+                arcs[v] = Arc(a.start * scale, a.end * scale)
+        g = model.circular_intersection_graph(CircularArcRep(q(4 * k), arcs))
+        assert recognize(g, INTERVAL_CLASS, Budget(10**5)).is_nonmember()
+        out = recognize(g, CIRCULAR_ARC, Budget(10**5))
+        assert_member_sound(out, g, CIRCULAR_ARC)
+
+
+def test_nonisomorphic_graph_counts():
+    from conftest import nonisomorphic_graphs
+
+    # OEIS A000088
+    assert [len(nonisomorphic_graphs(n)) for n in range(1, 7)] == [1, 2, 4, 11, 34, 156]
+
+
+def test_circular_engine_on_small_graph_census():
+    # every graph on at most six vertices is decided; the verdicts the
+    # cyclic-order engine this one replaced reached at the same budget are
+    # frozen in tests/data, and brute force checks up to four vertices
+    from conftest import brute_force_circular_member, nonisomorphic_graphs
+
+    verdicts = {}
+    for n in range(1, 7):
+        for g in nonisomorphic_graphs(n):
+            out = recognize(g, CIRCULAR_ARC, Budget(10**5))
+            assert not out.is_inconclusive(), g
+            if out.is_member():
+                assert_member_sound(out, g, CIRCULAR_ARC)
+            if n <= 4:
+                assert out.is_member() == brute_force_circular_member(g), g
+            verdicts[g] = out.kind
+    assert len(verdicts) == 208
+    frozen = json.loads(
+        (Path(__file__).parent / "data" / "circular_arc_small_graphs.json").read_text()
+    )["graphs"]
+    assert len(frozen) == 149
+    for entry in frozen:
+        labels = [f"v{i}" for i in range(entry["n"])]
+        g = Graph.build(labels, [(labels[a], labels[b]) for a, b in entry["edges"]])
+        assert verdicts[g] == entry["verdict"], g
+
+
 def test_balanced_engine_on_circular_arc_graphs():
     # every circular-arc graph admits a balanced realization, so the
     # balanced search must return member on these
@@ -536,7 +610,7 @@ def test_deep_search_answers(g, family):
 @pytest.mark.parametrize("g, family, kind, nodes", [
     (domino(), UNIT, "member", 430),
     (complete_bipartite(2, 3), BALANCED, "member", 51),
-    (complete_bipartite(2, 3), CIRCULAR_ARC, "nonmember", 71_731),
+    (complete_bipartite(2, 3), CIRCULAR_ARC, "nonmember", 2_600),
     (domino(), XX(2), "member", 113),
     (cycle(5), INTERVAL_CLASS, "nonmember", 80),
     (path(200), TWO_INTERVAL, "member", 2_081),
@@ -545,9 +619,15 @@ def test_deep_search_answers(g, family):
     (complete_bipartite(2, 4), BALANCED, "member", 84),
     (petersen(), BALANCED, "member", 895),
     (complete_bipartite(3, 4), BALANCED, "member", 8_455),
+    # circular-arc: every clique of the core as a cut, the empty one first
+    (domino(), CIRCULAR_ARC, "nonmember", 4_124),
+    (complete_bipartite(4, 4), CIRCULAR_ARC, "nonmember", 20_576),
+    (petersen(), CIRCULAR_ARC, "nonmember", 22_600),
+    (cycle(20), CIRCULAR_ARC, "member", 2_619),
 ], ids=["domino-unit", "k23-balanced", "k23-circular-arc", "domino-xx2",
         "c5-interval", "path200-2interval", "k33-balanced", "k24-balanced",
-        "petersen-balanced", "k34-balanced"])
+        "petersen-balanced", "k34-balanced", "domino-circular-arc",
+        "k44-circular-arc", "petersen-circular-arc", "c20-circular-arc"])
 def test_node_counts_pinned(g, family, kind, nodes):
     out = recognize(g, family, BIG)
     assert (out.kind, out.nodes_used) == (kind, nodes)
@@ -578,6 +658,8 @@ HIERARCHY = [
     (UNIT, BALANCED),
     (BALANCED, TWO_INTERVAL),
     (UNIT_INTERVAL, INTERVAL_CLASS),
+    (INTERVAL_CLASS, CIRCULAR_ARC),
+    (CIRCULAR_ARC, BALANCED),  # transforms.balanced_from_circular_arc
 ]
 
 
@@ -586,7 +668,7 @@ HIERARCHY = [
 def test_hierarchy_is_monotone(g):
     outs = {}
     for family in (XX(1), XX(2), UNIT, BALANCED, TWO_INTERVAL,
-                   UNIT_INTERVAL, INTERVAL_CLASS):
+                   UNIT_INTERVAL, INTERVAL_CLASS, CIRCULAR_ARC):
         out = recognize(g, family, Budget(10**5))
         if out.is_member():
             assert_member_sound(out, g, family)
