@@ -307,6 +307,30 @@ def k_colorable(g: Graph, k: int) -> Coloring | None:
     return None
 
 
+def clique_number(g: Graph) -> int:
+    """Size of a largest clique (0 for the empty graph).
+
+    Bitset branch and bound on an explicit stack: each entry is a clique
+    size and the candidates adjacent to the whole clique; branch on the
+    highest candidate (with it, then without it) and drop an entry that
+    cannot beat the best size found."""
+    index = {v: i for i, v in enumerate(g.vertices)}
+    nbrs = [sum(1 << index[w] for w in g.neighbors(v)) for v in g.vertices]
+    best = 0
+    stack = [(0, (1 << g.n) - 1)]
+    while stack:
+        size, cand = stack.pop()
+        if size + cand.bit_count() <= best:
+            continue
+        if not cand:
+            best = size
+            continue
+        v = cand.bit_length() - 1
+        stack.append((size, cand ^ (1 << v)))
+        stack.append((size + 1, cand & nbrs[v]))
+    return best
+
+
 def is_triangle_free_3regular(g: Graph) -> bool:
     if any(g.degree(v) != 3 for v in g.vertices):
         return False

@@ -265,6 +265,17 @@ def _gen_graph(args) -> Graph:
     raise FormatError(f"unknown generator {kind!r}")
 
 
+def _read_input(path: str) -> str:
+    """The text of a positional input, which must name a file, so that a
+    mistyped path is an error and not a one-vertex graph.  Graph text goes
+    to the text-only parser: text that names a file is still text."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except FileNotFoundError:
+        raise FormatError(f"no such file: {path}") from None
+
+
 def _cmd_gen(args, out, err) -> int:
     g = _gen_graph(args)
     if args.format == "dot":
@@ -298,7 +309,7 @@ def _cmd_realize(args, out, err) -> int:
 
 
 def _cmd_verify(args, out, err) -> int:
-    rep = parse_representation(args.input)
+    rep = parse_representation(_read_input(args.input))
     family = _family_from_args(args)
     verdict = model.family_check(rep, family)
     if verdict.ok:
@@ -309,7 +320,7 @@ def _cmd_verify(args, out, err) -> int:
 
 
 def _cmd_recognize(args, out, err) -> int:
-    g = parse_graph(args.input)
+    g = graphs.from_edge_list(_read_input(args.input))
     family = _family_from_args(args)
     budget = _budget_from_args(args)
     outcome = recognize.recognize(g, family, budget)
@@ -333,7 +344,7 @@ def _cmd_recognize(args, out, err) -> int:
 
 
 def _cmd_transform(args, out, err) -> int:
-    rep = parse_representation(args.input)
+    rep = parse_representation(_read_input(args.input))
     op = args.op
     if op in ("ca-to-balanced", "ca-to-unit"):
         if not isinstance(rep, CircularArcRep):
@@ -358,7 +369,7 @@ def _cmd_transform(args, out, err) -> int:
 
 
 def _cmd_reduce(args, out, err) -> int:
-    g = parse_graph(args.input)
+    g = graphs.from_edge_list(_read_input(args.input))
     if args.op == "hc-balanced":
         inst = reductions.hc_to_balanced_instance(g)
         out.write(graphs.to_edge_list(inst.graph))
@@ -386,7 +397,7 @@ def _cmd_reduce(args, out, err) -> int:
 
 
 def _cmd_check(args, out, err) -> int:
-    g = parse_graph(args.input)
+    g = graphs.from_edge_list(_read_input(args.input))
     if args.op == "all-k-simplicial":
         if args.k is None:
             raise FormatError("all-k-simplicial needs --k")
@@ -410,10 +421,10 @@ def _cmd_check(args, out, err) -> int:
 
 def _cmd_render(args, out, err) -> int:
     if args.what == "dot":
-        out.write(emit_dot(parse_graph(args.input)))
+        out.write(emit_dot(graphs.from_edge_list(_read_input(args.input))))
         return EXIT_YES
     if args.what == "svg":
-        rep = parse_representation(args.input)
+        rep = parse_representation(_read_input(args.input))
         if isinstance(rep, CircularArcRep):
             raise FormatError("svg rendering expects a 2-interval representation")
         out.write(emit_svg(rep))

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import lp, transforms
-from .graphs import Graph
+from .graphs import Graph, clique_number
 from .model import (
     Arc,
     CircularArcRep,
@@ -234,7 +234,14 @@ class _Search:
     index, the node counter, and the realizations accepted so far.
 
     An engine's `run` and `_dfs` are generators driven by `_run`; its
-    `_realize` returns the certificate of a complete candidate, or None."""
+    `_realize` returns the certificate of a complete candidate, or None.
+
+    Clique-count bound: the intervals a move meets form a clique with it,
+    so a move covers at most `room` = omega - 1 new edges.  `slack` is
+    room times the moves left that can cover an edge, minus the edges
+    still uncovered; a move spends `room` and gets back the edges it
+    covers, and a branch whose slack would fall below 0 is dead.  No move
+    is left at a leaf, so every leaf reached has every edge covered."""
 
     def __init__(self, g: Graph, counter: _Counter, visitor=None):
         self.labels = sorted(g.vertices)
@@ -248,6 +255,8 @@ class _Search:
         self.visitor = visitor
         self.found = None
         self.count = 0
+        self.room = clique_number(g) - 1
+        self.slack = -len(g.edges)  # each engine adds room per move
 
     def _leaf(self):
         rep = self._realize()
@@ -282,6 +291,8 @@ class _OrderSearch(_Search):
         self.slots = [1 if one else 2] * self.n
         self.fifo = family.kind in ("unit", "unit-interval")
         self.total_events = 2 * sum(self.slots)
+        # circular-arc: n opens on every cut too, as W's prefixes start open
+        self.slack += self.room * sum(self.slots)
         self.cut = frozenset()
 
         self.word = []
@@ -402,6 +413,9 @@ class _OrderSearch(_Search):
                     newly.append(w)
             if not ok:
                 continue
+            spend = self.room - len(newly)
+            if self.slack < spend:
+                continue  # clique-count bound
             iid = (v, opened[v])
             opened[v] += 1
             open_now[v] += 1
@@ -415,8 +429,10 @@ class _OrderSearch(_Search):
             for w in newly:
                 self.covered[v].add(w)
                 self.covered[w].add(v)
+            self.slack -= spend
             if self._coverage_ok(v):
                 yield self._dfs()
+            self.slack += spend
             for w in newly:
                 self.covered[v].discard(w)
                 self.covered[w].discard(v)
@@ -430,8 +446,6 @@ class _OrderSearch(_Search):
             opened[v] -= 1
 
     def _realize(self):
-        if any(len(c) != len(a) for c, a in zip(self.covered, self.adj)):
-            return None  # some edge never met
         if self.family.kind == "circular-arc":
             # glue the cut back: a cut arc runs from its suffix's open
             # around the circle to its prefix's close
@@ -485,6 +499,7 @@ class _XXSearch(_Search):
         super().__init__(g, counter, visitor)
         self.x = x
         self.total = 2 * self.n
+        self.slack += self.room * self.total
         self.pos = [[None, None] for _ in range(self.n)]
         self.copies = [0] * self.n
         self.covered = [set() for _ in range(self.n)]
@@ -588,14 +603,19 @@ class _XXSearch(_Search):
                         newly.append(w)
                 if not ok:
                     continue
+                spend = self.room - len(newly)
+                if self.slack < spend:
+                    continue  # clique-count bound
                 self.pos[v][c] = p
                 self.copies[v] += 1
                 self.seq.append((p, v, c))
                 for w in newly:
                     self.covered[v].add(w)
                     self.covered[w].add(v)
+                self.slack -= spend
                 if self._edges_alive(p):
                     yield self._dfs()
+                self.slack += spend
                 for w in newly:
                     self.covered[v].discard(w)
                     self.covered[w].discard(v)
@@ -604,8 +624,6 @@ class _XXSearch(_Search):
                 self.pos[v][c] = None
 
     def _realize(self):
-        if any(len(c) != len(a) for c, a in zip(self.covered, self.adj)):
-            return None  # some edge never met
         x = self.x
         items = {}
         for v in range(self.n):

@@ -116,6 +116,7 @@ def test_c02_k44e_contiguity_audit():
     _report("C2 contiguity audit", ok and result.complete, t, detail)
     assert not bad, "found a non-contiguous realization"
     assert result.complete, "audit did not exhaust the canonical space"
+    assert (result.count, result.nodes_used) == (6_336, 395_809)
 
 
 def test_c03_xx_class_separation():

@@ -9,6 +9,7 @@ from tik.graphs import (
     Graph,
     GraphError,
     add_universal,
+    clique_number,
     complement,
     complete_bipartite,
     cycle,
@@ -168,6 +169,31 @@ def test_k_colorable_against_brute_force():
             assert (got is not None) == expected
             if got is not None:
                 assert got.validates(g, k)
+
+
+def test_clique_number_examples():
+    assert clique_number(Graph.build([], [])) == 0
+    assert clique_number(Graph.build(["a", "b"], [])) == 1
+    assert clique_number(complete_bipartite(5, 3)) == 2
+    assert clique_number(wheel(5)) == 3
+    assert clique_number(kneser(7, 2)) == 3
+    assert clique_number(complement(Graph.build([f"v{i}" for i in range(7)], []))) == 7
+    assert clique_number(path(600)) == 2
+
+
+def test_clique_number_against_brute_force():
+    from conftest import nonisomorphic_graphs
+
+    graphs = [g for n in range(1, 7) for g in nonisomorphic_graphs(n)]
+    assert len(graphs) == 208
+    for g in graphs:
+        expected = max(
+            k
+            for k in range(1, g.n + 1)
+            for vs in itertools.combinations(g.vertices, k)
+            if all(g.has_edge(a, b) for a, b in itertools.combinations(vs, 2))
+        )
+        assert clique_number(g) == expected, g
 
 
 def test_is_triangle_free_3regular():

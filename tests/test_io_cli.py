@@ -224,6 +224,31 @@ def test_cli_usage_errors():
     assert code == EXIT_ERROR and "kneser" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["recognize", "--family", "unit"],
+    ["verify", "--family", "balanced"],
+], ids=["recognize", "verify"])
+def test_cli_missing_input_file(tmp_path, argv):
+    # a mistyped path is an error, not the one-vertex graph it spells
+    missing = str(tmp_path / "nonexistent")
+    code, out, err = run_cli(argv + [missing])
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert err == f"error: no such file: {missing}\n"
+
+
+def test_cli_input_text_is_not_a_path(tmp_path):
+    # the file holds the one-vertex graph whose label names another file
+    other = tmp_path / "other.edges"
+    other.write_text("x y\n")
+    g = tmp_path / "g.edges"
+    g.write_text(str(other))
+    code, out, _ = run_cli(["render", "dot", str(g)])
+    assert code == EXIT_YES
+    assert out == emit_dot(parse_graph(str(g)))
+    assert '"x"' not in out
+
+
 def test_cli_internal_error_is_not_a_verdict(tmp_path, monkeypatch):
     # a crash inside a command must exit 3, never 1 ("nonmember")
     def boom(*args):

@@ -519,14 +519,49 @@ def test_circular_engine_on_small_graph_census():
                 assert out.is_member() == brute_force_circular_member(g), g
             verdicts[g] = out.kind
     assert len(verdicts) == 208
-    frozen = json.loads(
-        (Path(__file__).parent / "data" / "circular_arc_small_graphs.json").read_text()
-    )["graphs"]
+    frozen = list(_frozen("circular_arc_small_graphs.json"))
     assert len(frozen) == 149
-    for entry in frozen:
+    for g, entry in frozen:
+        assert verdicts[g] == entry["verdict"], g
+
+
+def _frozen(name):
+    # graphs of tests/conftest.py nonisomorphic_graphs, labelled v0..v{n-1}
+    data = json.loads((Path(__file__).parent / "data" / name).read_text())
+    for entry in data["graphs"]:
         labels = [f"v{i}" for i in range(entry["n"])]
         g = Graph.build(labels, [(labels[a], labels[b]) for a, b in entry["edges"]])
-        assert verdicts[g] == entry["verdict"], g
+        yield g, entry
+
+
+FAMILIES = {str(f): f for f in (XX(1), XX(2), UNIT, BALANCED, TWO_INTERVAL,
+                                UNIT_INTERVAL, INTERVAL_CLASS, CIRCULAR_ARC)}
+
+
+def test_enumeration_counts_on_small_graph_census():
+    # realization counts frozen from the search before the clique-count
+    # bound: a sound prune may drop nodes but never a realization
+    totals = {}
+    for g, entry in _frozen("small_graph_enumeration_counts.json"):
+        out = enumerate_realizations(g, FAMILIES[entry["family"]], BIG,
+                                     lambda rep: None)
+        assert out.complete and out.count == entry["count"], (g, entry["family"])
+        totals[entry["family"]] = totals.get(entry["family"], 0) + out.count
+    assert totals == {"xx(1)": 6_628, "xx(2)": 2_303, "2interval": 29_873}
+
+
+def test_verdicts_on_small_graph_census():
+    # all 8 families on the 52 graphs with at most five vertices, against
+    # the verdicts frozen from the search before the clique-count bound
+    pairs = 0
+    for g, entry in _frozen("small_graph_verdicts.json"):
+        for name, kind in entry["verdicts"].items():
+            out = recognize(g, FAMILIES[name], Budget(10**5))
+            assert out.kind == kind, (g, name)
+            if out.is_member():
+                assert_member_sound(out, g, FAMILIES[name])
+            pairs += 1
+    assert pairs == 416
 
 
 def test_balanced_engine_on_circular_arc_graphs():
@@ -608,26 +643,30 @@ def test_deep_search_answers(g, family):
 
 
 @pytest.mark.parametrize("g, family, kind, nodes", [
-    (domino(), UNIT, "member", 430),
+    (domino(), UNIT, "member", 309),
     (complete_bipartite(2, 3), BALANCED, "member", 51),
-    (complete_bipartite(2, 3), CIRCULAR_ARC, "nonmember", 2_600),
+    (complete_bipartite(2, 3), CIRCULAR_ARC, "nonmember", 205),
     (domino(), XX(2), "member", 113),
-    (cycle(5), INTERVAL_CLASS, "nonmember", 80),
+    (cycle(5), INTERVAL_CLASS, "nonmember", 5),
     (path(200), TWO_INTERVAL, "member", 2_081),
     # balanced members whose one leaf goes through the LP
-    (complete_bipartite(3, 3), BALANCED, "member", 465),
+    (complete_bipartite(3, 3), BALANCED, "member", 75),
     (complete_bipartite(2, 4), BALANCED, "member", 84),
-    (petersen(), BALANCED, "member", 895),
-    (complete_bipartite(3, 4), BALANCED, "member", 8_455),
+    (petersen(), BALANCED, "member", 175),
+    (complete_bipartite(3, 4), BALANCED, "member", 78),
     # circular-arc: every clique of the core as a cut, the empty one first
-    (domino(), CIRCULAR_ARC, "nonmember", 4_124),
-    (complete_bipartite(4, 4), CIRCULAR_ARC, "nonmember", 20_576),
-    (petersen(), CIRCULAR_ARC, "nonmember", 22_600),
-    (cycle(20), CIRCULAR_ARC, "member", 2_619),
+    (domino(), CIRCULAR_ARC, "nonmember", 288),
+    (complete_bipartite(4, 4), CIRCULAR_ARC, "nonmember", 776),
+    (petersen(), CIRCULAR_ARC, "nonmember", 960),
+    (cycle(20), CIRCULAR_ARC, "member", 205),
+    # the clique-count bound is tight (15 = 2 * 8 - 1) or exceeded (16)
+    (complete_bipartite(5, 3), BALANCED, "member", 143),
+    (complete_bipartite(4, 4), TWO_INTERVAL, "nonmember", 8),
 ], ids=["domino-unit", "k23-balanced", "k23-circular-arc", "domino-xx2",
         "c5-interval", "path200-2interval", "k33-balanced", "k24-balanced",
         "petersen-balanced", "k34-balanced", "domino-circular-arc",
-        "k44-circular-arc", "petersen-circular-arc", "c20-circular-arc"])
+        "k44-circular-arc", "petersen-circular-arc", "c20-circular-arc",
+        "k53-balanced", "k44-2interval"])
 def test_node_counts_pinned(g, family, kind, nodes):
     out = recognize(g, family, BIG)
     assert (out.kind, out.nodes_used) == (kind, nodes)
