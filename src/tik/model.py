@@ -1,12 +1,14 @@
 """Exact representation model: intervals, 2-intervals, circular arcs.
 
-All endpoints are exact rationals (fractions.Fraction).  Intersection is a
-single closedness-aware predicate; each family verifier imposes its own
-endpoint convention on top of it.
+All endpoints are exact rationals (fractions.Fraction).  Intersection is
+closedness-aware: `intersects` tests one pair, and one endpoint sweep finds
+every meeting pair of a representation.  Each family verifier imposes its
+own endpoint convention on top of it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -195,9 +197,12 @@ class Arc:
 
     def segments(self, circumference: Fraction) -> list[Interval]:
         """Decompose into linear intervals on [0, C]; the wrap point is
-        interior, so cut ends there are closed."""
+        interior, so cut ends there are closed.  An arc ending open at 0
+        misses the wrap point and is the single piece [start, C)."""
         if not self.wraps():
             return [Interval(self.start, self.end, self.start_closed, self.end_closed)]
+        if self.end == 0 and not self.end_closed:
+            return [Interval(self.start, circumference, self.start_closed, False)]
         return [
             Interval(self.start, circumference, self.start_closed, True),
             Interval(q(0), self.end, True, self.end_closed),
@@ -241,42 +246,47 @@ class CircularArcRep:
         )
 
 
-def arcs_intersect(a: Arc, b: Arc, circumference: Fraction) -> bool:
-    if a.wraps() and b.wraps():
-        return True  # both contain the wrap point's neighborhood
-    return any(
-        intersects(sa, sb)
-        for sa in a.segments(circumference)
-        for sb in b.segments(circumference)
-    )
-
-
 # --- intersection graphs ---------------------------------------------------
 
 
-def two_intervals_intersect(a: TwoInterval, b: TwoInterval) -> bool:
-    return any(intersects(p, r) for p in a.parts() for r in b.parts())
+def _overlaps(pieces) -> list[tuple]:
+    """Every pair of keys whose intervals share a point, from one sweep over
+    ``pieces``, a list of (key, Interval).
+
+    At equal values the events run open end, closed start, closed end, open
+    start: the order of x - eps, x, x, x + eps with starts before ends at x.
+    So two intervals meet iff one starts while the other is active.
+    """
+    # Exact integer keys over the common denominator: sorting them is far
+    # cheaper than comparing Fractions.
+    den = math.lcm(1, *(x.denominator for _, iv in pieces for x in (iv.lo, iv.hi)))
+    events = []
+    for i, (_, iv) in enumerate(pieces):
+        lo = iv.lo.numerator * (den // iv.lo.denominator)
+        hi = iv.hi.numerator * (den // iv.hi.denominator)
+        events += [(lo, 1 if iv.lo_closed else 3, i), (hi, 2 if iv.hi_closed else 0, i)]
+    events.sort()
+    active: set[int] = set()
+    pairs = []
+    for _, rank, i in events:
+        if rank % 2:  # a start
+            key = pieces[i][0]
+            pairs.extend((pieces[j][0], key) for j in active)
+            active.add(i)
+        else:
+            active.discard(i)
+    return pairs
 
 
 def intersection_graph(rep: Representation) -> Graph:
-    labels = rep.labels()
-    edges = []
-    for i, u in enumerate(labels):
-        for v in labels[i + 1:]:
-            if two_intervals_intersect(rep[u], rep[v]):
-                edges.append((u, v))
-    return Graph.build(labels, edges)
+    pairs = _overlaps([(v, iv) for v, _, iv in rep.ground_set()])
+    return Graph.build(rep.labels(), [(u, v) for u, v in pairs if u != v])
 
 
 def circular_intersection_graph(ca: CircularArcRep) -> Graph:
-    labels = ca.labels()
     c = ca.circumference
-    edges = []
-    for i, u in enumerate(labels):
-        for v in labels[i + 1:]:
-            if arcs_intersect(ca[u], ca[v], c):
-                edges.append((u, v))
-    return Graph.build(labels, edges)
+    pairs = _overlaps([(v, seg) for v in ca.labels() for seg in ca[v].segments(c)])
+    return Graph.build(ca.labels(), [(u, v) for u, v in pairs if u != v])
 
 
 # --- family selectors and verifiers ----------------------------------------
@@ -391,15 +401,10 @@ def family_check(rep, family: FamilySelector) -> Verdict:
 
 
 def _padding_rights(rep: Representation) -> Verdict:
-    ground = rep.ground_set()
-    for v, side, iv in ground:
-        if side != 1:
-            continue
-        for w, side2, jv in ground:
-            if (v, side) == (w, side2):
-                continue
-            if intersects(iv, jv):
-                return _fail(f"right interval of {v!r} is not pure padding")
+    pairs = _overlaps([((v, side), iv) for v, side, iv in rep.ground_set()])
+    bad = [v for pair in pairs for v, side in pair if side == 1]
+    if bad:
+        return _fail(f"right interval of {min(bad)!r} is not pure padding")
     return PASS
 
 

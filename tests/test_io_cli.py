@@ -174,6 +174,23 @@ def test_cli_transform_pipeline(tmp_path):
     assert model.family_check(rep, BALANCED).ok
 
 
+def test_cli_ca_to_balanced_arc_ending_open_at_zero(tmp_path):
+    ca = {
+        "circumference": "4",
+        "arcs": {
+            "a": {"start": "2", "end": "0", "start_closed": True, "end_closed": False},
+            "b": {"start": "1", "end": "3", "start_closed": True, "end_closed": True},
+        },
+    }
+    ca_path = tmp_path / "open0.json"
+    ca_path.write_text(json.dumps(ca))
+    code, out, _ = run_cli(["transform", "ca-to-balanced", str(ca_path)])
+    assert code == EXIT_YES
+    rep = parse_representation(out)
+    assert model.intersection_graph(rep) == model.circular_intersection_graph(
+        parse_representation(json.dumps(ca)))
+
+
 def test_cli_reduce_and_check(tmp_path):
     k33 = tmp_path / "k33.edges"
     k33.write_text(to_edge_list(complete_bipartite(3, 3)))

@@ -8,14 +8,16 @@ from conftest import (
     random_circular_rep,
     random_closed_rep,
 )
-from tik import model
+from tik import model, transforms
 from tik.gadgets import k44e_22_realization, k53, k53_balanced_realization
 from tik.graphs import Graph, cycle
 from tik.model import (
     BALANCED,
     CIRCULAR_ARC,
+    INTERVAL_CLASS,
     TWO_INTERVAL,
     UNIT,
+    UNIT_INTERVAL,
     XX,
     Arc,
     CircularArcRep,
@@ -23,6 +25,7 @@ from tik.model import (
     Interval,
     ModelError,
     Representation,
+    Verdict,
     affine,
     circular_intersection_graph,
     contiguity,
@@ -114,6 +117,112 @@ def test_circular_intersection_graph_matches_pointcheck():
     for _ in range(120):
         ca = random_circular_rep(rng, rng.randint(1, 8))
         assert circular_intersection_graph(ca) == circular_graph_pointcheck(ca)
+
+
+# --- the endpoint sweep against pairwise references ---------------------------
+
+
+def _meets(a: Interval, b: Interval) -> bool:
+    """Pairwise reference: two intervals meet iff one of their endpoints, or
+    the midpoint of two consecutive endpoints, lies in both."""
+    pts = sorted({a.lo, a.hi, b.lo, b.hi})
+    cands = pts + [(x + y) / 2 for x, y in zip(pts, pts[1:])]
+    return any(a.contains_point(x) and b.contains_point(x) for x in cands)
+
+
+def _pairwise_graph(rep: Representation) -> Graph:
+    labels = rep.labels()
+    return Graph.build(labels, [
+        (u, v) for i, u in enumerate(labels) for v in labels[i + 1:]
+        if any(_meets(p, r) for p in rep[u].parts() for r in rep[v].parts())
+    ])
+
+
+def _pairwise_padding(rep: Representation) -> Verdict:
+    for v in rep.labels():
+        if any(_meets(rep[v].right, iv)
+               for w, side, iv in rep.ground_set() if (w, side) != (v, 1)):
+            return Verdict(False, f"right interval of {v!r} is not pure padding")
+    return Verdict(True)
+
+
+def _touching_rep(rng: random.Random, n: int, length=None) -> Representation:
+    """Half-integer endpoints on a short line, so ends touch often; every
+    closedness mix; closed points unless ``length`` fixes the lengths; about
+    a third of the right pieces moved far off, so padding checks can pass."""
+    items = {}
+    while len(items) < n:
+        los = sorted(q(rng.randint(0, 2 * n + 4)) / 2 for _ in range(2))
+        if rng.random() < 0.3:
+            los[1] += 50
+        if length is None:
+            his = [lo + q(rng.randint(0, 3)) / 2 for lo in los]
+        else:
+            his = [lo + length for lo in los]
+        pieces = [
+            Interval(lo, hi) if lo == hi
+            else Interval(lo, hi, rng.random() < 0.5, rng.random() < 0.5)
+            for lo, hi in zip(los, his)
+        ]
+        try:
+            items[f"v{len(items)}"] = two_interval(*pieces)
+        except ModelError:  # the two pieces meet
+            continue
+    return Representation(items)
+
+
+def _circular_rep_ends_at_zero(rng: random.Random, n: int) -> CircularArcRep:
+    """Arcs with every closedness mix; about one in five ends at 0."""
+    c = max(2, n)
+    arcs = {}
+    while len(arcs) < n:
+        start = q(rng.randint(0, 2 * c - 1)) / 2
+        end = q(0) if rng.random() < 0.2 else q(rng.randint(0, 2 * c - 1)) / 2
+        if start != end:
+            arcs[f"v{len(arcs)}"] = Arc(start, end, rng.random() < 0.5,
+                                        rng.random() < 0.5)
+    return CircularArcRep(q(c), arcs)
+
+
+def test_intersection_graph_matches_pairwise_reference():
+    rng = random.Random(8)
+    for _ in range(400):
+        rep = _touching_rep(rng, rng.randint(0, 8))
+        assert intersection_graph(rep) == _pairwise_graph(rep)
+
+
+def test_circular_intersection_graph_with_ends_at_zero():
+    rng = random.Random(9)
+    for _ in range(300):
+        ca = _circular_rep_ends_at_zero(rng, rng.randint(1, 7))
+        assert circular_intersection_graph(ca) == circular_graph_pointcheck(ca)
+    empty = CircularArcRep(q(1), {})
+    assert circular_intersection_graph(empty) == Graph.build([], [])
+
+
+def test_padding_check_matches_pairwise_reference():
+    rng = random.Random(10)
+    verdicts = set()
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        rep = _touching_rep(rng, n, length=q(rng.randint(1, 2)))
+        assert family_check(rep, INTERVAL_CLASS) == _pairwise_padding(rep)
+        verdicts.add(family_check(rep, INTERVAL_CLASS).ok)
+        unit = affine(rep, 1 / rep["v0"].left.length, 0)
+        assert family_check(unit, UNIT_INTERVAL) == _pairwise_padding(unit)
+    assert verdicts == {True, False}
+
+
+def test_arc_ending_open_at_zero():
+    # [2, 0) on a circle of 4 is [2, 4): it misses the point 0
+    ca = CircularArcRep(q(4), {"a": Arc(q(2), q(0), True, False),
+                               "b": Arc(q(1), q(3))})
+    assert ca["a"].segments(q(4)) == [Interval(q(2), q(4), True, False)]
+    assert not ca["a"].contains_point(q(0), q(4))
+    assert ca["a"].contains_point(q("7/2"), q(4))
+    assert circular_intersection_graph(ca) == Graph.build("ab", [("a", "b")])
+    rep = transforms.balanced_from_circular_arc(ca, transforms.generic_cut_point(ca))
+    assert intersection_graph(rep) == circular_intersection_graph(ca)
 
 
 def test_family_check_balanced_fixture():

@@ -87,6 +87,24 @@ def test_ham_cycle_realization_cube():
     assert rep["z"].left.length == 163 + 2 * 7
 
 
+def prism(k: int) -> Graph:
+    """C_k x K_2: cubic, triangle-free for k >= 4 and Hamiltonian."""
+    a = [f"a{i}" for i in range(k)]
+    b = [f"b{i}" for i in range(k)]
+    return Graph.build(a + b, [(x[i], x[(i + 1) % k]) for x in (a, b)
+                               for i in range(k)] + list(zip(a, b)))
+
+
+def test_ham_cycle_realization_prism30():
+    # 565 vertices: about 160,000 vertex pairs, checked by one sweep
+    g = prism(30)
+    inst = hamiltonicity_expansion(g)
+    rep = ham_cycle_realization(inst, find_hamiltonian_cycle(g))
+    assert inst.graph.n == len(rep) == 565
+    assert model.family_check(rep, BALANCED).ok
+    assert intersection_graph(rep) == inst.graph
+
+
 def test_ham_cycle_realization_accepts_rotated_cycle():
     k33 = complete_bipartite(3, 3)
     inst = hamiltonicity_expansion(k33)
