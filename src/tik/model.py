@@ -249,6 +249,20 @@ class CircularArcRep:
 # --- intersection graphs ---------------------------------------------------
 
 
+def _sweep_keys(ivs) -> tuple[int, list[tuple[int, int, int, int]]]:
+    """The common denominator of the intervals' endpoints, and each interval
+    as (lo, start rank, hi, end rank): its ends as exact integers over that
+    denominator, which sort far faster than Fractions, and the ranks of the
+    sweep order in `_overlaps` (closed start 1, open start 3, open end 0,
+    closed end 2)."""
+    den = math.lcm(1, *(x.denominator for iv in ivs for x in (iv.lo, iv.hi)))
+    return den, [
+        (iv.lo.numerator * (den // iv.lo.denominator), 1 if iv.lo_closed else 3,
+         iv.hi.numerator * (den // iv.hi.denominator), 2 if iv.hi_closed else 0)
+        for iv in ivs
+    ]
+
+
 def _overlaps(pieces) -> list[tuple]:
     """Every pair of keys whose intervals share a point, from one sweep over
     ``pieces``, a list of (key, Interval).
@@ -257,14 +271,10 @@ def _overlaps(pieces) -> list[tuple]:
     start: the order of x - eps, x, x, x + eps with starts before ends at x.
     So two intervals meet iff one starts while the other is active.
     """
-    # Exact integer keys over the common denominator: sorting them is far
-    # cheaper than comparing Fractions.
-    den = math.lcm(1, *(x.denominator for _, iv in pieces for x in (iv.lo, iv.hi)))
+    _, keys = _sweep_keys([iv for _, iv in pieces])
     events = []
-    for i, (_, iv) in enumerate(pieces):
-        lo = iv.lo.numerator * (den // iv.lo.denominator)
-        hi = iv.hi.numerator * (den // iv.hi.denominator)
-        events += [(lo, 1 if iv.lo_closed else 3, i), (hi, 2 if iv.hi_closed else 0, i)]
+    for i, (lo, lo_rank, hi, hi_rank) in enumerate(keys):
+        events += [(lo, lo_rank, i), (hi, hi_rank, i)]
     events.sort()
     active: set[int] = set()
     pairs = []
@@ -422,27 +432,23 @@ def contiguity(rep: Representation) -> Contiguity:
     maximal uncovered gaps strictly inside the span."""
     if len(rep) == 0:
         raise ModelError("contiguity undefined for an empty representation")
-    items = sorted(
-        ((iv.lo, not iv.lo_closed, iv) for _, _, iv in rep.ground_set()),
-        key=lambda t: (t[0], t[1]),
-    )
+    den, items = _sweep_keys([iv for _, _, iv in rep.ground_set()])
+    items.sort()
     holes: list[Interval] = []
-    cur = items[0][2]
-    cur_hi, cur_hi_closed = cur.hi, cur.hi_closed
-    for lo, _, iv in items[1:]:
-        joined = lo < cur_hi or (
-            lo == cur_hi and (iv.lo_closed or cur_hi_closed)
-        )
-        if joined:
-            if (iv.hi, iv.hi_closed) > (cur_hi, cur_hi_closed):
-                cur_hi, cur_hi_closed = iv.hi, iv.hi_closed
+    _, _, cur_hi, cur_rank = items[0]
+    for lo, lo_rank, hi, hi_rank in items[1:]:
+        # joined unless a gap, or an open start at an open end, comes first
+        if lo < cur_hi or (lo == cur_hi and (lo_rank == 1 or cur_rank == 2)):
+            if (hi, hi_rank) > (cur_hi, cur_rank):
+                cur_hi, cur_rank = hi, hi_rank
         else:
+            end = Fraction(cur_hi, den)
             holes.append(
-                Interval(cur_hi, lo, not cur_hi_closed, not iv.lo_closed)
+                Interval(end, Fraction(lo, den), cur_rank == 0, lo_rank == 3)
                 if cur_hi < lo
-                else Interval(cur_hi, cur_hi)  # single uncovered point
+                else Interval(end, end)  # single uncovered point
             )
-            cur_hi, cur_hi_closed = iv.hi, iv.hi_closed
+            cur_hi, cur_rank = hi, hi_rank
     return Contiguity(contiguous=not holes, holes=tuple(holes))
 
 

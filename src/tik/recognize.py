@@ -255,6 +255,7 @@ class _Search:
         self.visitor = visitor
         self.found = None
         self.count = 0
+        self.pieces = {}  # a leaf's TwoIntervals by endpoint key, built once
         self.room = clique_number(g) - 1
         self.slack = -len(g.edges)  # each engine adds room per move
 
@@ -446,15 +447,24 @@ class _OrderSearch(_Search):
             opened[v] -= 1
 
     def _realize(self):
+        at = {event: i for i, event in enumerate(self.word)}
         if self.family.kind == "circular-arc":
             # glue the cut back: a cut arc runs from its suffix's open
             # around the circle to its prefix's close
-            at = {event: q(i) for i, event in enumerate(self.word)}
             arcs = {}
             for v in range(self.n):
                 start = at[((v, self.slots[v] - 1), OPEN)]
-                arcs[self.labels[v]] = Arc(start, at[((v, 0), CLOSE)])
+                arcs[self.labels[v]] = Arc(q(start), q(at[((v, 0), CLOSE)]))
             return CircularArcRep(q(len(self.word)), arcs)
+        if self.family.kind == "2interval":
+            items = {}
+            for v in range(self.n):
+                key = tuple(at[((v, s), k)] for s in (0, 1) for k in (OPEN, CLOSE))
+                if key not in self.pieces:
+                    a, b, c, d = map(q, key)
+                    self.pieces[key] = two_interval(Interval(a, b), Interval(c, d))
+                items[self.labels[v]] = self.pieces[key]
+            return Representation(items)
         values = None
         if self.family.kind == "balanced":
             pairing = {v: ((v, 0), (v, 1)) for v in range(self.n)}
@@ -504,18 +514,22 @@ class _XXSearch(_Search):
         self.copies = [0] * self.n
         self.covered = [set() for _ in range(self.n)]
         self.seq = []  # (position, vertex, copy) in placement order
+        self.expires = {}  # reach (position + x) -> vertices of copies placed there
 
     def run(self):
         yield self._dfs()
 
-    def _edges_alive(self, p):
+    def _edges_alive(self, touched, p):
         # every uncovered edge must still be coverable: future copies start
-        # at >= p, and a second copy no earlier than first + x
+        # at >= p, and a second copy no earlier than first + x.  The parent
+        # node passed this test, so only the `touched` vertices are checked,
+        # against all their uncovered edges (design notes: "Incremental
+        # liveness in the placement engine")
         x = self.x
         pos = self.pos
         copies = self.copies
         cap = 1 if x == 1 else 2  # disjoint length-x intervals one copy can meet
-        for u in range(self.n):
+        for u in touched:
             adj_u = self.adj[u]
             cov_u = self.covered[u]
             if len(cov_u) == len(adj_u):
@@ -527,8 +541,6 @@ class _XXSearch(_Search):
                 if w in cov_u:
                     continue
                 uncovered.append(w)
-                if w < u:
-                    continue
                 cw = copies[w]
                 if cu == 2:
                     if cw == 2 or pos[u][1] + x <= (
@@ -573,11 +585,12 @@ class _XXSearch(_Search):
             gaps = tuple(range(1, x + 1)) + (0,)
             last_key = (lv, lc)
 
+        # finishing vertices first makes coverage constraints bite early
+        candidates = [v for v in range(self.n) if self.copies[v] == 1]
+        candidates += [v for v in range(self.n) if self.copies[v] == 0]
+        expires = self.expires
         for g in gaps:
             p = last_pos + g
-            # finishing vertices first makes coverage constraints bite early
-            candidates = [v for v in range(self.n) if self.copies[v] == 1]
-            candidates += [v for v in range(self.n) if self.copies[v] == 0]
             for v in candidates:
                 c = self.copies[v]
                 if g == 0 and depth > 0 and (v, c) <= last_key:
@@ -609,16 +622,24 @@ class _XXSearch(_Search):
                 self.pos[v][c] = p
                 self.copies[v] += 1
                 self.seq.append((p, v, c))
+                expires.setdefault(p + x, []).append(v)
                 for w in newly:
                     self.covered[v].add(w)
                     self.covered[w].add(v)
                 self.slack -= spend
-                if self._edges_alive(p):
+                if depth == 0:
+                    touched = range(self.n)  # the root was never checked
+                else:  # v, newly, and copies whose reach p passed since the parent
+                    touched = {v, *newly}
+                    for r in range(last_pos + 1, p + 1):
+                        touched.update(expires.get(r, ()))
+                if self._edges_alive(touched, p):
                     yield self._dfs()
                 self.slack += spend
                 for w in newly:
                     self.covered[v].discard(w)
                     self.covered[w].discard(v)
+                expires[p + x].pop()
                 self.seq.pop()
                 self.copies[v] -= 1
                 self.pos[v][c] = None
@@ -627,11 +648,14 @@ class _XXSearch(_Search):
         x = self.x
         items = {}
         for v in range(self.n):
-            a_l, a_r = self.pos[v]
-            items[self.labels[v]] = two_interval(
-                Interval(q(a_l), q(a_l + x), False, False),
-                Interval(q(a_r), q(a_r + x), False, False),
-            )
+            key = tuple(self.pos[v])
+            if key not in self.pieces:
+                a_l, a_r = key
+                self.pieces[key] = two_interval(
+                    Interval(q(a_l), q(a_l + x), False, False),
+                    Interval(q(a_r), q(a_r + x), False, False),
+                )
+            items[self.labels[v]] = self.pieces[key]
         return Representation(items)
 
 

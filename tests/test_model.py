@@ -296,6 +296,64 @@ def test_contiguity_point_hole():
     assert got.holes[0].is_degenerate()
 
 
+def _reference_contiguity(rep):
+    # contiguity by sorting the Fraction endpoints themselves, the reference
+    # for the integer-key sweep in model.contiguity
+    items = sorted(
+        ((iv.lo, not iv.lo_closed, iv) for _, _, iv in rep.ground_set()),
+        key=lambda t: (t[0], t[1]),
+    )
+    holes = []
+    cur_hi, cur_hi_closed = items[0][2].hi, items[0][2].hi_closed
+    for lo, _, iv in items[1:]:
+        if lo < cur_hi or (lo == cur_hi and (iv.lo_closed or cur_hi_closed)):
+            if (iv.hi, iv.hi_closed) > (cur_hi, cur_hi_closed):
+                cur_hi, cur_hi_closed = iv.hi, iv.hi_closed
+        else:
+            holes.append(
+                Interval(cur_hi, lo, not cur_hi_closed, not iv.lo_closed)
+                if cur_hi < lo
+                else Interval(cur_hi, cur_hi)
+            )
+            cur_hi, cur_hi_closed = iv.hi, iv.hi_closed
+    return model.Contiguity(contiguous=not holes, holes=tuple(holes))
+
+
+def _random_mixed_rep(rng, n):
+    # endpoints on a grid of halves and thirds, so ends often touch, and
+    # every closedness mix, degenerate closed points included
+    grid = sorted({Fraction(k, d) for d in (1, 2, 3) for k in range(4 * d + 1)})
+    items = {}
+    while len(items) < n:
+        a, b, c, d = sorted(rng.choices(grid, k=4))
+        closed = [rng.random() < 0.5 for _ in range(4)]
+        try:
+            items[f"v{len(items)}"] = two_interval(
+                Interval(a, b, closed[0], closed[1]),
+                Interval(c, d, closed[2], closed[3]),
+            )
+        except ModelError:
+            continue
+    return Representation(items)
+
+
+def test_contiguity_matches_fraction_sort():
+    rng = random.Random(907)
+    kinds = {"contiguous": 0, "point hole": 0, "fractional hole": 0}
+    for _ in range(500):
+        rep = _random_mixed_rep(rng, rng.randint(1, 4))
+        got = contiguity(rep)
+        assert got == _reference_contiguity(rep), rep.items
+        if got.contiguous:
+            kinds["contiguous"] += 1
+        for hole in got.holes:
+            if hole.is_degenerate():
+                kinds["point hole"] += 1
+            elif hole.lo.denominator > 1 or hole.hi.denominator > 1:
+                kinds["fractional hole"] += 1
+    assert min(kinds.values()) >= 20, kinds
+
+
 def test_contiguity_empty_rejected():
     with pytest.raises(ModelError):
         contiguity(Representation({}))

@@ -447,6 +447,77 @@ def test_xx_engine_against_window_brute_force():
     assert agreements == 240
 
 
+def _full_scan_edges_alive(search, p):
+    # the liveness test as a rescan of every vertex, the reference for the
+    # incremental check in _XXSearch._edges_alive
+    x = search.x
+    pos = search.pos
+    copies = search.copies
+    cap = 1 if x == 1 else 2
+    for u in range(search.n):
+        adj_u = search.adj[u]
+        cov_u = search.covered[u]
+        if len(cov_u) == len(adj_u):
+            continue
+        cu = copies[u]
+        e_u = p if cu == 0 else max(p, pos[u][0] + x)
+        uncovered = []
+        for w in adj_u:
+            if w in cov_u:
+                continue
+            uncovered.append(w)
+            if w < u:
+                continue
+            cw = copies[w]
+            if cu == 2:
+                if cw == 2 or pos[u][1] + x <= (
+                    p if cw == 0 else max(p, pos[w][0] + x)
+                ):
+                    return False
+            elif cw == 2 and pos[w][1] + x <= e_u:
+                return False
+        if len(uncovered) > cap:
+            kept = []
+            for w in sorted(uncovered):
+                if all(k not in search.adj[w] for k in kept):
+                    kept.append(w)
+            if len(kept) > cap:
+                live = 2 - cu
+                for i in range(cu):
+                    if pos[u][i] > p - x:
+                        live += 1
+                if cap * live < len(kept):
+                    return False
+    return True
+
+
+def test_incremental_liveness_equals_full_rescan(monkeypatch):
+    from conftest import nonisomorphic_graphs
+    from tik import recognize as engine
+    from tik.gadgets import xx_separator
+
+    verdicts = {True: 0, False: 0}
+
+    class Checked(engine._XXSearch):
+        def _edges_alive(self, touched, p):
+            got = super()._edges_alive(touched, p)
+            assert got == _full_scan_edges_alive(self, p), (self.seq, p)
+            verdicts[got] += 1
+            return got
+
+    monkeypatch.setattr(engine, "_XXSearch", Checked)
+    for n in range(1, 6):
+        for g in nonisomorphic_graphs(n):
+            for x in (1, 2, 3):
+                recognize(g, XX(x), Budget(10**5))
+            if n <= 4:
+                for x in (1, 2):
+                    enumerate_realizations(g, XX(x), BIG, lambda rep: None)
+    for x in (2, 3):
+        recognize(xx_separator(x).graph, XX(x), Budget(2000))
+    assert min(verdicts.values()) > 1000, verdicts
+
+
 def test_circular_engine_against_brute_force():
     from conftest import brute_force_circular_member
 
@@ -662,11 +733,13 @@ def test_deep_search_answers(g, family):
     # the clique-count bound is tight (15 = 2 * 8 - 1) or exceeded (16)
     (complete_bipartite(5, 3), BALANCED, "member", 143),
     (complete_bipartite(4, 4), TWO_INTERVAL, "nonmember", 8),
+    # a deep placement search: liveness re-checks only what a move touched
+    (path(600), XX(1), "member", 183_090),
 ], ids=["domino-unit", "k23-balanced", "k23-circular-arc", "domino-xx2",
         "c5-interval", "path200-2interval", "k33-balanced", "k24-balanced",
         "petersen-balanced", "k34-balanced", "domino-circular-arc",
         "k44-circular-arc", "petersen-circular-arc", "c20-circular-arc",
-        "k53-balanced", "k44-2interval"])
+        "k53-balanced", "k44-2interval", "path600-xx1"])
 def test_node_counts_pinned(g, family, kind, nodes):
     out = recognize(g, family, BIG)
     assert (out.kind, out.nodes_used) == (kind, nodes)
@@ -675,8 +748,9 @@ def test_node_counts_pinned(g, family, kind, nodes):
 
 
 def test_enumeration_counts_pinned():
-    out = enumerate_realizations(path(3), TWO_INTERVAL, BIG, lambda rep: None)
-    assert (out.complete, out.count, out.nodes_used) == (True, 1_968, 8_764)
+    for n, count, nodes in ((3, 1_968, 8_764), (4, 51_880, 269_820)):
+        out = enumerate_realizations(path(n), TWO_INTERVAL, BIG, lambda rep: None)
+        assert (out.complete, out.count, out.nodes_used) == (True, count, nodes), n
 
 
 # --- differential: the class hierarchy ----------------------------------------------
