@@ -308,16 +308,23 @@ def k_colorable(g: Graph, k: int) -> Coloring | None:
 
 
 def clique_number(g: Graph) -> int:
-    """Size of a largest clique (0 for the empty graph).
+    """Size of a largest clique (0 for the empty graph)."""
+    index = {v: i for i, v in enumerate(g.vertices)}
+    return clique_number_of_masks(
+        [sum(1 << index[w] for w in g.neighbors(v)) for v in g.vertices]
+    )
+
+
+def clique_number_of_masks(nbrs) -> int:
+    """Size of a largest clique of the graph on vertices 0..len(nbrs)-1
+    whose neighbours of vertex i are the set bits of nbrs[i].
 
     Bitset branch and bound on an explicit stack: each entry is a clique
     size and the candidates adjacent to the whole clique; branch on the
     highest candidate (with it, then without it) and drop an entry that
     cannot beat the best size found."""
-    index = {v: i for i, v in enumerate(g.vertices)}
-    nbrs = [sum(1 << index[w] for w in g.neighbors(v)) for v in g.vertices]
     best = 0
-    stack = [(0, (1 << g.n) - 1)]
+    stack = [(0, (1 << len(nbrs)) - 1)]
     while stack:
         size, cand = stack.pop()
         if size + cand.bit_count() <= best:

@@ -11,7 +11,11 @@ Two engines share the Budget/SearchOutcome surface:
 * integer placement enumeration in a normalized window (xx).
 
 Both run on one search loop, `_run`, which walks their generators on an
-explicit stack, so a search may go as deep as memory allows.
+explicit stack, so a search may go as deep as memory allows.  Both keep
+their vertex sets (neighbours, covered edges, open or placed vertices) as
+int bitmasks, so a candidate costs a few integer operations, and charge
+the candidates they can rule out in bulk, in the order and with the stop
+node that one tick per candidate would give.
 
 NonMember is returned only when the search space was provably exhausted
 within budget.  Every Member certificate re-verifies: family_check passes
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import lp, transforms
-from .graphs import Graph, clique_number
+from .graphs import Graph, clique_number_of_masks
 from .model import (
     Arc,
     CircularArcRep,
@@ -48,8 +52,9 @@ class RecognizeError(ValueError):
 @dataclass(frozen=True)
 class Budget:
     """Node budget for a search.  A node is counted for every candidate
-    extension the engine examines, so identical inputs always consume
-    identical node counts (no wall-clock dependence)."""
+    extension the engine considers, examined or ruled out in bulk, so
+    identical inputs always consume identical node counts (no wall-clock
+    dependence)."""
 
     max_nodes: int
 
@@ -109,10 +114,25 @@ class _Counter:
         self.nodes = 0
         self.limit = limit
 
-    def tick(self):
-        self.nodes += 1
+    def charge(self, k):
+        # k nodes at once; past the limit it stops where k one-node charges
+        # would, at limit + 1
+        self.nodes += k
         if self.nodes > self.limit:
+            self.nodes = self.limit + 1
             raise _BudgetExhausted()
+
+
+def _greedy_disjoint(mask, adjm):
+    """How many vertices of `mask` a greedy pass in ascending order keeps
+    pairwise nonadjacent (adjacency as the bitmasks `adjm`)."""
+    kept = 0
+    while mask:
+        low = mask & -mask
+        if not adjm[low.bit_length() - 1] & kept:
+            kept |= low
+        mask ^= low
+    return kept.bit_count()
 
 
 # --- order words and metric feasibility -------------------------------------
@@ -230,8 +250,11 @@ def order_feasible(word, family: FamilySelector, pairing=None):
 
 
 class _Search:
-    """State every engine shares: vertex labels, adjacency sets by vertex
-    index, the node counter, and the realizations accepted so far.
+    """State every engine shares: vertex labels, adjacency by vertex index
+    (as sets and as bitmasks), the node counter, and the realizations
+    accepted so far.  Vertex sets the engines keep per move (covered
+    neighbours, open or live vertices) are int bitmasks too, so their
+    per-candidate tests are a few integer operations.
 
     An engine's `run` and `_dfs` are generators driven by `_run`; its
     `_realize` returns the certificate of a complete candidate, or None.
@@ -251,13 +274,26 @@ class _Search:
         for u, v in g.edges:
             self.adj[idx[u]].add(idx[v])
             self.adj[idx[v]].add(idx[u])
+        self.adjm = [sum(1 << w for w in a) for a in self.adj]
+        self.covered = [0] * self.n  # neighbours each vertex has met so far
         self.counter = counter
         self.visitor = visitor
         self.found = None
         self.count = 0
         self.pieces = {}  # a leaf's TwoIntervals by endpoint key, built once
-        self.room = clique_number(g) - 1
+        self.room = clique_number_of_masks(self.adjm) - 1
         self.slack = -len(g.edges)  # each engine adds room per move
+
+    def _flip_cover(self, v, newly):
+        # mark the edges from v to the vertices of mask `newly` covered;
+        # called again with the same arguments, unmark them
+        covered = self.covered
+        covered[v] ^= newly
+        bit = 1 << v
+        while newly:
+            low = newly & -newly
+            covered[low.bit_length() - 1] ^= bit
+            newly ^= low
 
     def _leaf(self):
         rep = self._realize()
@@ -300,39 +336,35 @@ class _OrderSearch(_Search):
         self.open_list = []  # pinned suffixes, then interval ids oldest first
         self.pinned = 0  # suffixes at the front of open_list, never closed
         self.opened = [0] * self.n
-        self.open_now = [0] * self.n
-        self.covered = [set() for _ in range(self.n)]
-
-    def _possible(self, u, w):
-        # can edge (u, w) still gain an intersection later in this branch?
-        u_unopened = self.opened[u] < self.slots[u]
-        w_unopened = self.opened[w] < self.slots[w]
-        u_unclosed = u_unopened or self.open_now[u] > 0
-        w_unclosed = w_unopened or self.open_now[w] > 0
-        return (u_unopened and w_unclosed) or (w_unopened and u_unclosed)
+        self.open_now = [0] * self.n  # 0 or 1: a vertex opens one at a time
+        self.live = 0  # vertices with an interval open now
+        self.unopened = (1 << self.n) - 1  # vertices with a slot still to open
 
     def _coverage_ok(self, u):
-        for w in self.adj[u]:
-            if w not in self.covered[u] and not self._possible(u, w):
-                return False
-        if self.fifo and not self._capacity_ok(u):
+        # every uncovered edge (u, w) must still be able to meet: an
+        # unopened u can meet any w not yet closed, an open u only a w
+        # still to open, a closed u nothing (design notes: "Bitset kernels")
+        bit = 1 << u
+        if self.unopened & bit:
+            possible = self.unopened | self.live
+        elif self.live & bit:
+            possible = self.unopened
+        else:
+            possible = 0
+        if self.adjm[u] & ~self.covered[u] & ~possible:
             return False
-        return True
+        return not self.fifo or self._capacity_ok(u)
 
     def _capacity_ok(self, u):
         # equal lengths: one interval meets at most two pairwise-disjoint
         # intervals over its whole lifetime, and closed intervals meet
         # nothing new, so uncovered pairwise-nonadjacent neighbors must fit
-        # in twice the live interval count
-        uncovered = [w for w in self.adj[u] if w not in self.covered[u]]
-        live = (self.slots[u] - self.opened[u]) + self.open_now[u]
-        if len(uncovered) <= 2 * live:
+        # in twice the count of u's intervals not yet closed
+        uncovered = self.adjm[u] & ~self.covered[u]
+        alive = (self.slots[u] - self.opened[u]) + self.open_now[u]
+        if uncovered.bit_count() <= 2 * alive:
             return True
-        kept = []
-        for w in sorted(uncovered):
-            if all(k not in self.adj[w] for k in kept):
-                kept.append(w)
-        return len(kept) <= 2 * live
+        return _greedy_disjoint(uncovered, self.adjm) <= 2 * alive
 
     def run(self):
         if self.fifo and any(
@@ -347,6 +379,7 @@ class _OrderSearch(_Search):
             for w in cut:
                 self.slots[w] = 2
                 self.opened[w] = self.open_now[w] = 1
+                self.live |= 1 << w
                 self.open_list.append((w, 0))
                 self.word.append(((w, 0), OPEN))
             self.total_events = 2 * self.n + len(cut)
@@ -354,6 +387,7 @@ class _OrderSearch(_Search):
             for w in cut:
                 self.slots[w] = 1
                 self.opened[w] = self.open_now[w] = 0
+            self.live = 0
             self.open_list.clear()
             self.word.clear()
 
@@ -385,41 +419,54 @@ class _OrderSearch(_Search):
         # close the oldest open interval (containment is infeasible there)
         closables = self.open_list[:1] if self.fifo else self.open_list[self.pinned:]
         for iid in closables:
-            self.counter.tick()
+            self.counter.charge(1)
             v = iid[0]
             pos = self.open_list.index(iid)
             self.word.append((iid, CLOSE))
             self.open_list.pop(pos)
             self.open_now[v] -= 1
+            self.live ^= 1 << v
             if self._coverage_ok(v):
                 yield self._dfs()
+            self.live ^= 1 << v
             self.open_now[v] += 1
             self.open_list.insert(pos, iid)
             self.word.pop()
 
-        # open moves, vertex order
+        # open moves, vertex order.  Every movable vertex (none of its
+        # intervals open, one still to open) is a node, but only those
+        # adjacent to every open interval can move, and only if they cover
+        # the `want` new edges the clique-count bound asks for; the nodes up
+        # to a move are charged just before it, the rest after the last
         opened, open_now, slots = self.opened, self.open_now, self.slots
-        for v in range(self.n):
-            if open_now[v] > 0 or opened[v] >= slots[v]:
-                continue
-            self.counter.tick()
-            ok = True
-            newly = []
-            for jid in self.open_list:
-                w = jid[0]
-                if w not in self.adj[v]:
-                    ok = False
-                    break
-                if w not in self.covered[v]:
-                    newly.append(w)
-            if not ok:
-                continue
-            spend = self.room - len(newly)
-            if self.slack < spend:
+        counter = self.counter
+        covered = self.covered
+        live = self.live
+        slack = self.slack
+        want = self.room - slack
+        rest = self.unopened & ~live  # movable, not charged yet
+        # an open covers at most the live vertices
+        common = rest if live.bit_count() >= want else 0
+        for jid in self.open_list:
+            common &= self.adjm[jid[0]]
+        while common:
+            low = common & -common
+            common ^= low
+            v = low.bit_length() - 1
+            newly = live & ~covered[v]
+            k = newly.bit_count()
+            if k < want:
                 continue  # clique-count bound
+            upto = rest & (low | (low - 1))  # v and the movable before it
+            rest ^= upto
+            counter.charge(upto.bit_count())
             iid = (v, opened[v])
             opened[v] += 1
             open_now[v] += 1
+            self.live = live | low
+            last = opened[v] == slots[v]
+            if last:
+                self.unopened ^= low
             pin = v in self.cut  # a cut arc's suffix: open to the word's end
             if pin:
                 self.open_list.insert(0, iid)
@@ -427,24 +474,25 @@ class _OrderSearch(_Search):
             else:
                 self.open_list.append(iid)
             self.word.append((iid, OPEN))
-            for w in newly:
-                self.covered[v].add(w)
-                self.covered[w].add(v)
-            self.slack -= spend
+            self._flip_cover(v, newly)
+            self.slack = slack + k - self.room
             if self._coverage_ok(v):
                 yield self._dfs()
-            self.slack += spend
-            for w in newly:
-                self.covered[v].discard(w)
-                self.covered[w].discard(v)
+            self.slack = slack
+            self._flip_cover(v, newly)
             self.word.pop()
             if pin:
                 self.open_list.pop(0)
                 self.pinned -= 1
             else:
                 self.open_list.pop()
+            if last:
+                self.unopened ^= low
+            self.live = live
             open_now[v] -= 1
             opened[v] -= 1
+        if rest:
+            counter.charge(rest.bit_count())
 
     def _realize(self):
         at = {event: i for i, event in enumerate(self.word)}
@@ -512,7 +560,7 @@ class _XXSearch(_Search):
         self.slack += self.room * self.total
         self.pos = [[None, None] for _ in range(self.n)]
         self.copies = [0] * self.n
-        self.covered = [set() for _ in range(self.n)]
+        self.placed2 = 0  # vertices with both copies placed
         self.seq = []  # (position, vertex, copy) in placement order
         self.expires = {}  # reach (position + x) -> vertices of copies placed there
 
@@ -522,48 +570,60 @@ class _XXSearch(_Search):
     def _edges_alive(self, touched, p):
         # every uncovered edge must still be coverable: future copies start
         # at >= p, and a second copy no earlier than first + x.  The parent
-        # node passed this test, so only the `touched` vertices are checked,
-        # against all their uncovered edges (design notes: "Incremental
-        # liveness in the placement engine")
+        # node passed this test, so only the vertices of mask `touched` are
+        # checked, against all their uncovered edges (design notes:
+        # "Incremental liveness in the placement engine")
         x = self.x
         pos = self.pos
         copies = self.copies
+        adjm = self.adjm
+        covered = self.covered
+        placed2 = self.placed2
         cap = 1 if x == 1 else 2  # disjoint length-x intervals one copy can meet
-        for u in touched:
-            adj_u = self.adj[u]
-            cov_u = self.covered[u]
-            if len(cov_u) == len(adj_u):
+        while touched:
+            low = touched & -touched
+            touched ^= low
+            u = low.bit_length() - 1
+            need = adjm[u] & ~covered[u]
+            if not need:
                 continue
             cu = copies[u]
-            e_u = p if cu == 0 else max(p, pos[u][0] + x)
-            uncovered = []
-            for w in adj_u:
-                if w in cov_u:
-                    continue
-                uncovered.append(w)
-                cw = copies[w]
-                if cu == 2:
-                    if cw == 2 or pos[u][1] + x <= (
-                        p if cw == 0 else max(p, pos[w][0] + x)
-                    ):
-                        return False
-                elif cw == 2 and pos[w][1] + x <= e_u:
+            if cu == 2:
+                # u's last copy must reach a copy of w still to come, which
+                # starts at >= p, and at >= first + x when w has one down
+                if need & placed2:
                     return False
+                reach = pos[u][1] + x
+                if reach <= p:
+                    return False
+                rest = need
+                while rest:
+                    w_low = rest & -rest
+                    w = w_low.bit_length() - 1
+                    if copies[w] and reach <= pos[w][0] + x:
+                        return False
+                    rest ^= w_low
+            elif need & placed2:
+                # w's last copy must reach u's next one
+                e_u = p if cu == 0 else max(p, pos[u][0] + x)
+                rest = need & placed2
+                while rest:
+                    w_low = rest & -rest
+                    if pos[w_low.bit_length() - 1][1] + x <= e_u:
+                        return False
+                    rest ^= w_low
             # capacity: uncovered pairwise-nonadjacent neighbors have pairwise
             # disjoint intervals, and each copy of u meets at most `cap` of
             # those; only unplaced copies and placed copies still within
             # reach of future positions can serve them
-            if len(uncovered) > cap:
-                kept = []
-                for w in sorted(uncovered):
-                    if all(k not in self.adj[w] for k in kept):
-                        kept.append(w)
-                if len(kept) > cap:
-                    live = 2 - cu
+            if need.bit_count() > cap:
+                kept = _greedy_disjoint(need, adjm)
+                if kept > cap:
+                    alive = 2 - cu
                     for i in range(cu):
                         if pos[u][i] > p - x:
-                            live += 1
-                    if cap * live < len(kept):
+                            alive += 1
+                    if cap * alive < kept:
                         return False
         return True
 
@@ -574,75 +634,88 @@ class _XXSearch(_Search):
             return
         x = self.x
         counter = self.counter
+        seq, pos, copies = self.seq, self.pos, self.copies
+        adjm, covered = self.adjm, self.covered
         if depth == 0:
             gaps = (0,)
             last_pos = 0
-            last_key = (-1, -1)
         else:
-            last_pos, lv, lc = self.seq[-1]
+            last_pos, last_v, _ = seq[-1]
             # staggered overlaps first, exact ties last: realizations of
             # dense gadgets sit in the staggered region of the space
             gaps = tuple(range(1, x + 1)) + (0,)
-            last_key = (lv, lc)
 
         # finishing vertices first makes coverage constraints bite early
-        candidates = [v for v in range(self.n) if self.copies[v] == 1]
-        candidates += [v for v in range(self.n) if self.copies[v] == 0]
+        candidates = [v for v in range(self.n) if copies[v] == 1]
+        candidates += [v for v in range(self.n) if copies[v] == 0]
         expires = self.expires
+        # the fewest new edges a move must cover (clique-count bound); each
+        # move restores slack when it is undone
+        slack = self.slack
+        room = self.room
+        want = room - slack
         for g in gaps:
             p = last_pos + g
-            for v in candidates:
-                c = self.copies[v]
-                if g == 0 and depth > 0 and (v, c) <= last_key:
-                    continue  # canonical order inside a position tie
-                counter.nodes += 1
-                if counter.nodes > counter.limit:
-                    raise _BudgetExhausted()
-                if c == 1 and p < self.pos[v][0] + x:
-                    continue
-                # intersections with already placed intervals
-                ok = True
-                newly = []
-                for qp, w, _ in reversed(self.seq):
-                    if qp <= p - x:
-                        break
-                    if w == v:
-                        ok = False  # same-vertex copies may not overlap
-                        break
-                    if w not in self.adj[v]:
-                        ok = False
-                        break
-                    if w not in self.covered[v]:
-                        newly.append(w)
-                if not ok:
-                    continue
-                spend = self.room - len(newly)
-                if self.slack < spend:
+            if g == 0 and depth > 0:
+                # canonical order inside a position tie: (v, copy) after the
+                # last placed (last_v, c), which leaves last_v its copy c + 1
+                order = [v for v in candidates if v >= last_v]
+            else:
+                order = candidates
+            # the copies still live at p, one per vertex at most: a placed
+            # copy must meet them all, and meets no other
+            window = 0
+            gone = p - x
+            for qp, w, _ in reversed(seq):
+                if qp <= gone:
+                    break
+                window |= 1 << w
+            if window.bit_count() < want:
+                # no candidate covers enough new edges: each is a node,
+                # charged without a look
+                counter.charge(len(order))
+                continue
+            # every candidate is a node; those up to a move are charged
+            # just before it, the rest after the last
+            charged = 0
+            for i, v in enumerate(order):
+                if window & ~adjm[v]:
+                    continue  # misses a live copy, or overlaps v's own first
+                newly = window & ~covered[v]
+                k = newly.bit_count()
+                if k < want:
                     continue  # clique-count bound
-                self.pos[v][c] = p
-                self.copies[v] += 1
-                self.seq.append((p, v, c))
+                counter.charge(i + 1 - charged)
+                charged = i + 1
+                c = copies[v]
+                bit = 1 << v
+                pos[v][c] = p
+                copies[v] = c + 1
+                if c:
+                    self.placed2 ^= bit
+                seq.append((p, v, c))
                 expires.setdefault(p + x, []).append(v)
-                for w in newly:
-                    self.covered[v].add(w)
-                    self.covered[w].add(v)
-                self.slack -= spend
+                self._flip_cover(v, newly)
+                self.slack = slack + k - room
                 if depth == 0:
-                    touched = range(self.n)  # the root was never checked
+                    touched = (1 << self.n) - 1  # the root was never checked
                 else:  # v, newly, and copies whose reach p passed since the parent
-                    touched = {v, *newly}
+                    touched = bit | newly
                     for r in range(last_pos + 1, p + 1):
-                        touched.update(expires.get(r, ()))
+                        for w in expires.get(r, ()):
+                            touched |= 1 << w
                 if self._edges_alive(touched, p):
                     yield self._dfs()
-                self.slack += spend
-                for w in newly:
-                    self.covered[v].discard(w)
-                    self.covered[w].discard(v)
+                self.slack = slack
+                self._flip_cover(v, newly)
                 expires[p + x].pop()
-                self.seq.pop()
-                self.copies[v] -= 1
-                self.pos[v][c] = None
+                seq.pop()
+                if c:
+                    self.placed2 ^= bit
+                copies[v] = c
+                pos[v][c] = None
+            if charged < len(order):
+                counter.charge(len(order) - charged)
 
     def _realize(self):
         x = self.x

@@ -14,6 +14,7 @@ from conftest import (
     random_xx_rep,
 )
 from tik import model, transforms
+from tik.gadgets import k44_minus_e, xx_separator
 from tik.graphs import (
     Graph,
     complete_bipartite,
@@ -22,6 +23,7 @@ from tik.graphs import (
     from_edge_list,
     path,
     petersen,
+    wheel,
 )
 from tik.model import (
     BALANCED,
@@ -457,13 +459,13 @@ def _full_scan_edges_alive(search, p):
     for u in range(search.n):
         adj_u = search.adj[u]
         cov_u = search.covered[u]
-        if len(cov_u) == len(adj_u):
+        if cov_u.bit_count() == len(adj_u):
             continue
         cu = copies[u]
         e_u = p if cu == 0 else max(p, pos[u][0] + x)
         uncovered = []
         for w in adj_u:
-            if w in cov_u:
+            if cov_u >> w & 1:
                 continue
             uncovered.append(w)
             if w < u:
@@ -494,7 +496,6 @@ def _full_scan_edges_alive(search, p):
 def test_incremental_liveness_equals_full_rescan(monkeypatch):
     from conftest import nonisomorphic_graphs
     from tik import recognize as engine
-    from tik.gadgets import xx_separator
 
     verdicts = {True: 0, False: 0}
 
@@ -515,6 +516,57 @@ def test_incremental_liveness_equals_full_rescan(monkeypatch):
                     enumerate_realizations(g, XX(x), BIG, lambda rep: None)
     for x in (2, 3):
         recognize(xx_separator(x).graph, XX(x), Budget(2000))
+    assert min(verdicts.values()) > 1000, verdicts
+
+
+def _set_rule_coverage_ok(search, u):
+    # the coverage test of the endpoint-order engine as it read on vertex
+    # sets, from the per-vertex slot counts: the reference for the bitmask
+    # test in _OrderSearch._coverage_ok
+    covered = {w for w in search.adj[u] if search.covered[u] >> w & 1}
+
+    def possible(u, w):
+        u_unopened = search.opened[u] < search.slots[u]
+        w_unopened = search.opened[w] < search.slots[w]
+        u_unclosed = u_unopened or search.open_now[u] > 0
+        w_unclosed = w_unopened or search.open_now[w] > 0
+        return (u_unopened and w_unclosed) or (w_unopened and u_unclosed)
+
+    for w in search.adj[u]:
+        if w not in covered and not possible(u, w):
+            return False
+    if search.fifo:
+        uncovered = [w for w in search.adj[u] if w not in covered]
+        live = (search.slots[u] - search.opened[u]) + search.open_now[u]
+        if len(uncovered) > 2 * live:
+            kept = []
+            for w in sorted(uncovered):
+                if all(k not in search.adj[w] for k in kept):
+                    kept.append(w)
+            if len(kept) > 2 * live:
+                return False
+    return True
+
+
+def test_coverage_masks_equal_set_rule(monkeypatch):
+    from conftest import nonisomorphic_graphs
+    from tik import recognize as engine
+
+    verdicts = {True: 0, False: 0}
+
+    class Checked(engine._OrderSearch):
+        def _coverage_ok(self, u):
+            got = super()._coverage_ok(u)
+            assert got == _set_rule_coverage_ok(self, u), (self.word, u)
+            verdicts[got] += 1
+            return got
+
+    monkeypatch.setattr(engine, "_OrderSearch", Checked)
+    families = (TWO_INTERVAL, BALANCED, UNIT, INTERVAL_CLASS, UNIT_INTERVAL, CIRCULAR_ARC)
+    for n in range(1, 6):
+        for g in nonisomorphic_graphs(n):
+            for family in families:
+                recognize(g, family, Budget(10**5))
     assert min(verdicts.values()) > 1000, verdicts
 
 
@@ -735,11 +787,17 @@ def test_deep_search_answers(g, family):
     (complete_bipartite(4, 4), TWO_INTERVAL, "nonmember", 8),
     # a deep placement search: liveness re-checks only what a move touched
     (path(600), XX(1), "member", 183_090),
+    # a position tie in a gap the clique-count bound rules out whole: only
+    # the candidates after the last placed copy are nodes there
+    (Graph.build([f"v{i}" for i in range(7)],
+                 [("v0", "v4"), ("v0", "v5"), ("v1", "v5"), ("v1", "v6"), ("v2", "v4"),
+                  ("v2", "v5"), ("v2", "v6"), ("v3", "v4"), ("v3", "v5"), ("v3", "v6"),
+                  ("v4", "v6"), ("v5", "v6")]), XX(2), "member", 2_398),
 ], ids=["domino-unit", "k23-balanced", "k23-circular-arc", "domino-xx2",
         "c5-interval", "path200-2interval", "k33-balanced", "k24-balanced",
         "petersen-balanced", "k34-balanced", "domino-circular-arc",
         "k44-circular-arc", "petersen-circular-arc", "c20-circular-arc",
-        "k53-balanced", "k44-2interval", "path600-xx1"])
+        "k53-balanced", "k44-2interval", "path600-xx1", "tie-in-dead-gap-xx2"])
 def test_node_counts_pinned(g, family, kind, nodes):
     out = recognize(g, family, BIG)
     assert (out.kind, out.nodes_used) == (kind, nodes)
@@ -792,3 +850,48 @@ def test_hierarchy_is_monotone(g):
     interval = outs[INTERVAL_CLASS]
     if not interval.is_inconclusive():
         assert interval.is_member() == is_interval_graph_oracle(g)
+
+
+# --- budget semantics ---------------------------------------------------------------
+
+
+def _stop_enumeration(g, family):
+    def run(budget):
+        out = enumerate_realizations(g, family, budget, lambda rep: None)
+        return ("complete" if out.complete else "inconclusive"), out.nodes_used
+    return run
+
+
+def _stop_recognition(g, family):
+    def run(budget):
+        out = recognize(g, family, budget)
+        return out.kind, out.nodes_used
+    return run
+
+
+# (search, reference budget): where the reference run is cut off too, only
+# budgets up to it are checked
+BUDGET_STOP_CASES = {
+    "domino-xx2": (_stop_recognition(domino(), XX(2)), BIG),
+    "k44e-xx2-enumeration": (_stop_enumeration(k44_minus_e(), XX(2)), BIG),
+    "xx-separator2-xx2": (_stop_recognition(xx_separator(2).graph, XX(2)), Budget(3000)),
+    "wheel7-unit": (_stop_recognition(wheel(7), UNIT), Budget(3000)),
+    "path60-interval": (_stop_recognition(path(60), INTERVAL_CLASS), BIG),
+    "k23-circular-arc": (_stop_recognition(complete_bipartite(2, 3), CIRCULAR_ARC), BIG),
+}
+
+
+@pytest.mark.parametrize("case", list(BUDGET_STOP_CASES))
+def test_budget_stops_at_the_same_node(case):
+    # a budget of b nodes ends a search that needs N nodes with the same
+    # answer when b >= N, and otherwise as inconclusive after exactly b + 1
+    # nodes, however the engines charge the nodes they skip.  Every budget
+    # to 600, every 7th to 3000 and a stride beyond: each run costs b nodes
+    run, reference = BUDGET_STOP_CASES[case]
+    kind, total = run(reference)
+    last = min(total, reference.max_nodes)
+    budgets = [*range(1, 601), *range(601, 3001, 7),
+               *range(3000, last, max(1, (last - 3000) // 4)), total - 1, total]
+    for b in sorted({b for b in budgets if b <= last}):
+        expected = (kind, total) if b >= total else ("inconclusive", b + 1)
+        assert run(Budget(b)) == expected, b
