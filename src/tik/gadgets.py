@@ -59,6 +59,11 @@ def k53_balanced_realization() -> Representation:
     return _rep(_K53_LAYOUT)
 
 
+# the layout's quadruples as Fractions, built once: k53_block only moves them
+_K53_QUADS = {v: tuple(map(q, quad)) for v, quad in _K53_LAYOUT.items()}
+_K53_SPAN = q(79)
+
+
 def k53_block(prefix: str, offset, scale=1, mirror: bool = False,
               left_overhang: bool = False) -> dict[str, tuple]:
     """Interval quadruples of the K_{5,3} layout, optionally mirrored
@@ -66,15 +71,12 @@ def k53_block(prefix: str, offset, scale=1, mirror: bool = False,
     shifted.  With left_overhang, s2's first interval is slid out past the
     left edge, giving the block s-owned extremities on both sides."""
     offset, scale = q(offset), q(scale)
-    span = q(79)
     items = {}
-    for v, (a, b, c, d) in _K53_LAYOUT.items():
-        quad = [q(a), q(b), q(c), q(d)]
+    for v, quad in _K53_QUADS.items():
         if v == "s2" and left_overhang:
-            quad[0], quad[1] = -HALF, Fraction(13, 2)
+            quad = (-HALF, Fraction(13, 2)) + quad[2:]
         if mirror:
-            a2, b2, c2, d2 = quad
-            quad = [span - d2, span - c2, span - b2, span - a2]
+            quad = tuple(_K53_SPAN - e for e in reversed(quad))
         items[f"{prefix}:{v}"] = tuple(scale * e + offset for e in quad)
     return items
 

@@ -358,7 +358,9 @@ def family_check(rep, family: FamilySelector) -> Verdict:
 
     For interval / unit-interval selectors the right intervals must be pure
     padding (they intersect nothing), so the left intervals alone realize
-    the graph; certificates from the recognizer have that shape.
+    the graph; certificates from the recognizer have that shape.  Unit and
+    unit-interval selectors also require one closedness across the whole
+    ground set.
     """
     if family.kind == "circular-arc":
         if not isinstance(rep, CircularArcRep):
@@ -386,9 +388,15 @@ def family_check(rep, family: FamilySelector) -> Verdict:
         return PASS
 
     if family.kind in ("unit", "unit-interval"):
-        for v, side, iv in rep.ground_set():
+        ground = rep.ground_set()
+        for v, side, iv in ground:
             if iv.length != 1:
                 return _fail(f"{v!r} has interval of length {q_str(iv.length)} != 1")
+        # one closedness throughout: equal lengths then keep an interval's
+        # intersecting predecessors a suffix (see the design notes)
+        for (u, _, a), (v, _, b) in zip(ground, ground[1:]):
+            if (a.lo_closed, a.hi_closed) != (b.lo_closed, b.hi_closed):
+                return _fail(f"mixed closedness: {u!r} has {a}, {v!r} has {b}")
         if family.kind == "unit-interval":
             return _padding_rights(rep)
         return PASS

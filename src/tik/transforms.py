@@ -29,9 +29,6 @@ from .model import (
     two_interval,
 )
 
-HALF = Fraction(1, 2)
-
-
 class TransformError(ValueError):
     pass
 
@@ -119,13 +116,17 @@ def balanced_from_circular_arc(ca: CircularArcRep, p) -> Representation:
     return rep
 
 
-def _assert_proper(intervals: dict[str, Interval]) -> None:
-    labels = sorted(intervals)
-    for i, u in enumerate(labels):
-        for w in labels[i + 1:]:
-            a, b = intervals[u], intervals[w]
-            if (a.lo <= b.lo and b.hi <= a.hi) or (b.lo <= a.lo and a.hi <= b.hi):
-                raise TransformError(f"containment between {u!r} and {w!r}")
+def _assert_proper(intervals: dict) -> list:
+    """The keys in proper order, or TransformError on a containment.  After
+    sorting by (lo, hi), no interval contains another iff lo and hi both
+    strictly rise; a first failure is a containment between neighbors."""
+    order = sorted(intervals, key=lambda v: (intervals[v].lo, intervals[v].hi, v))
+    for u, w in zip(order, order[1:]):
+        a, b = intervals[u], intervals[w]
+        if not (a.lo < b.lo and a.hi < b.hi):
+            u, w = sorted((u, w))
+            raise TransformError(f"containment between {u!r} and {w!r}")
+    return order
 
 
 def proper_circular_arc_check(ca: CircularArcRep) -> None:
@@ -205,13 +206,10 @@ def unit_from_proper_circular_arc(ca: CircularArcRep, p) -> Representation:
     for i, v in enumerate(sorted(whole)):
         ground[(v, 1)] = Interval(far + 2 * i, far + 2 * i + 1)
 
-    _assert_proper({f"{v}|{s}": iv for (v, s), iv in ground.items()})
-    units = proper_to_unit_interval(
-        {f"{v}|{s}": iv for (v, s), iv in ground.items()}
-    )
+    units = proper_to_unit_interval(ground)
     items = {}
     for v in ca.labels():
-        items[v] = two_interval(units[f"{v}|0"], units[f"{v}|1"])
+        items[v] = two_interval(units[(v, 0)], units[(v, 1)])
     rep = Representation(items)
     assert family_check(rep, UNIT).ok
     return rep
@@ -220,57 +218,43 @@ def unit_from_proper_circular_arc(ca: CircularArcRep, p) -> Representation:
 # --- proper -> unit interval ---------------------------------------------------
 
 
-def proper_to_unit_interval(intervals: dict[str, Interval]) -> dict[str, Interval]:
+def proper_to_unit_interval(intervals: dict) -> dict:
     """Unit realization of a proper (containment-free) interval system with
     the same intersection pattern; endpoints are multiples of 1/(2n) for n
-    input intervals.
+    input intervals: the grid placement with step 1 and reach 2n, scaled
+    down by 2n."""
+    order = _assert_proper(intervals)
+    n = len(order)
+    starts = _grid_starts([intervals[v] for v in order], 1, 2 * n)
+    return {v: Interval(Fraction(a, 2 * n), Fraction(a, 2 * n) + 1)
+            for v, a in zip(order, starts)}
 
-    Difference constraints on the unit starts u_i (in proper order): the
-    order advances by at least 1/(2n) per interval, non-intersecting pairs
-    sit at distance strictly over 1 (by the same 1/(2n) grid step), and
-    intersecting pairs within 1.  Feasibility follows because the
-    neighbors of an interval among its predecessors form a suffix and a
-    clique; the minimal solution is computed by longest paths.
+
+def _grid_starts(ivs: list[Interval], step: int, reach: int) -> list[int]:
+    """Least integer starts, the first 0, for intervals in proper order (or
+    a unit ground set of one closedness, sorted by start): each start at
+    least `step` past the one before, intersecting pairs at most `reach`
+    apart and the other pairs more than `reach` apart.
+
+    Interval k's intersecting predecessors form a suffix f(k), ..., k - 1,
+    and f never falls, so one two-pointer sweep finds every f(k).  With the
+    starts in order, u_k <= u_f(k) + reach and u_k >= u_f(k)-1 + reach + 1
+    imply the bounds of every other pair, so 3n difference constraints have
+    the same feasible set as the all-pairs system; Bellman-Ford from 0
+    gives its least point.
     """
-    _assert_proper(intervals)
-    labels = sorted(intervals, key=lambda v: (intervals[v].lo, intervals[v].hi, v))
-    n = len(labels)
-    if n == 0:
-        return {}
-    gamma = Fraction(1, 2 * n)
-
-    lower: list[list[tuple[int, Fraction]]] = [[] for _ in range(n)]  # u_k >= u_j + w
-    upper: list[list[tuple[int, Fraction]]] = [[] for _ in range(n)]  # u_k <= u_j + w
-    for k in range(1, n):
-        lower[k].append((k - 1, gamma))
-        for j in range(k):
-            if intersects(intervals[labels[j]], intervals[labels[k]]):
-                upper[k].append((j, q(1)))
-            else:
-                lower[k].append((j, 1 + gamma))
-
-    u = _longest_paths(n, lower, upper)
-    if u is None:
-        raise TransformError("input system is not unit-realizable (not proper?)")
-    return {labels[k]: Interval(u[k], u[k] + 1) for k in range(n)}
-
-
-def _longest_paths(n, lower, upper):
-    """Least solution with u_0 = 0 of the difference system
-    u_k >= u_j + w (lower) and u_k <= u_j + w (upper), or None.
-
-    Both constraint kinds are longest-path edges (an upper bound forces
-    u_j >= u_k - w), so Bellman-Ford propagates them jointly; a positive
-    cycle means the system is inconsistent.
-    """
-    edges = []
-    for k in range(n):
-        for j, w in lower[k]:
-            edges.append((j, k, w))
-        for j, w in upper[k]:
-            edges.append((k, j, -w))
-    u = [q(0)] * n
-    for round_ in range(n + 1):
+    edges = []  # u_k >= u_j + w as (j, k, w)
+    f = 0
+    for k in range(1, len(ivs)):
+        while f < k and not intersects(ivs[f], ivs[k]):
+            f += 1
+        edges.append((k - 1, k, step))
+        if f:
+            edges.append((f - 1, k, reach + 1))
+        if f < k:
+            edges.append((k, f, -reach))
+    u = [0] * len(ivs)
+    for _ in range(len(ivs) + 1):
         changed = False
         for j, k, w in edges:
             if u[j] + w > u[k]:
@@ -278,7 +262,7 @@ def _longest_paths(n, lower, upper):
                 changed = True
         if not changed:
             return u
-    return None
+    raise TransformError("interval system admits no grid placement")
 
 
 # --- stretch: (x,x) -> (x+1,x+1) ------------------------------------------------
@@ -341,10 +325,11 @@ def unit_rep_to_integer_xx(rep: Representation) -> Representation:
     """Open-interval realization with integer endpoints and length 2n from
     a unit realization (n vertices).
 
-    The ground set of a unit realization is a proper interval system; its
-    integer placement is re-solved on the grid: order steps >= 0,
-    intersecting pairs within 2n - 1, disjoint pairs at least 2n apart
-    (open intervals of length 2n at distance exactly 2n just touch).
+    The unit verifier requires one closedness, so the ground set sorted by
+    start is in proper order up to repeated intervals, and it is re-placed
+    on the grid with step 0 and reach 2n - 1: intersecting pairs within
+    2n - 1, disjoint pairs at least 2n apart (open intervals of length 2n
+    at distance exactly 2n just touch).
     """
     verdict = family_check(rep, UNIT)
     if not verdict.ok:
@@ -352,29 +337,13 @@ def unit_rep_to_integer_xx(rep: Representation) -> Representation:
     n = len(rep)
     if n == 0:
         return rep
-    ground = {f"{v}|{s}": iv for v, s, iv in rep.ground_set()}
-    labels = sorted(ground, key=lambda k: (ground[k].lo, ground[k].hi, k))
-    m = len(labels)
+    ground = {(v, s): iv for v, s, iv in rep.ground_set()}
+    order = sorted(ground, key=lambda k: (ground[k].lo, ground[k].hi, k))
     span = 2 * n
-
-    lower: list[list[tuple[int, Fraction]]] = [[] for _ in range(m)]
-    upper: list[list[tuple[int, Fraction]]] = [[] for _ in range(m)]
-    for k in range(1, m):
-        lower[k].append((k - 1, q(0)))
-        for j in range(k):
-            if intersects(ground[labels[j]], ground[labels[k]]):
-                upper[k].append((j, q(span - 1)))
-            else:
-                lower[k].append((j, q(span)))
-    u = _longest_paths(m, lower, upper)
-    if u is None:
-        raise TransformError("unit ground set admits no integer placement")
-
-    starts = {labels[k]: u[k] for k in range(m)}
+    starts = dict(zip(order, _grid_starts([ground[k] for k in order], 0, span - 1)))
     items = {}
     for v in rep.labels():
-        a = starts[f"{v}|0"]
-        b = starts[f"{v}|1"]
+        a, b = starts[(v, 0)], starts[(v, 1)]
         items[v] = two_interval(
             Interval(a, a + span, False, False),
             Interval(b, b + span, False, False),

@@ -133,6 +133,23 @@ def random_xx_rep(rng: random.Random, n: int, x: int) -> Representation:
     return Representation(items)
 
 
+def mixed_star_rep(pieces: int) -> Representation:
+    """A star K_{1,3*pieces} from unit intervals of mixed closedness: each
+    center piece [a, a+1] meets an open copy (a, a+1) and the closed
+    neighbors [a-1, a] and [a+1, a+2], which are pairwise disjoint.  Labels
+    follow `complete_bipartite`; the leaves' other pieces are far-off
+    padding.  pieces=2 gives K_{1,6} as a unit model, pieces=1 a claw as a
+    unit-interval model."""
+    items = {"s1": two_interval(Interval(q(1), q(2)), Interval(q(11), q(12)))}
+    for i in range(pieces):
+        for d, closed in ((-1, True), (0, False), (1, True)):
+            lo, pad = q(1 + 10 * i + d), q(100 + 2 * len(items))
+            items[f"t{len(items)}"] = two_interval(
+                Interval(lo, lo + 1, closed, closed), Interval(pad, pad + 1)
+            )
+    return Representation(items)
+
+
 # --- independent oracles -------------------------------------------------------
 
 

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from conftest import random_circular_rep, random_closed_rep, random_graph
+from conftest import mixed_star_rep, random_circular_rep, random_closed_rep, random_graph
 import tik
 from tik import model
 from tik.gadgets import k53_balanced_realization
@@ -172,6 +172,27 @@ def test_cli_transform_pipeline(tmp_path):
     assert code == EXIT_YES
     rep = parse_representation(out)
     assert model.family_check(rep, BALANCED).ok
+
+
+def test_cli_verify_unit_rejects_mixed_closedness(tmp_path):
+    path = tmp_path / "k16.json"
+    path.write_text(dump_json(representation_to_json(mixed_star_rep(2))))
+    code, out, _ = run_cli(["verify", "--family", "unit", str(path)])
+    assert code == EXIT_NO and out.startswith("fail") and "closedness" in out
+
+
+@pytest.mark.parametrize("a, b", [("a", "b"), ("b", "a")])
+def test_cli_unit_to_xx_rejects_mixed_closedness(tmp_path, a, b):
+    # the verdict must not hang on which label sorts first among the ties
+    rep = model.Representation({
+        a: model.two_interval(model.interval(0, 1), model.interval(8, 9)),
+        b: model.two_interval(model.open_interval(0, 1), model.interval(5, 6)),
+        "c": model.two_interval(model.interval(1, 2), model.interval(11, 12)),
+    })
+    path = tmp_path / "mixed.json"
+    path.write_text(dump_json(representation_to_json(rep)))
+    code, _, err = run_cli(["transform", "unit-to-xx", str(path)])
+    assert code == EXIT_ERROR and "not a unit representation" in err
 
 
 def test_cli_ca_to_balanced_arc_ending_open_at_zero(tmp_path):

@@ -5,12 +5,13 @@ import pytest
 
 from conftest import (
     circular_graph_pointcheck,
+    mixed_star_rep,
     random_circular_rep,
     random_closed_rep,
 )
 from tik import model, transforms
 from tik.gadgets import k44e_22_realization, k53, k53_balanced_realization
-from tik.graphs import Graph, cycle
+from tik.graphs import Graph, complete_bipartite, cycle
 from tik.model import (
     BALANCED,
     CIRCULAR_ARC,
@@ -38,6 +39,7 @@ from tik.model import (
     q,
     two_interval,
 )
+from tik.recognize import Budget, recognize
 
 
 def test_rationals():
@@ -209,7 +211,28 @@ def test_padding_check_matches_pairwise_reference():
         assert family_check(rep, INTERVAL_CLASS) == _pairwise_padding(rep)
         verdicts.add(family_check(rep, INTERVAL_CLASS).ok)
         unit = affine(rep, 1 / rep["v0"].left.length, 0)
-        assert family_check(unit, UNIT_INTERVAL) == _pairwise_padding(unit)
+        if len({(iv.lo_closed, iv.hi_closed) for _, _, iv in unit.ground_set()}) > 1:
+            assert family_check(unit, UNIT_INTERVAL).reason.startswith("mixed closedness")
+        else:
+            assert family_check(unit, UNIT_INTERVAL) == _pairwise_padding(unit)
+    assert verdicts == {True, False}
+
+
+def test_unit_interval_padding_with_one_closedness():
+    rng = random.Random(11)
+    verdicts = set()
+    for ends in [(True, True), (False, False), (True, False), (False, True)]:
+        for _ in range(100):
+            rep = _touching_rep(rng, rng.randint(1, 6), length=q(1))
+            try:
+                unit = Representation({
+                    v: two_interval(*(Interval(iv.lo, iv.hi, *ends) for iv in rep[v].parts()))
+                    for v in rep.labels()
+                })
+            except ModelError:  # closing the ends made the two pieces meet
+                continue
+            assert family_check(unit, UNIT_INTERVAL) == _pairwise_padding(unit)
+            verdicts.add(family_check(unit, UNIT_INTERVAL).ok)
     assert verdicts == {True, False}
 
 
@@ -413,9 +436,24 @@ def test_normalize_rejects_open_model():
         normalize(rep)
 
 
+@pytest.mark.parametrize("pieces, family", [(2, UNIT), (1, UNIT_INTERVAL)])
+def test_unit_verifiers_reject_mixed_closedness(pieces, family):
+    # K_{1,6} is not unit and the claw is not unit-interval, yet both have
+    # unit-length models once open and closed intervals mix
+    rep = mixed_star_rep(pieces)
+    g = complete_bipartite(1, 3 * pieces)
+    assert intersection_graph(rep) == g
+    assert recognize(g, family, Budget(10**4)).is_nonmember()
+    for fam in (UNIT, UNIT_INTERVAL):
+        verdict = family_check(rep, fam)
+        assert not verdict.ok and verdict.reason.startswith("mixed closedness")
+    assert family_check(rep, BALANCED).ok
+
+
 def test_xx_rescaled_to_unit_lengths():
     # scaling an (x,x) representation by 1/x gives all lengths 1; unit and
-    # balanced checks accept it (closedness is not part of those checks)
+    # balanced checks accept it (every interval is open, so the unit check's
+    # one-closedness rule holds)
     rep = k44e_22_realization()
     scaled = affine(rep, q("1/2"), 0)
     assert family_check(scaled, UNIT).ok

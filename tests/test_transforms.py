@@ -8,7 +8,7 @@ from conftest import (
     random_proper_circular_rep,
     random_xx_rep,
 )
-from tik import model
+from tik import model, transforms
 from tik.gadgets import k44e_22_realization
 from tik.graphs import cycle, domino
 from tik.model import (
@@ -180,6 +180,134 @@ def test_proper_to_unit_preserves_graph_randomized():
         denom = 2 * n
         for iv in units.values():
             assert denom % iv.lo.denominator == 0
+
+
+# --- the suffix-constraint grid against the all-pairs reference ---------------
+
+
+def _all_pairs_starts(ivs, step, near, far):
+    """Reference: the least solution, the first start 0, of the all-pairs
+    difference system over Fractions (starts at least `step` apart in
+    order, intersecting pairs within `near`, the others at least `far`
+    apart), by Bellman-Ford; None if there is none."""
+    edges = []  # u_k >= u_j + w as (j, k, w)
+    for k in range(1, len(ivs)):
+        edges.append((k - 1, k, Fraction(step)))
+        for j in range(k):
+            if model.intersects(ivs[j], ivs[k]):
+                edges.append((k, j, -Fraction(near)))
+            else:
+                edges.append((j, k, Fraction(far)))
+    u = [Fraction(0)] * len(ivs)
+    for _ in range(len(ivs) + 1):
+        changed = False
+        for j, k, w in edges:
+            if u[j] + w > u[k]:
+                u[k] = u[j] + w
+                changed = True
+        if not changed:
+            return u
+    return None
+
+
+def _reference_unit_interval(intervals):
+    order = sorted(intervals, key=lambda v: (intervals[v].lo, intervals[v].hi, v))
+    gamma = Fraction(1, 2 * len(order))
+    u = _all_pairs_starts([intervals[v] for v in order], gamma, 1, 1 + gamma)
+    return {v: Interval(a, a + 1) for v, a in zip(order, u)}
+
+
+def _reference_integer_xx(rep):
+    ground = {f"{v}|{s}": iv for v, s, iv in rep.ground_set()}
+    order = sorted(ground, key=lambda k: (ground[k].lo, ground[k].hi, k))
+    span = 2 * len(rep)
+    u = _all_pairs_starts([ground[k] for k in order], 0, span - 1, span)
+    starts = dict(zip(order, u))
+
+    def piece(v, s):
+        a = starts[f"{v}|{s}"]
+        return Interval(a, a + span, False, False)
+
+    return Representation({v: two_interval(piece(v, 0), piece(v, 1)) for v in rep.labels()})
+
+
+def _random_proper(rng, n):
+    """n intervals with strictly rising ends on a half-integer grid, so ends
+    touch often, every closedness mix, labels shuffled against the order."""
+    los = sorted(rng.sample(range(3 * n), n))
+    his, hi = [], -1
+    for lo in los:
+        hi = rng.randint(max(hi + 1, lo), max(hi + 1, lo) + 4)
+        his.append(hi)
+    labels = rng.sample(range(n), n)
+    return {
+        f"v{labels[i]}": Interval(
+            q(lo) / 2, q(hi) / 2,
+            *((True, True) if lo == hi else (rng.random() < 0.5, rng.random() < 0.5))
+        )
+        for i, (lo, hi) in enumerate(zip(los, his))
+    }
+
+
+def test_grid_starts_match_all_pairs_reference_on_proper_systems():
+    rng = random.Random(2024)
+    for _ in range(400):
+        n = rng.randint(1, 12)
+        intervals = _random_proper(rng, n)
+        assert proper_to_unit_interval(intervals) == _reference_unit_interval(intervals)
+        ivs = [intervals[v] for v in transforms._assert_proper(intervals)]
+        for step, reach in ((1, 2 * n), (0, 2 * n - 1)):
+            assert transforms._grid_starts(ivs, step, reach) == _all_pairs_starts(
+                ivs, step, reach, reach + 1
+            )
+
+
+def _random_unit_rep(rng, n, ends):
+    items = {}
+    while len(items) < n:
+        a, b = sorted(q(rng.randint(0, 3 * n)) / 2 for _ in range(2))
+        try:
+            items[f"v{rng.randint(0, 99)}"] = two_interval(
+                Interval(a, a + 1, *ends), Interval(b, b + 1, *ends)
+            )
+        except model.ModelError:  # the two pieces meet
+            continue
+    return Representation(items)
+
+
+@pytest.mark.parametrize("ends", [(True, True), (False, False), (True, False), (False, True)])
+def test_unit_rep_to_integer_xx_matches_all_pairs_reference(ends):
+    rng = random.Random(97)
+    for _ in range(150):
+        rep = _random_unit_rep(rng, rng.randint(1, 7), ends)
+        assert model.family_check(rep, UNIT).ok
+        out = unit_rep_to_integer_xx(rep)
+        assert out == _reference_integer_xx(rep)
+        assert intersection_graph(out) == intersection_graph(rep)
+
+
+def test_assert_proper_matches_pairwise_containment():
+    rng = random.Random(88)
+    for _ in range(400):
+        n = rng.randint(1, 7)
+        intervals = {}
+        for i in range(n):
+            lo = q(rng.randint(0, 8)) / 2
+            hi = lo + q(rng.randint(0, 4)) / 2
+            intervals[f"v{i}"] = Interval(
+                lo, hi, *((True, True) if lo == hi else (rng.random() < 0.5,) * 2)
+            )
+        contained = any(
+            a.lo <= b.lo and b.hi <= a.hi
+            for u, a in intervals.items() for w, b in intervals.items() if u != w
+        )
+        if contained:
+            with pytest.raises(TransformError, match="containment"):
+                transforms._assert_proper(intervals)
+        else:
+            assert transforms._assert_proper(intervals) == sorted(
+                intervals, key=lambda v: intervals[v].lo
+            )
 
 
 def test_stretch_hand_example():
