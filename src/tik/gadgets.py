@@ -77,7 +77,9 @@ def k53_block(prefix: str, offset, scale=1, mirror: bool = False,
             quad = (-HALF, Fraction(13, 2)) + quad[2:]
         if mirror:
             quad = tuple(_K53_SPAN - e for e in reversed(quad))
-        items[f"{prefix}:{v}"] = tuple(scale * e + offset for e in quad)
+        if scale != 1:  # most blocks are unscaled
+            quad = tuple(scale * e for e in quad)
+        items[f"{prefix}:{v}"] = tuple(e + offset for e in quad)
     return items
 
 

@@ -133,10 +133,16 @@ def two_interval(a: Interval, b: Interval) -> TwoInterval:
 
 
 class Representation:
-    """Map vertex label -> TwoInterval."""
+    """Map vertex label -> TwoInterval.  Immutable, so its ground set is
+    built once."""
 
     def __init__(self, items: dict[str, TwoInterval]):
         self._items = dict(items)
+        self._ground = tuple(
+            (v, side, iv)
+            for v in sorted(self._items)
+            for side, iv in enumerate(self._items[v].parts())
+        )
 
     @property
     def items(self) -> dict[str, TwoInterval]:
@@ -160,13 +166,9 @@ class Representation:
         return self._items == other._items
 
     def ground_set(self) -> list[tuple[str, int, Interval]]:
-        """All intervals as (label, side, interval), side 0 = left, 1 = right."""
-        out = []
-        for v in self.labels():
-            ti = self._items[v]
-            out.append((v, 0, ti.left))
-            out.append((v, 1, ti.right))
-        return out
+        """All intervals as (label, side, interval), side 0 = left, 1 = right,
+        in a fresh list."""
+        return list(self._ground)
 
     def span(self) -> Interval:
         if not self._items:
@@ -255,11 +257,21 @@ def _sweep_keys(ivs) -> tuple[int, list[tuple[int, int, int, int]]]:
     denominator, which sort far faster than Fractions, and the ranks of the
     sweep order in `_overlaps` (closed start 1, open start 3, open end 0,
     closed end 2)."""
-    den = math.lcm(1, *(x.denominator for iv in ivs for x in (iv.lo, iv.hi)))
+    den = 1
+    ends = []  # each endpoint's numerator and denominator, read once
+    for iv in ivs:
+        lo, hi = iv.lo, iv.hi
+        lo_den, hi_den = lo.denominator, hi.denominator
+        if lo_den != 1 or hi_den != 1:
+            den = math.lcm(den, lo_den, hi_den)
+        ends.append((lo.numerator, lo_den, 1 if iv.lo_closed else 3,
+                     hi.numerator, hi_den, 2 if iv.hi_closed else 0))
+    if den == 1:  # integer endpoints need no scaling
+        return 1, [(lo, lo_rank, hi, hi_rank)
+                   for lo, _, lo_rank, hi, _, hi_rank in ends]
     return den, [
-        (iv.lo.numerator * (den // iv.lo.denominator), 1 if iv.lo_closed else 3,
-         iv.hi.numerator * (den // iv.hi.denominator), 2 if iv.hi_closed else 0)
-        for iv in ivs
+        (lo * (den // lo_den), lo_rank, hi * (den // hi_den), hi_rank)
+        for lo, lo_den, lo_rank, hi, hi_den, hi_rank in ends
     ]
 
 

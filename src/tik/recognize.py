@@ -353,22 +353,32 @@ class _OrderSearch(_Search):
             possible = 0
         if self.adjm[u] & ~self.covered[u] & ~possible:
             return False
-        return not self.fifo or self._capacity_ok(u)
+        return not self.fifo or self._capacity_ok(
+            u, self.slots[u] - self.opened[u] + self.open_now[u])
 
-    def _capacity_ok(self, u):
+    def _close_ok(self, v):
+        # _coverage_ok(v) as it would read once v's open interval closed,
+        # tested before the close is applied
+        bit = 1 << v
+        possible = self.unopened | (self.live ^ bit) if self.unopened & bit else 0
+        if self.adjm[v] & ~self.covered[v] & ~possible:
+            return False
+        return not self.fifo or self._capacity_ok(
+            v, self.slots[v] - self.opened[v] + self.open_now[v] - 1)
+
+    def _capacity_ok(self, u, alive):
         # equal lengths: one interval meets at most two pairwise-disjoint
         # intervals over its whole lifetime, and closed intervals meet
         # nothing new, so uncovered pairwise-nonadjacent neighbors must fit
-        # in twice the count of u's intervals not yet closed
+        # in twice the count `alive` of u's intervals not yet closed
         uncovered = self.adjm[u] & ~self.covered[u]
-        alive = (self.slots[u] - self.opened[u]) + self.open_now[u]
         if uncovered.bit_count() <= 2 * alive:
             return True
         return _greedy_disjoint(uncovered, self.adjm) <= 2 * alive
 
     def run(self):
         if self.fifo and any(
-            not self._capacity_ok(u) for u in range(self.n)
+            not self._capacity_ok(u, self.slots[u]) for u in range(self.n)
         ):
             return
         if self.family.kind != "circular-arc":
@@ -416,30 +426,38 @@ class _OrderSearch(_Search):
             return
 
         # close moves, oldest open first; equal-length families may only
-        # close the oldest open interval (containment is infeasible there)
-        closables = self.open_list[:1] if self.fifo else self.open_list[self.pinned:]
-        for iid in closables:
-            self.counter.charge(1)
+        # close the oldest open interval (containment is infeasible there).
+        # Each is a node, tested before it is applied; the closes dropped
+        # are charged in bulk just before the next move, or after the last
+        opened, open_now, slots = self.opened, self.open_now, self.slots
+        counter = self.counter
+        open_list, word = self.open_list, self.word
+        base = 0 if self.fifo else self.pinned
+        closables = open_list[:1] if self.fifo else open_list[base:]
+        pending = 0  # nodes dropped and not charged yet
+        for i, iid in enumerate(closables):
             v = iid[0]
-            pos = self.open_list.index(iid)
-            self.word.append((iid, CLOSE))
-            self.open_list.pop(pos)
-            self.open_now[v] -= 1
-            self.live ^= 1 << v
-            if self._coverage_ok(v):
-                yield self._dfs()
-            self.live ^= 1 << v
-            self.open_now[v] += 1
-            self.open_list.insert(pos, iid)
-            self.word.pop()
+            if not self._close_ok(v):
+                pending += 1
+                continue
+            counter.charge(pending + 1)
+            pending = 0
+            bit = 1 << v
+            word.append((iid, CLOSE))
+            open_list.pop(base + i)
+            open_now[v] -= 1
+            self.live ^= bit
+            yield self._dfs()
+            self.live ^= bit
+            open_now[v] += 1
+            open_list.insert(base + i, iid)
+            word.pop()
 
         # open moves, vertex order.  Every movable vertex (none of its
         # intervals open, one still to open) is a node, but only those
         # adjacent to every open interval can move, and only if they cover
-        # the `want` new edges the clique-count bound asks for; the nodes up
-        # to a move are charged just before it, the rest after the last
-        opened, open_now, slots = self.opened, self.open_now, self.slots
-        counter = self.counter
+        # the `want` new edges the clique-count bound asks for; they are
+        # charged like the closes
         covered = self.covered
         live = self.live
         slack = self.slack
@@ -447,7 +465,7 @@ class _OrderSearch(_Search):
         rest = self.unopened & ~live  # movable, not charged yet
         # an open covers at most the live vertices
         common = rest if live.bit_count() >= want else 0
-        for jid in self.open_list:
+        for jid in open_list:
             common &= self.adjm[jid[0]]
         while common:
             low = common & -common
@@ -459,7 +477,8 @@ class _OrderSearch(_Search):
                 continue  # clique-count bound
             upto = rest & (low | (low - 1))  # v and the movable before it
             rest ^= upto
-            counter.charge(upto.bit_count())
+            counter.charge(pending + upto.bit_count())
+            pending = 0
             iid = (v, opened[v])
             opened[v] += 1
             open_now[v] += 1
@@ -469,30 +488,31 @@ class _OrderSearch(_Search):
                 self.unopened ^= low
             pin = v in self.cut  # a cut arc's suffix: open to the word's end
             if pin:
-                self.open_list.insert(0, iid)
+                open_list.insert(0, iid)
                 self.pinned += 1
             else:
-                self.open_list.append(iid)
-            self.word.append((iid, OPEN))
+                open_list.append(iid)
+            word.append((iid, OPEN))
             self._flip_cover(v, newly)
             self.slack = slack + k - self.room
             if self._coverage_ok(v):
                 yield self._dfs()
             self.slack = slack
             self._flip_cover(v, newly)
-            self.word.pop()
+            word.pop()
             if pin:
-                self.open_list.pop(0)
+                open_list.pop(0)
                 self.pinned -= 1
             else:
-                self.open_list.pop()
+                open_list.pop()
             if last:
                 self.unopened ^= low
             self.live = live
             open_now[v] -= 1
             opened[v] -= 1
-        if rest:
-            counter.charge(rest.bit_count())
+        pending += rest.bit_count()
+        if pending:
+            counter.charge(pending)
 
     def _realize(self):
         at = {event: i for i, event in enumerate(self.word)}
@@ -557,12 +577,19 @@ class _XXSearch(_Search):
         super().__init__(g, counter, visitor)
         self.x = x
         self.total = 2 * self.n
+        self.everyone = (1 << self.n) - 1
+        # staggered overlaps first, exact ties last: realizations of dense
+        # gadgets sit in the staggered region of the space
+        self.gaps = tuple(range(1, x + 1)) + (0,)
         self.slack += self.room * self.total
         self.pos = [[None, None] for _ in range(self.n)]
         self.copies = [0] * self.n
+        self.placed = 0  # vertices with a copy placed
         self.placed2 = 0  # vertices with both copies placed
         self.seq = []  # (position, vertex, copy) in placement order
-        self.expires = {}  # reach (position + x) -> vertices of copies placed there
+        # vertices with a copy at each position; consecutive placements are
+        # at most x apart, so every position is below total * x
+        self.at = [0] * (self.total * x)
 
     def run(self):
         yield self._dfs()
@@ -634,88 +661,109 @@ class _XXSearch(_Search):
             return
         x = self.x
         counter = self.counter
-        seq, pos, copies = self.seq, self.pos, self.copies
+        seq, pos, copies, at = self.seq, self.pos, self.copies, self.at
         adjm, covered = self.adjm, self.covered
+        # finishing vertices first makes coverage constraints bite early
+        everyone = self.everyone
+        finishing = self.placed ^ self.placed2
+        unplaced = everyone ^ self.placed
         if depth == 0:
             gaps = (0,)
             last_pos = 0
         else:
+            gaps = self.gaps
             last_pos, last_v, _ = seq[-1]
-            # staggered overlaps first, exact ties last: realizations of
-            # dense gadgets sit in the staggered region of the space
-            gaps = tuple(range(1, x + 1)) + (0,)
 
-        # finishing vertices first makes coverage constraints bite early
-        candidates = [v for v in range(self.n) if copies[v] == 1]
-        candidates += [v for v in range(self.n) if copies[v] == 0]
-        expires = self.expires
         # the fewest new edges a move must cover (clique-count bound); each
         # move restores slack when it is undone
         slack = self.slack
         room = self.room
         want = room - slack
+        # every candidate is a node; those dropped are charged in bulk
+        # just before the next move, or after the last
+        pending = 0
+        # the window at last_pos: the copies at positions in
+        # (last_pos - x, last_pos], one per vertex at most, as two copies of
+        # a vertex are x apart
+        last_window = 0
+        for qp in range(max(0, last_pos - x + 1), last_pos + 1):
+            last_window |= at[qp]
+        window = last_window
         for g in gaps:
             p = last_pos + g
-            if g == 0 and depth > 0:
-                # canonical order inside a position tie: (v, copy) after the
-                # last placed (last_v, c), which leaves last_v its copy c + 1
-                order = [v for v in candidates if v >= last_v]
+            classes = (finishing, unplaced)
+            if g:
+                if p >= x:
+                    window ^= at[p - x]  # its reach is p now
             else:
-                order = candidates
-            # the copies still live at p, one per vertex at most: a placed
-            # copy must meet them all, and meets no other
-            window = 0
-            gone = p - x
-            for qp, w, _ in reversed(seq):
-                if qp <= gone:
-                    break
-                window |= 1 << w
+                window = last_window
+                if depth:
+                    # canonical order inside a position tie: (v, copy) after
+                    # the last placed (last_v, c), which leaves last_v its
+                    # copy c + 1
+                    later = everyone >> last_v << last_v
+                    classes = (finishing & later, unplaced & later)
+            # the window: copies still live at p.  A placed copy must meet
+            # them all, and meets no other
             if window.bit_count() < want:
                 # no candidate covers enough new edges: each is a node,
                 # charged without a look
-                counter.charge(len(order))
+                pending += (classes[0] | classes[1]).bit_count()
                 continue
-            # every candidate is a node; those up to a move are charged
-            # just before it, the rest after the last
-            charged = 0
-            for i, v in enumerate(order):
-                if window & ~adjm[v]:
-                    continue  # misses a live copy, or overlaps v's own first
-                newly = window & ~covered[v]
-                k = newly.bit_count()
-                if k < want:
-                    continue  # clique-count bound
-                counter.charge(i + 1 - charged)
-                charged = i + 1
-                c = copies[v]
-                bit = 1 << v
-                pos[v][c] = p
-                copies[v] = c + 1
-                if c:
-                    self.placed2 ^= bit
-                seq.append((p, v, c))
-                expires.setdefault(p + x, []).append(v)
-                self._flip_cover(v, newly)
-                self.slack = slack + k - room
-                if depth == 0:
-                    touched = (1 << self.n) - 1  # the root was never checked
-                else:  # v, newly, and copies whose reach p passed since the parent
-                    touched = bit | newly
-                    for r in range(last_pos + 1, p + 1):
-                        for w in expires.get(r, ()):
-                            touched |= 1 << w
-                if self._edges_alive(touched, p):
-                    yield self._dfs()
-                self.slack = slack
-                self._flip_cover(v, newly)
-                expires[p + x].pop()
-                seq.pop()
-                if c:
-                    self.placed2 ^= bit
-                copies[v] = c
-                pos[v][c] = None
-            if charged < len(order):
-                counter.charge(len(order) - charged)
+            # the legal candidates meet every live copy, which also rules
+            # out a vertex whose own first copy is live
+            common = everyone
+            bits = window
+            while bits:
+                low = bits & -bits
+                common &= adjm[low.bit_length() - 1]
+                bits ^= low
+            # the copies whose reach p passed since the parent
+            expired = last_window ^ window
+            for rest in classes:  # candidates of the class not charged yet
+                legal = rest & common
+                while legal:
+                    bit = legal & -legal
+                    legal ^= bit
+                    v = bit.bit_length() - 1
+                    newly = window & ~covered[v]
+                    k = newly.bit_count()
+                    if k < want:
+                        continue  # clique-count bound
+                    upto = rest & (bit | (bit - 1))  # v and the candidates before it
+                    rest ^= upto
+                    counter.charge(pending + upto.bit_count())
+                    pending = 0
+                    c = copies[v]
+                    pos[v][c] = p
+                    copies[v] = c + 1
+                    if c:
+                        self.placed2 ^= bit
+                    else:
+                        self.placed ^= bit
+                    seq.append((p, v, c))
+                    at[p] ^= bit
+                    self._flip_cover(v, newly)
+                    self.slack = slack + k - room
+                    if depth == 0:
+                        touched = everyone  # the root was never checked
+                    else:  # v, newly, and the copies expired since the parent
+                        touched = bit | newly | expired
+                    if self._edges_alive(touched, p):
+                        yield self._dfs()
+                    self.slack = slack
+                    self._flip_cover(v, newly)
+                    at[p] ^= bit
+                    seq.pop()
+                    if c:
+                        self.placed2 ^= bit
+                    else:
+                        self.placed ^= bit
+                    copies[v] = c
+                    pos[v][c] = None
+                pending += rest.bit_count()
+        if pending:
+            counter.charge(pending)
 
     def _realize(self):
         x = self.x

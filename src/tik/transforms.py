@@ -130,18 +130,26 @@ def _assert_proper(intervals: dict) -> list:
 
 
 def proper_circular_arc_check(ca: CircularArcRep) -> None:
+    """Raise TransformError if some arc contains another.
+
+    The arcs are sorted by start, a closed start before an open one at the
+    same point, and at one start the farther end first.  If u contains w,
+    the arc a whose start follows u's starts inside u, no later than w: so
+    either a lies inside u, or a runs past u's end and contains w, one step
+    nearer to w.  Hence some arc contains the arc after it in cyclic order,
+    and only those n pairs are tested."""
     c = ca.circumference
-    labels = ca.labels()
-    for i, u in enumerate(labels):
-        for w in labels:
-            if u == w:
-                continue
-            au, aw = ca[u], ca[w]
-            # u contains w iff every point of w lies on u; with finitely
-            # many endpoints it is enough to test w's span endpoints and
-            # that u covers w's segments
-            if _arc_contains_arc(au, aw, c):
-                raise TransformError(f"arc {u!r} contains arc {w!r}")
+    arcs = ca.arcs
+
+    def order(v):
+        a = arcs[v]
+        return (a.start, not a.start_closed, -((a.end - a.start) % c),
+                not a.end_closed, v)
+
+    ring = sorted(arcs, key=order)
+    for u, w in zip(ring, ring[1:] + ring[:1]):
+        if u != w and _arc_contains_arc(arcs[u], arcs[w], c):
+            raise TransformError(f"arc {u!r} contains arc {w!r}")
 
 
 def _arc_contains_arc(a: Arc, b: Arc, c: Fraction) -> bool:

@@ -106,6 +106,52 @@ def test_unit_from_proper_rejects_nested():
         proper_circular_arc_check(ca)
 
 
+def _pairwise_arc_check(ca):
+    # the all-pairs containment test: the reference for the sorted
+    # neighbour test in proper_circular_arc_check
+    c = ca.circumference
+    for u in ca.labels():
+        for w in ca.labels():
+            if u != w and transforms._arc_contains_arc(ca[u], ca[w], c):
+                raise TransformError(f"arc {u!r} contains arc {w!r}")
+
+
+def _random_arcs(rng, n):
+    # half-integer ends on a short circle, so starts tie and arcs wrap;
+    # every closedness mix, about one arc in five ending at 0, and half
+    # the systems of one length, which are proper unless ends tie
+    c = 4
+    length = q(rng.randint(1, 2 * c - 1)) / 2 if rng.random() < 0.5 else None
+    arcs = {}
+    for i in range(n):
+        start = q(rng.randrange(2 * c)) / 2
+        if start and rng.random() < 0.2:
+            end = q(0)
+        else:
+            end = (start + (length or q(rng.randint(1, 2 * c - 1)) / 2)) % c
+        arcs[f"v{i}"] = Arc(start, end, rng.random() < 0.5, rng.random() < 0.5)
+    return CircularArcRep(q(c), arcs)
+
+
+def test_proper_arc_check_matches_pairwise_reference():
+    rng = random.Random(211)
+    verdicts = {True: 0, False: 0}
+    for _ in range(1500):
+        ca = _random_arcs(rng, rng.randint(1, 7))
+        try:
+            _pairwise_arc_check(ca)
+            proper = True
+        except TransformError:
+            proper = False
+        if proper:
+            proper_circular_arc_check(ca)
+        else:
+            with pytest.raises(TransformError, match="contains arc"):
+                proper_circular_arc_check(ca)
+        verdicts[proper] += 1
+    assert min(verdicts.values()) > 300, verdicts
+
+
 def test_unit_from_proper_circular_arc_randomized():
     rng = random.Random(67)
     for _ in range(200):
