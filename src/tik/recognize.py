@@ -15,7 +15,11 @@ explicit stack, so a search may go as deep as memory allows.  Both keep
 their vertex sets (neighbours, covered edges, open or placed vertices) as
 int bitmasks, so a candidate costs a few integer operations, and charge
 the candidates they can rule out in bulk, in the order and with the stop
-node that one tick per candidate would give.
+node that one tick per candidate would give.  Both also remember the
+states whose subtree they walked without accepting a leaf, and charge
+such a subtree in one step when they meet its state again (balanced
+excepted), so verdicts, node counts and certificates are those of the
+full walk.
 
 NonMember is returned only when the search space was provably exhausted
 within budget.  Every Member certificate re-verifies: family_check passes
@@ -43,6 +47,11 @@ from .model import (
 OPEN, CLOSE = 0, 1
 
 DEFAULT_BUDGET_ENV = "TIK_BUDGET_DEFAULT"
+
+# a search records refuted subtrees once it has charged this many nodes:
+# shorter searches meet few states twice and pay more for the records than
+# they save (design notes: "Refuted states")
+RECORD_AFTER = 1000
 
 
 class RecognizeError(ValueError):
@@ -264,7 +273,17 @@ class _Search:
     room times the moves left that can cover an edge, minus the edges
     still uncovered; a move spends `room` and gets back the edges it
     covers, and a branch whose slack would fall below 0 is dead.  No move
-    is left at a leaf, so every leaf reached has every edge covered."""
+    is left at a leaf, so every leaf reached has every edge covered.
+
+    Refuted states: `table` maps a node's depth (moves made) and its key,
+    an int its engine packs from the state its subtree is a function of,
+    to the nodes that subtree charged when it finished without accepting
+    a leaf.  A node whose key is there charges that count in one step
+    instead of walking the subtree again; a node looks only once its depth
+    has an entry.  Recorded are the refuted nodes that entered a child,
+    once the search has charged RECORD_AFTER nodes, except the root (design
+    notes: "Refuted states").  The table is None where a leaf's verdict
+    reads more than the key (balanced)."""
 
     def __init__(self, g: Graph, counter: _Counter, visitor=None):
         self.labels = sorted(g.vertices)
@@ -276,10 +295,20 @@ class _Search:
             self.adj[idx[v]].add(idx[u])
         self.adjm = [sum(1 << w for w in a) for a in self.adj]
         self.covered = [0] * self.n  # neighbours each vertex has met so far
+        # the covered edges as one mask over edge indices, for the keys:
+        # made when the first key is, then kept up to date by _flip_cover
+        self.edge_bit = None  # {w: bit of edge vw} for each vertex v
+        self.cover_edges = 0
+        self.vertex_bits = self.n.bit_length()  # holds any vertex index + 1
         self.counter = counter
         self.visitor = visitor
         self.found = None
         self.count = 0
+        # nodes charged when the last realization was accepted: a subtree
+        # entered at `start` nodes accepted one iff this exceeds start
+        self.accepted = -1
+        self.table = {}  # {depth: {key: nodes}}
+        self.root = 0  # the root's depth: no other node has it
         self.pieces = {}  # a leaf's TwoIntervals by endpoint key, built once
         self.room = clique_number_of_masks(self.adjm) - 1
         self.slack = -len(g.edges)  # each engine adds room per move
@@ -290,15 +319,41 @@ class _Search:
         covered = self.covered
         covered[v] ^= newly
         bit = 1 << v
+        if self.edge_bit is None:
+            while newly:
+                low = newly & -newly
+                covered[low.bit_length() - 1] ^= bit
+                newly ^= low
+            return
+        edge_bit = self.edge_bit[v]
+        edges = self.cover_edges
         while newly:
             low = newly & -newly
-            covered[low.bit_length() - 1] ^= bit
+            w = low.bit_length() - 1
+            covered[w] ^= bit
+            edges ^= edge_bit[w]
             newly ^= low
+        self.cover_edges = edges
+
+    def _edges(self):
+        # the covered edges as one mask over edge indices
+        if self.edge_bit is None:
+            self.edge_bit = [{} for _ in range(self.n)]
+            e = 0
+            for u in range(self.n):
+                for w in sorted(self.adj[u]):
+                    if w > u:
+                        self.edge_bit[u][w] = self.edge_bit[w][u] = 1 << e
+                        if self.covered[u] >> w & 1:
+                            self.cover_edges |= 1 << e
+                        e += 1
+        return self.cover_edges
 
     def _leaf(self):
         rep = self._realize()
         if rep is None:
             return
+        self.accepted = self.counter.nodes
         if self.visitor is not None:
             self.visitor(rep)
             self.count += 1
@@ -331,6 +386,11 @@ class _OrderSearch(_Search):
         # circular-arc: n opens on every cut too, as W's prefixes start open
         self.slack += self.room * sum(self.slots)
         self.cut = frozenset()
+        if family.kind == "balanced":
+            self.table = None  # its leaf LP reads the whole word
+        # the open order (FIFO) or the live mask ends a key; at most omega
+        # intervals are open at once
+        self.order_bits = (self.room + 1) * self.vertex_bits if self.fifo else self.n
 
         self.word = []
         self.open_list = []  # pinned suffixes, then interval ids oldest first
@@ -339,6 +399,7 @@ class _OrderSearch(_Search):
         self.open_now = [0] * self.n  # 0 or 1: a vertex opens one at a time
         self.live = 0  # vertices with an interval open now
         self.unopened = (1 << self.n) - 1  # vertices with a slot still to open
+        self.begun = 0  # vertices with a slot opened
 
     def _coverage_ok(self, u):
         # every uncovered edge (u, w) must still be able to meet: an
@@ -392,12 +453,16 @@ class _OrderSearch(_Search):
                 self.live |= 1 << w
                 self.open_list.append((w, 0))
                 self.word.append(((w, 0), OPEN))
+            self.begun = self.live
             self.total_events = 2 * self.n + len(cut)
+            self.root = len(cut)
+            if self.table:
+                self.table.clear()  # a key does not say which arcs are cut
             yield self._dfs()
             for w in cut:
                 self.slots[w] = 1
                 self.opened[w] = self.open_now[w] = 0
-            self.live = 0
+            self.live = self.begun = 0
             self.open_list.clear()
             self.word.clear()
 
@@ -420,17 +485,41 @@ class _OrderSearch(_Search):
                 stack.append((clique + (v,), [w for w in ext if w in self.adj[v]]))
             size += 1
 
+    def _key(self):
+        # the covered edges, unopened, begun, then the open order for FIFO
+        # families (the oldest interval highest) or else the live mask;
+        # each field but the first has a fixed width
+        n = self.n
+        key = ((self._edges() << n | self.unopened) << n | self.begun) << self.order_bits
+        if not self.fifo:
+            return key | self.live
+        order, vbits = 0, self.vertex_bits
+        for v, _ in self.open_list:
+            order = order << vbits | v + 1
+        return key | order
+
     def _dfs(self):
-        if len(self.word) == self.total_events:
+        depth = len(self.word)
+        if depth == self.total_events:
             self._leaf()
             return
+        counter = self.counter
+        table = self.table
+        key = None
+        if table and depth in table:
+            key = self._key()
+            known = table[depth].get(key)
+            if known is not None:
+                counter.charge(known)  # refuted before
+                return
+        start = counter.nodes
+        moved = False  # entered a child
 
         # close moves, oldest open first; equal-length families may only
         # close the oldest open interval (containment is infeasible there).
         # Each is a node, tested before it is applied; the closes dropped
         # are charged in bulk just before the next move, or after the last
         opened, open_now, slots = self.opened, self.open_now, self.slots
-        counter = self.counter
         open_list, word = self.open_list, self.word
         base = 0 if self.fifo else self.pinned
         closables = open_list[:1] if self.fifo else open_list[base:]
@@ -447,6 +536,7 @@ class _OrderSearch(_Search):
             open_list.pop(base + i)
             open_now[v] -= 1
             self.live ^= bit
+            moved = True
             yield self._dfs()
             self.live ^= bit
             open_now[v] += 1
@@ -459,7 +549,7 @@ class _OrderSearch(_Search):
         # the `want` new edges the clique-count bound asks for; they are
         # charged like the closes
         covered = self.covered
-        live = self.live
+        live, begun = self.live, self.begun
         slack = self.slack
         want = self.room - slack
         rest = self.unopened & ~live  # movable, not charged yet
@@ -483,6 +573,7 @@ class _OrderSearch(_Search):
             opened[v] += 1
             open_now[v] += 1
             self.live = live | low
+            self.begun = begun | low
             last = opened[v] == slots[v]
             if last:
                 self.unopened ^= low
@@ -496,6 +587,7 @@ class _OrderSearch(_Search):
             self._flip_cover(v, newly)
             self.slack = slack + k - self.room
             if self._coverage_ok(v):
+                moved = True
                 yield self._dfs()
             self.slack = slack
             self._flip_cover(v, newly)
@@ -508,11 +600,16 @@ class _OrderSearch(_Search):
             if last:
                 self.unopened ^= low
             self.live = live
+            self.begun = begun
             open_now[v] -= 1
             opened[v] -= 1
         pending += rest.bit_count()
         if pending:
             counter.charge(pending)
+        if (moved and counter.nodes > RECORD_AFTER and self.accepted < start
+                and depth > self.root and table is not None):
+            table.setdefault(depth, {})[self._key() if key is None else key] = \
+                counter.nodes - start
 
     def _realize(self):
         at = {event: i for i, event in enumerate(self.word)}
@@ -578,18 +675,26 @@ class _XXSearch(_Search):
         self.x = x
         self.total = 2 * self.n
         self.everyone = (1 << self.n) - 1
-        # staggered overlaps first, exact ties last: realizations of dense
-        # gadgets sit in the staggered region of the space
-        self.gaps = tuple(range(1, x + 1)) + (0,)
         self.slack += self.room * self.total
         self.pos = [[None, None] for _ in range(self.n)]
         self.copies = [0] * self.n
         self.placed = 0  # vertices with a copy placed
         self.placed2 = 0  # vertices with both copies placed
-        self.seq = []  # (position, vertex, copy) in placement order
-        # vertices with a copy at each position; consecutive placements are
-        # at most x apart, so every position is below total * x
-        self.at = [0] * (self.total * x)
+        self.seq = []  # (position, vertex bit) in placement order
+        # the window at the last position and its copies packed, each as
+        # its vertex and its distance to that position, the newest lowest;
+        # set for the node a move enters
+        self.window = self.tail = 0
+        # a key ends with the packed window, at most omega copies
+        dist_bits = (x - 1).bit_length()
+        self.copy_bits = cb = self.vertex_bits + dist_bits
+        self.vertex_code = [(v + 1) << dist_bits for v in range(self.n)]
+        self.window_bits = (self.room + 1) * cb
+        # by window size r: the low r copies, and 1 in each one's distance
+        self.window_masks, self.window_ones = [0], [0]
+        for _ in range(self.room + 1):
+            self.window_masks.append(self.window_masks[-1] << cb | (1 << cb) - 1)
+            self.window_ones.append(self.window_ones[-1] << cb | 1)
 
     def run(self):
         yield self._dfs()
@@ -654,25 +759,44 @@ class _XXSearch(_Search):
                         return False
         return True
 
+    def _key(self, tail):
+        # the covered edges, placed, placed2, then the window's copies
+        n = self.n
+        return ((self._edges() << n | self.placed) << n | self.placed2) << self.window_bits | tail
+
     def _dfs(self):
-        depth = len(self.seq)
+        seq = self.seq
+        depth = len(seq)
         if depth == self.total:
             self._leaf()
             return
         x = self.x
         counter = self.counter
-        seq, pos, copies, at = self.seq, self.pos, self.copies, self.at
+        pos, copies = self.pos, self.copies
         adjm, covered = self.adjm, self.covered
         # finishing vertices first makes coverage constraints bite early
         everyone = self.everyone
         finishing = self.placed ^ self.placed2
         unplaced = everyone ^ self.placed
-        if depth == 0:
-            gaps = (0,)
-            last_pos = 0
-        else:
-            gaps = self.gaps
-            last_pos, last_v, _ = seq[-1]
+        last_pos, last_bit = seq[-1] if depth else (0, 0)
+        # the window at last_pos and its packed copies, which the parent
+        # passes down: the copies at positions in (last_pos - x, last_pos].
+        # They are one per vertex, as two copies of a vertex are x apart,
+        # and pairwise adjacent, so at most omega, and they end seq, whose
+        # positions never fall
+        last_window, tail = self.window, self.tail
+        copy_bits, vertex_code = self.copy_bits, self.vertex_code
+        window_masks, window_ones = self.window_masks, self.window_ones
+        table = self.table
+        key = None
+        if table and depth in table:
+            key = self._key(tail)
+            known = table[depth].get(key)
+            if known is not None:
+                counter.charge(known)  # refuted before
+                return
+        start = counter.nodes
+        moved = False  # entered a child
 
         # the fewest new edges a move must cover (clique-count bound); each
         # move restores slack when it is undone
@@ -682,34 +806,43 @@ class _XXSearch(_Search):
         # every candidate is a node; those dropped are charged in bulk
         # just before the next move, or after the last
         pending = 0
-        # the window at last_pos: the copies at positions in
-        # (last_pos - x, last_pos], one per vertex at most, as two copies of
-        # a vertex are x apart
-        last_window = 0
-        for qp in range(max(0, last_pos - x + 1), last_pos + 1):
-            last_window |= at[qp]
         window = last_window
-        for g in gaps:
+        # the oldest copy still in the window, and the gap at which it leaves
+        oldest = depth - last_window.bit_count()
+        lo = last_pos - x
+        leave = seq[oldest][0] - lo if oldest < depth else x + 1
+        # staggered overlaps g = 1..x first, the exact tie g = 0 last:
+        # realizations of dense gadgets sit in the staggered region
+        g = 1 if depth else 0
+        while True:
             p = last_pos + g
             classes = (finishing, unplaced)
             if g:
-                if p >= x:
-                    window ^= at[p - x]  # its reach is p now
+                while g >= leave:  # the oldest copy's reach is p now
+                    window ^= seq[oldest][1]
+                    oldest += 1
+                    leave = seq[oldest][0] - lo if oldest < depth else x + 1
             else:
                 window = last_window
                 if depth:
                     # canonical order inside a position tie: (v, copy) after
                     # the last placed (last_v, c), which leaves last_v its
-                    # copy c + 1
-                    later = everyone >> last_v << last_v
+                    # copy c + 1: the vertices from last_v up
+                    later = everyone & -last_bit
                     classes = (finishing & later, unplaced & later)
             # the window: copies still live at p.  A placed copy must meet
             # them all, and meets no other
-            if window.bit_count() < want:
+            size = window.bit_count()
+            if size < want:
                 # no candidate covers enough new edges: each is a node,
-                # charged without a look
+                # charged without a look.  The window only shrinks as g
+                # grows, so the staggered gaps g..x are all dead
+                if g:
+                    pending += (x + 1 - g) * (finishing | unplaced).bit_count()
+                    g = 0
+                    continue
                 pending += (classes[0] | classes[1]).bit_count()
-                continue
+                break
             # the legal candidates meet every live copy, which also rules
             # out a vertex whose own first copy is live
             common = everyone
@@ -720,6 +853,10 @@ class _XXSearch(_Search):
                 bits ^= low
             # the copies whose reach p passed since the parent
             expired = last_window ^ window
+            # a child's packed window: the newest `size` copies of this one,
+            # each g further from the child's position, then the new copy
+            stay = ((tail & window_masks[size]) + g * window_ones[size]) << copy_bits
+            applied = False
             for rest in classes:  # candidates of the class not charged yet
                 legal = rest & common
                 while legal:
@@ -734,6 +871,7 @@ class _XXSearch(_Search):
                     rest ^= upto
                     counter.charge(pending + upto.bit_count())
                     pending = 0
+                    applied = True
                     c = copies[v]
                     pos[v][c] = p
                     copies[v] = c + 1
@@ -741,8 +879,9 @@ class _XXSearch(_Search):
                         self.placed2 ^= bit
                     else:
                         self.placed ^= bit
-                    seq.append((p, v, c))
-                    at[p] ^= bit
+                    seq.append((p, bit))
+                    self.window = window | bit
+                    self.tail = stay | vertex_code[v]
                     self._flip_cover(v, newly)
                     self.slack = slack + k - room
                     if depth == 0:
@@ -750,10 +889,10 @@ class _XXSearch(_Search):
                     else:  # v, newly, and the copies expired since the parent
                         touched = bit | newly | expired
                     if self._edges_alive(touched, p):
+                        moved = True
                         yield self._dfs()
                     self.slack = slack
                     self._flip_cover(v, newly)
-                    at[p] ^= bit
                     seq.pop()
                     if c:
                         self.placed2 ^= bit
@@ -762,8 +901,20 @@ class _XXSearch(_Search):
                     copies[v] = c
                     pos[v][c] = None
                 pending += rest.bit_count()
+            if not g:
+                break
+            if not applied and leave > g + 1:
+                # the gaps before `leave` have this window, so none of them
+                # has a move either
+                pending += (leave - g - 1) * (finishing | unplaced).bit_count()
+                g = leave - 1
+            g = (g + 1) % (x + 1)
         if pending:
             counter.charge(pending)
+        if (moved and counter.nodes > RECORD_AFTER and self.accepted < start
+                and depth > self.root and table is not None):
+            table.setdefault(depth, {})[self._key(tail) if key is None else key] = \
+                counter.nodes - start
 
     def _realize(self):
         x = self.x

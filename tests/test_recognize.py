@@ -1,3 +1,4 @@
+import bisect
 import itertools
 import json
 import random
@@ -25,6 +26,7 @@ from tik.graphs import (
     petersen,
     wheel,
 )
+from tik.io_cli import circular_to_json, representation_to_json
 from tik.model import (
     BALANCED,
     CIRCULAR_ARC,
@@ -553,10 +555,15 @@ def test_coverage_masks_equal_set_rule(monkeypatch):
     from tik import recognize as engine
 
     # an open is tested after it is applied; a close before, and must get
-    # the set rule's verdict on the state after it
+    # the set rule's verdict on the state after it.  The refuted-state
+    # table is off, so every subtree is walked and every test is seen
     verdicts = {(path, got): 0 for path in ("open", "close") for got in (True, False)}
 
     class Checked(engine._OrderSearch):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.table = None
+
         def _coverage_ok(self, u):
             got = super()._coverage_ok(u)
             assert got == _set_rule_coverage_ok(self, u), (self.word, u)
@@ -585,6 +592,96 @@ def test_coverage_masks_equal_set_rule(monkeypatch):
                        "x c\nx d\ny c\ny d\nz c\nz d\nc d\n")
     recognize(g, UNIT, Budget(3 * 10**5))
     assert min(verdicts.values()) > 1000, verdicts
+
+
+def _cert_json(cert):
+    if isinstance(cert, CircularArcRep):
+        return circular_to_json(cert)
+    return None if cert is None else representation_to_json(cert)
+
+
+def _table_searches():
+    # (label, call) pairs: every graph on at most five vertices in every
+    # family and on six as unit and circular-arc (where a key without the
+    # begun mask, or a table kept across cuts, first goes wrong), the small
+    # enumerations, and budget ladders that cut the two searches inside
+    # charges the table makes; each call returns what a caller can see of
+    # the search
+    from conftest import nonisomorphic_graphs
+
+    def recognition(g, family, budget):
+        def call():
+            out = recognize(g, family, budget)
+            return out.kind, out.nodes_used, _cert_json(out.certificate)
+        return call
+
+    def enumeration(g, family):
+        def call():  # the visited certificates compare by value, in order
+            seen = []
+            out = enumerate_realizations(g, family, BIG, seen.append)
+            return out.complete, out.count, out.nodes_used, seen
+        return call
+
+    families = (*FAMILIES.values(), XX(3))
+    for n in range(1, 7):
+        for g in nonisomorphic_graphs(n):
+            for family in families if n < 6 else (UNIT, CIRCULAR_ARC):
+                yield (g, family), recognition(g, family, Budget(10**5))
+    for family, max_n in ((XX(1), 4), (XX(2), 4), (TWO_INTERVAL, 3)):
+        for n in range(1, max_n + 1):
+            for g in nonisomorphic_graphs(n):
+                yield (g, family, "enumeration"), enumeration(g, family)
+    for g, family, top, step in ((wheel(7), UNIT, 20_000, 97),
+                                 (xx_separator(2).graph, XX(2), 40_000, 499)):
+        for b in range(1, top, step):
+            yield (g, family, b), recognition(g, family, Budget(b))
+
+
+def test_refuted_table_equals_full_search(monkeypatch):
+    # the table charges a subtree it has seen refuted in one step; a run
+    # with the table off walks every subtree and is the reference, so each
+    # search must answer alike, node counts, certificates, enumeration
+    # order and the stop node of every budget included.  The table records
+    # from the first node here, so these short searches use it too: any
+    # subset of its records is exact as well
+    from tik import recognize as engine
+
+    entered = {True: 0, False: 0}  # _dfs nodes, table on and off
+    order_search, xx_search = engine._OrderSearch, engine._XXSearch
+
+    def engines(table):
+        class Engine:
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                if not table:
+                    self.table = None
+
+            def _dfs(self):
+                entered[table] += 1
+                return super()._dfs()
+
+        class Order(Engine, order_search):
+            pass
+
+        class Placement(Engine, xx_search):
+            pass
+
+        return Order, Placement
+
+    answers = {}
+    for table in (True, False):
+        order, placement = engines(table)
+        monkeypatch.setattr(engine, "_OrderSearch", order)
+        monkeypatch.setattr(engine, "_XXSearch", placement)
+        with monkeypatch.context() as m:
+            m.setattr(engine, "RECORD_AFTER", 0)
+            answers[table] = [(label, call()) for label, call in _table_searches()]
+        entered[table] = 0
+        recognize(wheel(7), UNIT, Budget(10**5))
+    assert len(answers[True]) == len(answers[False])
+    for got, expected in zip(answers[True], answers[False]):
+        assert got == expected, got[0]
+    assert entered[True] < entered[False], entered
 
 
 def test_circular_engine_against_brute_force():
@@ -873,14 +970,14 @@ def test_hierarchy_is_monotone(g):
 
 
 def _stop_enumeration(g, family):
-    def run(budget):
-        out = enumerate_realizations(g, family, budget, lambda rep: None)
-        return ("complete" if out.complete else "inconclusive"), out.nodes_used
+    def run(budget, visitor=lambda rep: None):
+        out = enumerate_realizations(g, family, budget, visitor)
+        return ("complete" if out.complete else "inconclusive"), out.nodes_used, out.count
     return run
 
 
 def _stop_recognition(g, family):
-    def run(budget):
+    def run(budget, visitor=None):  # a recognition visits nothing
         out = recognize(g, family, budget)
         return out.kind, out.nodes_used
     return run
@@ -902,16 +999,36 @@ BUDGET_STOP_CASES = {
 
 
 @pytest.mark.parametrize("case", list(BUDGET_STOP_CASES))
-def test_budget_stops_at_the_same_node(case):
+def test_budget_stops_at_the_same_node(case, monkeypatch):
     # a budget of b nodes ends a search that needs N nodes with the same
     # answer when b >= N, and otherwise as inconclusive after exactly b + 1
-    # nodes, however the engines charge the nodes they skip.  Every budget
-    # to 600, every 7th to 3000 and a stride beyond: each run costs b nodes
+    # nodes, however the engines charge the nodes they skip.  An
+    # enumeration cut off at b has visited what the reference run visited
+    # with at most b nodes charged, so a bulk charge that jumps over a
+    # visit shows too.  Every budget to 600, every 7th to 3000 and a stride
+    # beyond: each run costs b nodes
+    from tik import recognize as engine
+
+    counters = []
+
+    class Counter(engine._Counter):
+        def __init__(self, limit):
+            super().__init__(limit)
+            counters.append(self)
+
+    monkeypatch.setattr(engine, "_Counter", Counter)
+    stamps = []  # nodes charged at each visit of the reference run
     run, reference = BUDGET_STOP_CASES[case]
-    kind, total = run(reference)
+    kind, total, *count = run(reference, lambda rep: stamps.append(counters[-1].nodes))
+    assert len(stamps) == sum(count)
     last = min(total, reference.max_nodes)
     budgets = [*range(1, 601), *range(601, 3001, 7),
                *range(3000, last, max(1, (last - 3000) // 4)), total - 1, total]
     for b in sorted({b for b in budgets if b <= last}):
-        expected = (kind, total) if b >= total else ("inconclusive", b + 1)
+        if b >= total:
+            expected = (kind, total, *count)
+        elif count:
+            expected = ("inconclusive", b + 1, bisect.bisect_right(stamps, b))
+        else:
+            expected = ("inconclusive", b + 1)
         assert run(Budget(b)) == expected, b

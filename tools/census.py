@@ -19,8 +19,12 @@ and a second sha256 over searches that line does not reach: every
 order), and the answer at every budget from 1 to 399 of domino/xx(2),
 wheel(7)/unit, path(60)/interval and K2,3/circular-arc, and of the
 2interval enumeration of C4, whose count at a cut shows the order in
-which a search charges the nodes it drops.  To compare with another
-version, point PYTHONPATH at its `src`.
+which a search charges the nodes it drops.  A third sha256 covers the
+answers at the budgets 1, 998, ..., 99,701 (1 to 10^5 in steps of 997)
+of longer searches that meet the same state again: wheel(7)/unit,
+wheel(9)/unit, xx_separator(2)/xx(2), tikbench's fixed/2interval/n12/0,
+and the xx(2) enumeration of K4,4 - e (its count included).  To compare
+with another version, point PYTHONPATH at its `src`.
 
 Seven vertices means 1,252 graphs; generating them alone takes about 20 s.
 """
@@ -30,13 +34,18 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import random
 import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tests"))
+sys.path.insert(0, str(ROOT / "tikbench"))
 
+import corpus  # noqa: E402
 from conftest import nonisomorphic_graphs  # noqa: E402
+from tik.gadgets import k44_minus_e, xx_separator  # noqa: E402
 from tik.graphs import complete_bipartite, cycle, domino, path, wheel  # noqa: E402
 from tik.io_cli import circular_to_json, representation_to_json  # noqa: E402
 from tik.model import (  # noqa: E402
@@ -57,6 +66,7 @@ FAMILIES = (XX(1), XX(2), UNIT, BALANCED, TWO_INTERVAL,
 
 ENUMERATIONS = ((XX(1), 4), (XX(2), 4), (TWO_INTERVAL, 3))  # family, max vertices
 BUDGET_LADDER = 400  # budgets 1 .. BUDGET_LADDER - 1
+LONG_LADDER = range(1, 10**5 + 1, 997)
 
 
 def _ladder_cases():
@@ -65,6 +75,22 @@ def _ladder_cases():
             (path(60), INTERVAL_CLASS, False),
             (complete_bipartite(2, 3), CIRCULAR_ARC, False),
             (cycle(4), TWO_INTERVAL, True))
+
+
+def _fixed_2interval_n12():
+    # tikbench exhaustive-search's fixed/2interval/n12/0: the third draw of
+    # its fixed stream, after two on 10 vertices
+    rng = random.Random("exhaustive-search:fixed")
+    for n in (10, 10, 12):
+        pieces = corpus.rand_two_interval(rng, n)
+    return corpus.graph_of(pieces)
+
+
+def _long_ladder_cases():
+    return ((wheel(7), UNIT, False), (wheel(9), UNIT, False),
+            (xx_separator(2).graph, XX(2), False),
+            (_fixed_2interval_n12(), TWO_INTERVAL, False),
+            (k44_minus_e(), XX(2), True))
 
 
 def _cert_json(cert):
@@ -103,15 +129,27 @@ def search_digest(graphs) -> str:
                 g, family, Budget(10**7),
                 lambda rep: h.update(_line(_cert_json(rep))))
             h.update(_line([out.complete, out.count, out.nodes_used]))
-    for g, family, enumerates in _ladder_cases():
-        for b in range(1, BUDGET_LADDER):
+    _ladders(h, _ladder_cases(), range(1, BUDGET_LADDER))
+    return h.hexdigest()
+
+
+def long_ladder_digest() -> str:
+    """One sha256 over the answers at every budget of LONG_LADDER on the
+    searches named in the module docstring."""
+    h = hashlib.sha256()
+    _ladders(h, _long_ladder_cases(), LONG_LADDER)
+    return h.hexdigest()
+
+
+def _ladders(h, cases, budgets):
+    for g, family, enumerates in cases:
+        for b in budgets:
             if enumerates:
                 out = enumerate_realizations(g, family, Budget(b), lambda rep: None)
                 h.update(_line([sorted(g.edges), g.n, str(family), out.complete,
                                 out.count, out.nodes_used]))
             else:
                 h.update(_record(g, family, recognize(g, family, Budget(b))))
-    return h.hexdigest()
 
 
 def main(argv=None) -> int:
@@ -131,6 +169,8 @@ def main(argv=None) -> int:
         print(f"{search_digest(small)}  enumerations on 1..4 vertices, "
               f"budgets 1..{BUDGET_LADDER - 1} on {len(_ladder_cases())} searches",
               flush=True)
+        print(f"{long_ladder_digest()}  budgets {LONG_LADDER.start}..{LONG_LADDER[-1]} "
+              f"step {LONG_LADDER.step} on {len(_long_ladder_cases())} searches", flush=True)
         return 0
     print(f"{len(graphs)} graphs on 1..{args.max_n} vertices, budget {args.budget}")
     print(f"{'family':<14}{'member':>8}{'nonmember':>11}{'undecided':>11}"
