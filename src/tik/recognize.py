@@ -853,10 +853,7 @@ class _XXSearch(_Search):
                 bits ^= low
             # the copies whose reach p passed since the parent
             expired = last_window ^ window
-            # a child's packed window: the newest `size` copies of this one,
-            # each g further from the child's position, then the new copy
-            stay = ((tail & window_masks[size]) + g * window_ones[size]) << copy_bits
-            applied = False
+            stay = None  # the copies a child's window keeps, packed at the first move
             for rest in classes:  # candidates of the class not charged yet
                 legal = rest & common
                 while legal:
@@ -871,7 +868,10 @@ class _XXSearch(_Search):
                     rest ^= upto
                     counter.charge(pending + upto.bit_count())
                     pending = 0
-                    applied = True
+                    if stay is None:
+                        # the newest `size` copies of this window, each g
+                        # further from the child's position
+                        stay = ((tail & window_masks[size]) + g * window_ones[size]) << copy_bits
                     c = copies[v]
                     pos[v][c] = p
                     copies[v] = c + 1
@@ -903,7 +903,7 @@ class _XXSearch(_Search):
                 pending += rest.bit_count()
             if not g:
                 break
-            if not applied and leave > g + 1:
+            if stay is None and leave > g + 1:
                 # the gaps before `leave` have this window, so none of them
                 # has a move either
                 pending += (leave - g - 1) * (finishing | unplaced).bit_count()
