@@ -150,12 +150,22 @@ def dump_json(obj) -> str:
 # --- exporters -------------------------------------------------------------------
 
 
+def _dot_id(v) -> str:
+    # a label as a quoted DOT ID, where a backslash and a quote are escaped
+    return '"' + str(v).replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def _xml_text(v) -> str:
+    # a label as XML character data (xml.sax.saxutils would import urllib)
+    return str(v).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def emit_dot(g: Graph) -> str:
     lines = ["graph {"]
     for v in g.sorted_vertices():
-        lines.append(f'  "{v}";')
+        lines.append(f"  {_dot_id(v)};")
     for u, v in g.sorted_edges():
-        lines.append(f'  "{u}" -- "{v}";')
+        lines.append(f"  {_dot_id(u)} -- {_dot_id(v)};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -194,7 +204,7 @@ def emit_svg(rep: Representation) -> str:
         y = 10 + i * row_h
         parts.append(
             f'<text x="4" y="{y + bar_h - 1}" font-size="10" '
-            f'font-family="monospace">{v}</text>'
+            f'font-family="monospace">{_xml_text(v)}</text>'
         )
         for iv in rep[v].parts():
             x1, x2 = sx(iv.lo), sx(iv.hi)

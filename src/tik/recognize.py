@@ -11,15 +11,16 @@ Two engines share the Budget/SearchOutcome surface:
 * integer placement enumeration in a normalized window (xx).
 
 Both run on one search loop, `_run`, which walks their generators on an
-explicit stack, so a search may go as deep as memory allows.  Both keep
-their vertex sets (neighbours, covered edges, open or placed vertices) as
-int bitmasks, so a candidate costs a few integer operations, and charge
-the candidates they can rule out in bulk, in the order and with the stop
-node that one tick per candidate would give.  Both also remember the
-states whose subtree they walked without accepting a leaf, and charge
-such a subtree in one step when they meet its state again (balanced
-excepted), so verdicts, node counts and certificates are those of the
-full walk.
+explicit stack, so a search may go as deep as memory allows.  The engines
+only make moves: they keep their vertex sets (neighbours, covered edges,
+open or placed vertices) as int bitmasks, so a candidate costs a few
+integer operations, and charge the candidates they can rule out in bulk,
+in the order and with the stop node that one tick per candidate would
+give.  The loop does what every node does alike: it tests for a leaf,
+and it remembers the states whose subtree was walked without accepting
+a leaf and charges such a subtree in one step when its state comes back
+(balanced excepted), so verdicts, node counts and certificates are those
+of the full walk.
 
 NonMember is returned only when the search space was provably exhausted
 within budget.  Every Member certificate re-verifies: family_check passes
@@ -265,8 +266,10 @@ class _Search:
     neighbours, open or live vertices) are int bitmasks too, so their
     per-candidate tests are a few integer operations.
 
-    An engine's `run` and `_dfs` are generators driven by `_run`; its
-    `_realize` returns the certificate of a complete candidate, or None.
+    An engine's `run` and `_dfs` are generators driven by `_run`: each
+    yields once per move it makes, with the move applied, and resumes to
+    undo it.  `moves` is the number of moves from the root to a leaf, and
+    `_realize` returns the certificate of a leaf, or None.
 
     Clique-count bound: the intervals a move meets form a clique with it,
     so a move covers at most `room` = omega - 1 new edges.  `slack` is
@@ -275,15 +278,12 @@ class _Search:
     covers, and a branch whose slack would fall below 0 is dead.  No move
     is left at a leaf, so every leaf reached has every edge covered.
 
-    Refuted states: `table` maps a node's depth (moves made) and its key,
-    an int its engine packs from the state its subtree is a function of,
-    to the nodes that subtree charged when it finished without accepting
-    a leaf.  A node whose key is there charges that count in one step
-    instead of walking the subtree again; a node looks only once its depth
-    has an entry.  Recorded are the refuted nodes that entered a child,
-    once the search has charged RECORD_AFTER nodes, except the root (design
-    notes: "Refuted states").  The table is None where a leaf's verdict
-    reads more than the key (balanced)."""
+    Refuted states: `table` maps a node's depth + 1 (its height on
+    `_run`'s stack) and its key, the int `_key()` packs from the state
+    its subtree is a function of, to the nodes that subtree charged when
+    it finished without accepting a leaf; `_run` looks nodes up and
+    records them (design notes: "Refuted states").  The table is None
+    where a leaf's verdict reads more than the key (balanced)."""
 
     def __init__(self, g: Graph, counter: _Counter, visitor=None):
         self.labels = sorted(g.vertices)
@@ -299,7 +299,6 @@ class _Search:
         # made when the first key is, then kept up to date by _flip_cover
         self.edge_bit = None  # {w: bit of edge vw} for each vertex v
         self.cover_edges = 0
-        self.vertex_bits = self.n.bit_length()  # holds any vertex index + 1
         self.counter = counter
         self.visitor = visitor
         self.found = None
@@ -307,8 +306,7 @@ class _Search:
         # nodes charged when the last realization was accepted: a subtree
         # entered at `start` nodes accepted one iff this exceeds start
         self.accepted = -1
-        self.table = {}  # {depth: {key: nodes}}
-        self.root = 0  # the root's depth: no other node has it
+        self.table = {}  # {depth + 1: {key: nodes}}
         self.pieces = {}  # a leaf's TwoIntervals by endpoint key, built once
         self.room = clique_number_of_masks(self.adjm) - 1
         self.slack = -len(g.edges)  # each engine adds room per move
@@ -382,14 +380,16 @@ class _OrderSearch(_Search):
         one = family.kind in ("interval", "unit-interval", "circular-arc")
         self.slots = [1 if one else 2] * self.n
         self.fifo = family.kind in ("unit", "unit-interval")
-        self.total_events = 2 * sum(self.slots)
-        # circular-arc: n opens on every cut too, as W's prefixes start open
+        # an open and a close per slot; circular-arc makes 2n moves on every
+        # cut too, as W's prefixes start open and W's suffixes never close
+        self.moves = 2 * sum(self.slots)
         self.slack += self.room * sum(self.slots)
         self.cut = frozenset()
         if family.kind == "balanced":
             self.table = None  # its leaf LP reads the whole word
         # the open order (FIFO) or the live mask ends a key; at most omega
-        # intervals are open at once
+        # intervals are open at once, each as its vertex index + 1
+        self.vertex_bits = self.n.bit_length()
         self.order_bits = (self.room + 1) * self.vertex_bits if self.fifo else self.n
 
         self.word = []
@@ -443,7 +443,7 @@ class _OrderSearch(_Search):
         ):
             return
         if self.family.kind != "circular-arc":
-            yield self._dfs()
+            yield True
             return
         for cut in self._cliques():
             self.cut = frozenset(cut)
@@ -454,11 +454,9 @@ class _OrderSearch(_Search):
                 self.open_list.append((w, 0))
                 self.word.append(((w, 0), OPEN))
             self.begun = self.live
-            self.total_events = 2 * self.n + len(cut)
-            self.root = len(cut)
             if self.table:
                 self.table.clear()  # a key does not say which arcs are cut
-            yield self._dfs()
+            yield True
             for w in cut:
                 self.slots[w] = 1
                 self.opened[w] = self.open_now[w] = 0
@@ -499,21 +497,7 @@ class _OrderSearch(_Search):
         return key | order
 
     def _dfs(self):
-        depth = len(self.word)
-        if depth == self.total_events:
-            self._leaf()
-            return
         counter = self.counter
-        table = self.table
-        key = None
-        if table and depth in table:
-            key = self._key()
-            known = table[depth].get(key)
-            if known is not None:
-                counter.charge(known)  # refuted before
-                return
-        start = counter.nodes
-        moved = False  # entered a child
 
         # close moves, oldest open first; equal-length families may only
         # close the oldest open interval (containment is infeasible there).
@@ -536,8 +520,7 @@ class _OrderSearch(_Search):
             open_list.pop(base + i)
             open_now[v] -= 1
             self.live ^= bit
-            moved = True
-            yield self._dfs()
+            yield True
             self.live ^= bit
             open_now[v] += 1
             open_list.insert(base + i, iid)
@@ -587,8 +570,7 @@ class _OrderSearch(_Search):
             self._flip_cover(v, newly)
             self.slack = slack + k - self.room
             if self._coverage_ok(v):
-                moved = True
-                yield self._dfs()
+                yield True
             self.slack = slack
             self._flip_cover(v, newly)
             word.pop()
@@ -606,10 +588,6 @@ class _OrderSearch(_Search):
         pending += rest.bit_count()
         if pending:
             counter.charge(pending)
-        if (moved and counter.nodes > RECORD_AFTER and self.accepted < start
-                and depth > self.root and table is not None):
-            table.setdefault(depth, {})[self._key() if key is None else key] = \
-                counter.nodes - start
 
     def _realize(self):
         at = {event: i for i, event in enumerate(self.word)}
@@ -673,31 +651,23 @@ class _XXSearch(_Search):
     def __init__(self, g: Graph, x: int, counter: _Counter, visitor=None):
         super().__init__(g, counter, visitor)
         self.x = x
-        self.total = 2 * self.n
+        self.moves = 2 * self.n  # one per copy
         self.everyone = (1 << self.n) - 1
-        self.slack += self.room * self.total
+        self.slack += self.room * self.moves
         self.pos = [[None, None] for _ in range(self.n)]
         self.copies = [0] * self.n
         self.placed = 0  # vertices with a copy placed
         self.placed2 = 0  # vertices with both copies placed
         self.seq = []  # (position, vertex bit) in placement order
-        # the window at the last position and its copies packed, each as
-        # its vertex and its distance to that position, the newest lowest;
-        # set for the node a move enters
-        self.window = self.tail = 0
-        # a key ends with the packed window, at most omega copies
-        dist_bits = (x - 1).bit_length()
-        self.copy_bits = cb = self.vertex_bits + dist_bits
-        self.vertex_code = [(v + 1) << dist_bits for v in range(self.n)]
-        self.window_bits = (self.room + 1) * cb
-        # by window size r: the low r copies, and 1 in each one's distance
-        self.window_masks, self.window_ones = [0], [0]
-        for _ in range(self.room + 1):
-            self.window_masks.append(self.window_masks[-1] << cb | (1 << cb) - 1)
-            self.window_ones.append(self.window_ones[-1] << cb | 1)
+        # the window at the last position, as a vertex mask; set for the
+        # node a move enters
+        self.window = 0
+        # a key's fixed-width fields: the covered edges, placed and placed2
+        self.fixed_bits = len(g.edges) + 2 * self.n
+        self.dist_bits = (x - 1).bit_length()
 
     def run(self):
-        yield self._dfs()
+        yield True
 
     def _edges_alive(self, touched, p):
         # every uncovered edge must still be coverable: future copies start
@@ -759,17 +729,25 @@ class _XXSearch(_Search):
                         return False
         return True
 
-    def _key(self, tail):
-        # the covered edges, placed, placed2, then the window's copies
-        n = self.n
-        return ((self._edges() << n | self.placed) << n | self.placed2) << self.window_bits | tail
+    def _key(self):
+        # the window at the last position, each copy as its distance to
+        # that position and its vertex bit, the newest highest, under a
+        # leading 1; then the covered edges, placed and placed2.  The
+        # window's copies end seq (see _dfs)
+        n, dist_bits = self.n, self.dist_bits
+        last_pos = self.seq[-1][0]
+        lo = last_pos - self.x
+        window = 1
+        for p, bit in reversed(self.seq):
+            if p <= lo:
+                break
+            window = (window << dist_bits | last_pos - p) << n | bit
+        fixed = (self._edges() << n | self.placed) << n | self.placed2
+        return window << self.fixed_bits | fixed
 
     def _dfs(self):
         seq = self.seq
         depth = len(seq)
-        if depth == self.total:
-            self._leaf()
-            return
         x = self.x
         counter = self.counter
         pos, copies = self.pos, self.copies
@@ -779,24 +757,12 @@ class _XXSearch(_Search):
         finishing = self.placed ^ self.placed2
         unplaced = everyone ^ self.placed
         last_pos, last_bit = seq[-1] if depth else (0, 0)
-        # the window at last_pos and its packed copies, which the parent
-        # passes down: the copies at positions in (last_pos - x, last_pos].
-        # They are one per vertex, as two copies of a vertex are x apart,
-        # and pairwise adjacent, so at most omega, and they end seq, whose
-        # positions never fall
-        last_window, tail = self.window, self.tail
-        copy_bits, vertex_code = self.copy_bits, self.vertex_code
-        window_masks, window_ones = self.window_masks, self.window_ones
-        table = self.table
-        key = None
-        if table and depth in table:
-            key = self._key(tail)
-            known = table[depth].get(key)
-            if known is not None:
-                counter.charge(known)  # refuted before
-                return
-        start = counter.nodes
-        moved = False  # entered a child
+        # the window at last_pos, which the parent passes down: the copies
+        # at positions in (last_pos - x, last_pos].  They are one per
+        # vertex, as two copies of a vertex are x apart, and pairwise
+        # adjacent, so at most omega, and they end seq, whose positions
+        # never fall
+        last_window = self.window
 
         # the fewest new edges a move must cover (clique-count bound); each
         # move restores slack when it is undone
@@ -853,7 +819,7 @@ class _XXSearch(_Search):
                 bits ^= low
             # the copies whose reach p passed since the parent
             expired = last_window ^ window
-            stay = None  # the copies a child's window keeps, packed at the first move
+            applied = False  # a move was made at this gap
             for rest in classes:  # candidates of the class not charged yet
                 legal = rest & common
                 while legal:
@@ -868,10 +834,7 @@ class _XXSearch(_Search):
                     rest ^= upto
                     counter.charge(pending + upto.bit_count())
                     pending = 0
-                    if stay is None:
-                        # the newest `size` copies of this window, each g
-                        # further from the child's position
-                        stay = ((tail & window_masks[size]) + g * window_ones[size]) << copy_bits
+                    applied = True
                     c = copies[v]
                     pos[v][c] = p
                     copies[v] = c + 1
@@ -881,7 +844,6 @@ class _XXSearch(_Search):
                         self.placed ^= bit
                     seq.append((p, bit))
                     self.window = window | bit
-                    self.tail = stay | vertex_code[v]
                     self._flip_cover(v, newly)
                     self.slack = slack + k - room
                     if depth == 0:
@@ -889,8 +851,7 @@ class _XXSearch(_Search):
                     else:  # v, newly, and the copies expired since the parent
                         touched = bit | newly | expired
                     if self._edges_alive(touched, p):
-                        moved = True
-                        yield self._dfs()
+                        yield True
                     self.slack = slack
                     self._flip_cover(v, newly)
                     seq.pop()
@@ -903,7 +864,7 @@ class _XXSearch(_Search):
                 pending += rest.bit_count()
             if not g:
                 break
-            if stay is None and leave > g + 1:
+            if not applied and leave > g + 1:
                 # the gaps before `leave` have this window, so none of them
                 # has a move either
                 pending += (leave - g - 1) * (finishing | unplaced).bit_count()
@@ -911,10 +872,6 @@ class _XXSearch(_Search):
             g = (g + 1) % (x + 1)
         if pending:
             counter.charge(pending)
-        if (moved and counter.nodes > RECORD_AFTER and self.accepted < start
-                and depth > self.root and table is not None):
-            table.setdefault(depth, {})[self._key(tail) if key is None else key] = \
-                counter.nodes - start
 
     def _realize(self):
         x = self.x
@@ -968,19 +925,55 @@ def _run(search) -> bool:
     """Drive a search depth first on an explicit stack of its generators;
     False iff the node budget cut it off.
 
-    Each generator yields the generator of the child node it enters and
-    resumes, to undo its move, once that child is finished.  A search
-    without a visitor stops at its first realization."""
+    Each generator yields once per move, with the move applied, and
+    resumes, to undo it, once the child is finished.  The loop does what
+    every node does alike: a child `moves` deep is a leaf, handed to
+    `_leaf`, and a search without a visitor stops at its first
+    realization; a child in the refuted-state table is charged in one
+    step; any other is entered as a `_dfs` generator, and recorded in
+    the table when it finishes if the record rules allow (design notes:
+    "Refuted states")."""
+    counter, table = search.counter, search.table
+    dfs, key = search._dfs, search._key
+    stop = search.visitor is None
+    leaf = search.moves + 1
     stack = [search.run()]
+    # per node on the stack: the nodes charged when it was entered, and
+    # its key if it was looked up.  A child is charged before it is
+    # yielded, so a node yielded one iff `last`, the count at the last
+    # yield, exceeds its entry
+    entered = [(0, None)]
+    last = 0
     try:
         while stack:
-            child = next(stack[-1], None)
-            if child is not None:
-                stack.append(child)
-            else:
-                stack.pop()
-                if search.found is not None and search.visitor is None:
-                    break
+            if next(stack[-1], False):
+                last = counter.nodes
+                # the generators below the child, its depth + 1, which
+                # indexes the table
+                height = len(stack)
+                if height == leaf:
+                    search._leaf()
+                    if stop and search.found is not None:
+                        break
+                    continue
+                k = None
+                if table and height in table:
+                    k = key()
+                    known = table[height].get(k)
+                    if known is not None:
+                        counter.charge(known)  # refuted before
+                        continue
+                stack.append(dfs())
+                entered.append((last, k))
+                continue
+            stack.pop()
+            start, k = entered.pop()
+            # a node that yielded a child, accepted no leaf and is not the
+            # root; it has undone its moves, so key() reads its own state
+            if (last > start and counter.nodes > RECORD_AFTER and search.accepted < start
+                    and len(stack) > 1 and table is not None):
+                table.setdefault(len(stack), {})[key() if k is None else k] = \
+                    counter.nodes - start
     except _BudgetExhausted:
         return False
     return True

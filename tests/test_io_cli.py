@@ -253,6 +253,38 @@ def test_cli_render(tmp_path):
     assert code == EXIT_YES and out.count("<rect") == 16
 
 
+def test_cli_render_dot_escapes_labels(tmp_path):
+    # labels come from input files: a DOT ID escapes backslash and quote
+    edges = tmp_path / "g.edges"
+    edges.write_text('a"b c\\d\n"e\\" f\n')
+    code, out, _ = run_cli(["render", "dot", str(edges)])
+    assert code == EXIT_YES
+    lines = out.splitlines()
+    for quoted in ('"a\\"b"', '"c\\\\d"', '"\\"e\\\\\\""', '"f"'):
+        assert f"  {quoted};" in lines, (quoted, out)
+    assert '  "a\\"b" -- "c\\\\d";' in lines, out
+
+
+def test_cli_render_svg_escapes_labels(tmp_path):
+    # labels come from JSON keys: SVG text is XML-escaped, so the output
+    # parses and its text reads back as the labels
+    import xml.etree.ElementTree as ET
+
+    labels = ["x<y&z", 'q"r', "a>b", "plain"]
+    rep = model.Representation({
+        v: model.two_interval(model.Interval(model.q(4 * i), model.q(4 * i + 1)),
+                              model.Interval(model.q(4 * i + 2), model.q(4 * i + 3)))
+        for i, v in enumerate(labels)
+    })
+    rep_path = tmp_path / "rep.json"
+    rep_path.write_text(dump_json(representation_to_json(rep)))
+    code, out, _ = run_cli(["render", "svg", str(rep_path)])
+    assert code == EXIT_YES
+    root = ET.fromstring(out)
+    texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert texts == sorted(labels)
+
+
 def test_cli_usage_errors():
     code, _, err = run_cli(["recognize", "--family", "xx", "nope nope nope"])
     assert code == EXIT_ERROR

@@ -684,6 +684,31 @@ def test_refuted_table_equals_full_search(monkeypatch):
     assert entered[True] < entered[False], entered
 
 
+def test_record_policy_table_sizes(monkeypatch):
+    # any subset of the refuted nodes is exact to record, so answers and
+    # node counts cannot see which ones are; the table sizes these searches
+    # end with at the default settings pin the record rules (design notes:
+    # "Refuted states").  Not counting leaf and table-hit children as
+    # yielded gives 2,894, 2,496 and 345 entries in the first, second and
+    # last search
+    from tik import recognize as engine
+
+    searches = []
+    run = engine._run
+
+    def capture(search):
+        searches.append(search)
+        return run(search)
+
+    monkeypatch.setattr(engine, "_run", capture)
+    recognize(wheel(7), UNIT, Budget(10**5))
+    recognize(wheel(9), UNIT, Budget(10**5))
+    recognize(xx_separator(2).graph, XX(2), Budget(10**4))
+    enumerate_realizations(k44_minus_e(), XX(2), BIG, lambda rep: None)
+    sizes = [sum(map(len, search.table.values())) for search in searches]
+    assert sizes == [3_005, 2_541, 28, 417]
+
+
 def test_circular_engine_against_brute_force():
     from conftest import brute_force_circular_member
 
