@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -155,9 +156,20 @@ def _dot_id(v) -> str:
     return '"' + str(v).replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
+# characters XML 1.0 cannot carry, escaped or not: controls other than tab,
+# newline and carriage return, surrogates, U+FFFE and U+FFFF
+_NOT_XML = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+
+
 def _xml_text(v) -> str:
     # a label as XML character data (xml.sax.saxutils would import urllib)
-    return str(v).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    text = str(v)
+    bad = _NOT_XML.search(text)
+    if bad:
+        raise FormatError(
+            f"label {text!r} holds {bad.group()!r}, which XML cannot carry"
+        )
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def emit_dot(g: Graph) -> str:

@@ -5,7 +5,8 @@ Two engines share the Budget/SearchOutcome surface:
 * endpoint-order enumeration with pruning (2interval, balanced, unit,
   interval, unit-interval, circular-arc); balanced adds an exact rational
   linear feasibility check per complete word, the equal-length families
-  unitize their FIFO words by difference constraints instead, and
+  unitize their FIFO words by difference constraints instead, read off
+  the word's integer positions as the interval leaves are, and
   circular-arc searches the words of each cut of the circle (the arcs
   over the cut point, a clique, start and end the word open),
 * integer placement enumeration in a normalized window (xx).
@@ -41,6 +42,7 @@ from .model import (
     FamilySelector,
     Interval,
     Representation,
+    TwoInterval,
     q,
     two_interval,
 )
@@ -590,8 +592,10 @@ class _OrderSearch(_Search):
             counter.charge(pending)
 
     def _realize(self):
-        at = {event: i for i, event in enumerate(self.word)}
-        if self.family.kind == "circular-arc":
+        kind = self.family.kind
+        if kind in ("circular-arc", "2interval"):
+            at = {event: i for i, event in enumerate(self.word)}
+        if kind == "circular-arc":
             # glue the cut back: a cut arc runs from its suffix's open
             # around the circle to its prefix's close
             arcs = {}
@@ -599,7 +603,7 @@ class _OrderSearch(_Search):
                 start = at[((v, self.slots[v] - 1), OPEN)]
                 arcs[self.labels[v]] = Arc(q(start), q(at[((v, 0), CLOSE)]))
             return CircularArcRep(q(len(self.word)), arcs)
-        if self.family.kind == "2interval":
+        if kind == "2interval":
             items = {}
             for v in range(self.n):
                 key = tuple(at[((v, s), k)] for s in (0, 1) for k in (OPEN, CLOSE))
@@ -608,28 +612,84 @@ class _OrderSearch(_Search):
                     self.pieces[key] = two_interval(Interval(a, b), Interval(c, d))
                 items[self.labels[v]] = self.pieces[key]
             return Representation(items)
-        values = None
-        if self.family.kind == "balanced":
+        if kind == "balanced":
             pairing = {v: ((v, 0), (v, 1)) for v in range(self.n)}
             values = order_feasible(self.word, self.family, pairing)
             if values is None:
                 return None
-        ivs = word_intervals(self.word, values)
+            ivs = word_intervals(self.word, values)
+            return Representation({
+                self.labels[v]: two_interval(ivs[(v, 0)], ivs[(v, 1)])
+                for v in range(self.n)
+            })
         if self.fifo:
-            # intervals close in the order they open, so none contains
-            # another and the proper system unitizes with the same pattern
-            ivs = transforms.proper_to_unit_interval(ivs)
+            ends, d = _fifo_unit_ends(self.word)
+        else:
+            ends, d = _position_ends(self.word), 1
+        return self._pieces(ends, d)
+
+    def _pieces(self, ends, d):
+        # the certificate of integer ends {interval id: (lo, hi)} in units
+        # of 1/d.  A vertex's slot 0 closes before its slot 1 opens, so the
+        # pieces are in order; a one-slot vertex gets a far-away dummy
+        # right at top + 2 + 2v
+        labels = self.labels
+        if d == 1:
+            piece = Interval  # it makes Fractions of int ends itself
+        else:
+            def piece(lo, hi):
+                return Interval(Fraction(lo, d), Fraction(hi, d))
+
         items = {}
         if self.slots[0] == 2:
             for v in range(self.n):
-                items[self.labels[v]] = two_interval(ivs[(v, 0)], ivs[(v, 1)])
+                items[labels[v]] = TwoInterval(piece(*ends[(v, 0)]),
+                                               piece(*ends[(v, 1)]))
         else:
-            # pad with far-away dummy rights so each pair is a 2-interval
-            hi = max(iv.hi for iv in ivs.values())
+            top = max(hi for _, hi in ends.values())
             for v in range(self.n):
-                lo = hi + 2 + 2 * v
-                items[self.labels[v]] = two_interval(ivs[(v, 0)], Interval(lo, lo + 1))
+                lo = top + (2 + 2 * v) * d
+                items[labels[v]] = TwoInterval(piece(*ends[(v, 0)]),
+                                               piece(lo, lo + d))
         return Representation(items)
+
+
+def _position_ends(word):
+    # {interval id: (open position, close position)}
+    opens = {}
+    ends = {}
+    for i, (iid, kind) in enumerate(word):
+        if kind == OPEN:
+            opens[iid] = i
+        else:
+            ends[iid] = (opens[iid], i)
+    return ends
+
+
+def _fifo_unit_ends(word):
+    """Unit intervals with the intersection pattern of a FIFO word's
+    position intervals, as ({interval id: (lo, hi)}, d) with integer ends
+    in units of 1/d: proper_to_unit_interval(word_intervals(word)) without
+    the Fractions.  Interval k, the k-th to open, meets exactly the
+    predecessors still open when it opens, f(k) = the closes before it,
+    ..., k - 1 (design notes: "Unitization by difference constraints").
+    RecognizeError if a close is not of the oldest open interval."""
+    order = []  # interval ids in open order
+    fs = []
+    closes = 0
+    for iid, kind in word:
+        if kind == OPEN:
+            fs.append(closes)
+            order.append(iid)
+        elif closes < len(order) and order[closes] == iid:
+            closes += 1
+        else:
+            raise RecognizeError(
+                f"close of {iid!r} is not of the oldest open interval"
+            )
+    d = 2 * len(order)
+    starts = transforms._least_starts(fs, 1, d)
+    return {iid: (a, a + d) for iid, a in zip(order, starts)}, d
 
 
 # --- integer-placement engine for (x,x) --------------------------------------

@@ -245,24 +245,38 @@ def _grid_starts(ivs: list[Interval], step: int, reach: int) -> list[int]:
     apart and the other pairs more than `reach` apart.
 
     Interval k's intersecting predecessors form a suffix f(k), ..., k - 1,
-    and f never falls, so one two-pointer sweep finds every f(k).  With the
-    starts in order, u_k <= u_f(k) + reach and u_k >= u_f(k)-1 + reach + 1
-    imply the bounds of every other pair, so 3n difference constraints have
-    the same feasible set as the all-pairs system; Bellman-Ford from 0
-    gives its least point.
+    and f never falls, so one two-pointer sweep finds every f(k); the
+    starts are then `_least_starts(f, step, reach)`.
     """
-    edges = []  # u_k >= u_j + w as (j, k, w)
+    fs = []
     f = 0
-    for k in range(1, len(ivs)):
+    for k in range(len(ivs)):
         while f < k and not intersects(ivs[f], ivs[k]):
             f += 1
+        fs.append(f)
+    return _least_starts(fs, step, reach)
+
+
+def _least_starts(fs: list[int], step: int, reach: int) -> list[int]:
+    """Least integer starts, the first 0, of a system in order whose
+    interval k meets exactly its predecessors fs[k], ..., k - 1 (fs never
+    falls, fs[k] <= k): each start at least `step` past the one before,
+    and interval k at most `reach` past start fs[k] and more than `reach`
+    past start fs[k] - 1.  With the starts in order these 3n difference
+    constraints imply the bounds of every other pair, so they have the
+    same feasible set as the all-pairs system; Bellman-Ford from 0 gives
+    its least point.
+    """
+    edges = []  # u_k >= u_j + w as (j, k, w)
+    for k in range(1, len(fs)):
+        f = fs[k]
         edges.append((k - 1, k, step))
         if f:
             edges.append((f - 1, k, reach + 1))
         if f < k:
             edges.append((k, f, -reach))
-    u = [0] * len(ivs)
-    for _ in range(len(ivs) + 1):
+    u = [0] * len(fs)
+    for _ in range(len(fs) + 1):
         changed = False
         for j, k, w in edges:
             if u[j] + w > u[k]:

@@ -285,6 +285,22 @@ def test_cli_render_svg_escapes_labels(tmp_path):
     assert texts == sorted(labels)
 
 
+def test_cli_render_svg_rejects_labels_xml_cannot_carry(tmp_path):
+    # XML 1.0 has no escape for most control characters, surrogates and
+    # U+FFFE/U+FFFF: such a label is a usage error, with no partial SVG
+    for label in ("a\u0001b", "x\u001fy", "\ud800", "end\uffff"):
+        rep = model.Representation({
+            v: model.two_interval(model.Interval(model.q(4 * i), model.q(4 * i + 1)),
+                                  model.Interval(model.q(4 * i + 2), model.q(4 * i + 3)))
+            for i, v in enumerate(["ok", label])
+        })
+        rep_path = tmp_path / "rep.json"
+        rep_path.write_text(dump_json(representation_to_json(rep)))
+        code, out, err = run_cli(["render", "svg", str(rep_path)])
+        assert code == EXIT_ERROR, label
+        assert out == "" and err.startswith("error: ") and "XML" in err
+
+
 def test_cli_usage_errors():
     code, _, err = run_cli(["recognize", "--family", "xx", "nope nope nope"])
     assert code == EXIT_ERROR

@@ -1,7 +1,9 @@
 import bisect
+import hashlib
 import itertools
 import json
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -26,7 +28,7 @@ from tik.graphs import (
     petersen,
     wheel,
 )
-from tik.io_cli import circular_to_json, representation_to_json
+from tik.io_cli import circular_to_json, dump_json, representation_to_json
 from tik.model import (
     BALANCED,
     CIRCULAR_ARC,
@@ -45,6 +47,9 @@ from tik.recognize import (
     OPEN,
     Budget,
     RecognizeError,
+    _Counter,
+    _fifo_unit_ends,
+    _OrderSearch,
     check_word,
     enumerate_realizations,
     order_feasible,
@@ -131,6 +136,54 @@ def test_fifo_words_unitize_with_same_pattern():
                     meet = pos[(b, OPEN)] < pos[(a, CLOSE)]
                     assert model.intersects(units[a], units[b]) == meet, word
     assert total == 2055  # Catalan numbers C1 + ... + C8
+
+
+def _order_leaf(word, family):
+    # the certificate the order engine builds at a leaf of a one-slot
+    # family, for a word over intervals 0..k-1 as vertices v0..v{k-1}
+    labels = tuple(f"v{i}" for i in range(len(word) // 2))
+    search = _OrderSearch(Graph(labels, frozenset()), family, _Counter(1))
+    search.word = [((iid, 0), kind) for iid, kind in word]
+    return search._realize()
+
+
+def _padded_reference(ivs):
+    # the leaf construction through Fractions: each interval (v, 0) with a
+    # dummy right past the largest end
+    hi = max(iv.hi for iv in ivs.values())
+    return model.Representation({
+        f"v{v}": model.two_interval(ivs[(v, 0)],
+                                    model.Interval(hi + 2 + 2 * v, hi + 3 + 2 * v))
+        for v, _ in ivs
+    })
+
+
+def test_integer_leaves_equal_the_fraction_construction():
+    # the order engine reads the unit grid and the interval ends off the
+    # word's positions; on every FIFO word on 1..8 intervals that must give
+    # exactly what the construction through Fraction intervals gave
+    total = 0
+    for k in range(1, 9):
+        for word in _fifo_words(k):
+            total += 1
+            ends, d = _fifo_unit_ends(word)
+            units = {iid: model.Interval(Fraction(lo, d), Fraction(hi, d))
+                     for iid, (lo, hi) in ends.items()}
+            assert units == transforms.proper_to_unit_interval(word_intervals(word)), word
+            slotted = [((iid, 0), kind) for iid, kind in word]
+            positions = word_intervals(slotted)
+            assert _order_leaf(word, INTERVAL_CLASS) == _padded_reference(positions), word
+            assert _order_leaf(word, UNIT_INTERVAL) == _padded_reference(
+                transforms.proper_to_unit_interval(positions)), word
+    assert total == 2055
+
+
+def test_integer_fifo_check_rejects_containment():
+    word = [("i1", OPEN), ("i2", OPEN), ("i2", CLOSE), ("i1", CLOSE)]
+    with pytest.raises(RecognizeError, match="oldest open interval"):
+        _fifo_unit_ends(word)
+    with pytest.raises(RecognizeError, match="oldest open interval"):
+        _fifo_unit_ends([("i1", CLOSE)])
 
 
 def test_unit_certificate_touching_endpoints_survive():
@@ -948,6 +1001,26 @@ def test_enumeration_counts_pinned():
     for n, count, nodes in ((3, 1_968, 8_764), (4, 51_880, 269_820)):
         out = enumerate_realizations(path(n), TWO_INTERVAL, BIG, lambda rep: None)
         assert (out.complete, out.count, out.nodes_used) == (True, count, nodes), n
+
+
+# sha256 of tik's JSON of the certificate: the census digests stop at
+# seven vertices, and these long words reach every line of the leaves
+@pytest.mark.parametrize("g,family,nodes,digest", [
+    (path(300), INTERVAL_CLASS, 18_734,
+     "11142d4722a289c9b2eff554f12e5fb68b40b36d3ff578e828bf4793640dd735"),
+    (path(300), UNIT_INTERVAL, 18_734,
+     "e714e9fa3dd95bd2623ffa82f69b74b729554bf8efa717a9a98828091afc511f"),
+    (path(60), UNIT, 248_277,
+     "6e3dc7396973ba3587470bf182385a2a0170482fd28900e4aca48de067017cf6"),
+    (wheel(8), UNIT, 4_270,
+     "207674fcc19e23686c4c762d0ad04b7022686ca7ca0f03e76fb1024709c8371d"),
+], ids=["path300-interval", "path300-unit-interval", "path60-unit", "wheel8-unit"])
+def test_long_word_certificates_pinned(g, family, nodes, digest):
+    out = recognize(g, family, BIG)
+    assert (out.kind, out.nodes_used) == ("member", nodes)
+    text = dump_json(representation_to_json(out.certificate))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert_member_sound(out, g, family)
 
 
 # --- differential: the class hierarchy ----------------------------------------------

@@ -13,7 +13,7 @@ version, so two versions of the search loop compare by them.  To count
 another version, point PYTHONPATH at its `src`.  The counts include
 the work a search hands to other modules (its set-up, certificates) but
 not the time spent inside C functions, so they size interpreter work,
-not wall time.  All six searches take about 20 s traced.
+not wall time.  All nine searches take about 20 s traced.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from __future__ import annotations
 import sys
 
 from tik.gadgets import k44_minus_e, xx_separator
-from tik.graphs import complete_bipartite, wheel
-from tik.model import CIRCULAR_ARC, UNIT, XX
+from tik.graphs import complete_bipartite, path, wheel
+from tik.model import CIRCULAR_ARC, INTERVAL_CLASS, UNIT, UNIT_INTERVAL, XX
 from tik.recognize import Budget, enumerate_realizations, recognize
 
 
@@ -51,6 +51,10 @@ def searches():
         ("K4,4/circular-arc", _recognition(complete_bipartite(4, 4), CIRCULAR_ARC, 10**7)),
         ("K4,4-e xx(2) enumeration 10^5", _enumeration(k44_minus_e(), XX(2), 10**5)),
         ("K4,4-e xx(2) enumeration (C2 audit)", _enumeration(k44_minus_e(), XX(2), 10**8)),
+        # long words: the leaf certificates weigh here
+        ("path(300)/interval", _recognition(path(300), INTERVAL_CLASS, 10**7)),
+        ("path(300)/unit-interval", _recognition(path(300), UNIT_INTERVAL, 10**7)),
+        ("path(60)/unit", _recognition(path(60), UNIT, 10**7)),
     )
 
 
