@@ -171,15 +171,10 @@ def check_word(word) -> None:
         raise RecognizeError(f"intervals never closed: {bad!r}")
 
 
-def word_intervals(word, values=None) -> dict:
-    """The closed intervals {id: Interval} of a word, with endpoints at
-    `values` ({event: value}) or, by default, at the events' positions."""
-    if values is None:
-        values = {event: q(i) for i, event in enumerate(word)}
-    ends = {}
-    for (iid, kind), val in values.items():
-        ends.setdefault(iid, [None, None])[kind] = val
-    return {iid: Interval(lo, hi) for iid, (lo, hi) in ends.items()}
+def word_intervals(word) -> dict:
+    """The closed intervals {id: Interval} of a word, with endpoints at the
+    events' positions."""
+    return {iid: Interval(lo, hi) for iid, (lo, hi) in _position_ends(word).items()}
 
 
 def order_feasible(word, family: FamilySelector, pairing=None):
@@ -309,7 +304,6 @@ class _Search:
         # entered at `start` nodes accepted one iff this exceeds start
         self.accepted = -1
         self.table = {}  # {depth + 1: {key: nodes}}
-        self.pieces = {}  # a leaf's TwoIntervals by endpoint key, built once
         self.room = clique_number_of_masks(self.adjm) - 1
         self.slack = -len(g.edges)  # each engine adds room per move
 
@@ -592,47 +586,33 @@ class _OrderSearch(_Search):
             counter.charge(pending)
 
     def _realize(self):
-        kind = self.family.kind
-        if kind in ("circular-arc", "2interval"):
-            at = {event: i for i, event in enumerate(self.word)}
-        if kind == "circular-arc":
-            # glue the cut back: a cut arc runs from its suffix's open
-            # around the circle to its prefix's close
-            arcs = {}
-            for v in range(self.n):
-                start = at[((v, self.slots[v] - 1), OPEN)]
-                arcs[self.labels[v]] = Arc(q(start), q(at[((v, 0), CLOSE)]))
-            return CircularArcRep(q(len(self.word)), arcs)
-        if kind == "2interval":
-            items = {}
-            for v in range(self.n):
-                key = tuple(at[((v, s), k)] for s in (0, 1) for k in (OPEN, CLOSE))
-                if key not in self.pieces:
-                    a, b, c, d = map(q, key)
-                    self.pieces[key] = two_interval(Interval(a, b), Interval(c, d))
-                items[self.labels[v]] = self.pieces[key]
-            return Representation(items)
-        if kind == "balanced":
+        # every family reads its interval ends once, then builds the
+        # certificate from them
+        if self.family.kind == "balanced":
             pairing = {v: ((v, 0), (v, 1)) for v in range(self.n)}
             values = order_feasible(self.word, self.family, pairing)
             if values is None:
                 return None
-            ivs = word_intervals(self.word, values)
-            return Representation({
-                self.labels[v]: two_interval(ivs[(v, 0)], ivs[(v, 1)])
-                for v in range(self.n)
-            })
+            ends = {iid: (at, values[(iid, CLOSE)])
+                    for (iid, kind), at in values.items() if kind == OPEN}
+            return self._pieces(ends, 1)
         if self.fifo:
-            ends, d = _fifo_unit_ends(self.word)
-        else:
-            ends, d = _position_ends(self.word), 1
-        return self._pieces(ends, d)
+            return self._pieces(*_fifo_unit_ends(self.word))
+        ends = _position_ends(self.word)
+        if self.family.kind != "circular-arc":
+            return self._pieces(ends, 1)
+        # glue the cut back: a cut arc runs from its suffix's open around
+        # the circle to its prefix's close
+        return CircularArcRep(q(len(self.word)), {
+            self.labels[v]: Arc(ends[(v, self.slots[v] - 1)][0], ends[(v, 0)][1])
+            for v in range(self.n)
+        })
 
     def _pieces(self, ends, d):
-        # the certificate of integer ends {interval id: (lo, hi)} in units
-        # of 1/d.  A vertex's slot 0 closes before its slot 1 opens, so the
-        # pieces are in order; a one-slot vertex gets a far-away dummy
-        # right at top + 2 + 2v
+        # the certificate of ends {interval id: (lo, hi)} in units of 1/d:
+        # ints, or the LP's Fractions with d = 1.  A vertex's slot 0 closes
+        # before its slot 1 opens, so the pieces are in order; a one-slot
+        # vertex gets a far-away dummy right at top + 2 + 2v
         labels = self.labels
         if d == 1:
             piece = Interval  # it makes Fractions of int ends itself
@@ -655,14 +635,14 @@ class _OrderSearch(_Search):
 
 
 def _position_ends(word):
-    # {interval id: (open position, close position)}
-    opens = {}
+    # {interval id: [open position, close position]}; an interval that
+    # never closes (a cut arc's suffix) keeps None as its close
     ends = {}
     for i, (iid, kind) in enumerate(word):
         if kind == OPEN:
-            opens[iid] = i
+            ends[iid] = [i, None]
         else:
-            ends[iid] = (opens[iid], i)
+            ends[iid][1] = i
     return ends
 
 
@@ -715,6 +695,7 @@ class _XXSearch(_Search):
         self.everyone = (1 << self.n) - 1
         self.slack += self.room * self.moves
         self.pos = [[None, None] for _ in range(self.n)]
+        self.pieces = {}  # a leaf's TwoIntervals by endpoint key, built once
         self.copies = [0] * self.n
         self.placed = 0  # vertices with a copy placed
         self.placed2 = 0  # vertices with both copies placed
