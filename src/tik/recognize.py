@@ -7,8 +7,9 @@ Two engines share the Budget/SearchOutcome surface:
   linear feasibility check per complete word, the equal-length families
   unitize their FIFO words by difference constraints instead, read off
   the word's integer positions as the interval leaves are, and
-  circular-arc searches the words of each cut of the circle (the arcs
-  over the cut point, a clique, start and end the word open),
+  circular-arc searches the words of each cut of the circle through one
+  fixed arc (the arcs over the cut point, a clique, start and end the
+  word open),
 * integer placement enumeration in a normalized window (xx).
 
 Both run on one search loop, `_run`, which walks their generators on an
@@ -364,8 +365,8 @@ class _OrderSearch(_Search):
     the space without losing realizations.
 
     Circular-arc runs the same search once per cut: a clique W of arcs
-    over a point of the circle that is no endpoint, read from that point.
-    Each w in W has two slots, a prefix open from the start of the word
+    over a point of the circle that is no endpoint, read from that point,
+    where W runs over the cliques through one fixed arc.  Each w in W has two slots, a prefix open from the start of the word
     (slot 0) and a suffix that never closes (slot 1); every other arc is
     one interval."""
 
@@ -461,17 +462,21 @@ class _OrderSearch(_Search):
             self.word.clear()
 
     def _cliques(self):
-        # every clique of the graph, smallest first and in lexicographic
-        # order of sorted index tuples within a size, generated lazily
+        # the cuts: {c} with each clique of N(c), smallest first and in
+        # lexicographic order of sorted index tuples within a size,
+        # generated lazily.  c is a vertex of least degree, the lowest on
+        # ties; every model has a cut through c (design notes: "Cuts
+        # through one vertex")
+        c = min(range(self.n), key=lambda v: len(self.adj[v]))
         size, more = 0, True
         while more:
             more = False
-            stack = [((), list(range(self.n - 1, -1, -1)))]  # clique, extensions
+            stack = [((), sorted(self.adj[c], reverse=True))]  # clique, extensions
             while stack:
                 clique, ext = stack[-1]
                 if len(clique) == size:
                     more = True
-                    yield clique
+                    yield (c,) + clique
                 if len(clique) == size or len(clique) + len(ext) < size:
                     stack.pop()
                     continue

@@ -776,8 +776,7 @@ def test_circular_engine_against_brute_force():
 
 def test_circular_engine_on_random_models():
     # most of these models wrap an arc past 0, yet nearly all their graphs
-    # are interval and the empty cut decides them; the next test forces
-    # nonempty cuts
+    # are interval; the next test plants models that are not
     from conftest import random_circular_rep
 
     rng = random.Random(163)
@@ -790,8 +789,9 @@ def test_circular_engine_on_random_models():
 
 def test_circular_engine_finds_nonempty_cuts():
     # arcs around the circle that meet only their neighbours induce a
-    # chordless cycle, so these graphs are not interval, the empty cut
-    # fails and the search must cut through a clique of arcs
+    # chordless cycle, so these graphs are not interval and no model
+    # leaves a point of the circle uncovered: every cut the search tries
+    # pins arcs at both ends of the word, and it must find one that works
     from conftest import random_circular_rep
 
     rng = random.Random(173)
@@ -817,27 +817,77 @@ def test_nonisomorphic_graph_counts():
     assert [len(nonisomorphic_graphs(n)) for n in range(1, 7)] == [1, 2, 4, 11, 34, 156]
 
 
-def test_circular_engine_on_small_graph_census():
-    # every graph on at most six vertices is decided; the verdicts the
-    # cyclic-order engine this one replaced reached at the same budget are
-    # frozen in tests/data, and brute force checks up to four vertices
+def _all_cliques(search):
+    # the reference cut family: every clique of the core, the empty one
+    # included, smallest first and lexicographic within a size
+    for size in range(search.n + 1):
+        for clique in itertools.combinations(range(search.n), size):
+            if all(b in search.adj[a] for a, b in itertools.combinations(clique, 2)):
+                yield clique
+
+
+def _census_verdicts(graphs):
+    verdicts = {}
+    for g in graphs:
+        out = recognize(g, CIRCULAR_ARC, Budget(10**5))
+        assert not out.is_inconclusive(), g
+        if out.is_member():
+            assert_member_sound(out, g, CIRCULAR_ARC)
+        verdicts[g] = out.kind
+    return verdicts
+
+
+def test_circular_engine_on_small_graph_census(monkeypatch):
+    # every graph on at most six vertices is decided, with the cuts
+    # through one vertex and with every clique as a cut, alike; the
+    # verdicts the cyclic-order engine this one replaced reached at the
+    # same budget are frozen in tests/data, and brute force checks up to
+    # four vertices
     from conftest import brute_force_circular_member, nonisomorphic_graphs
 
-    verdicts = {}
-    for n in range(1, 7):
-        for g in nonisomorphic_graphs(n):
-            out = recognize(g, CIRCULAR_ARC, Budget(10**5))
-            assert not out.is_inconclusive(), g
-            if out.is_member():
-                assert_member_sound(out, g, CIRCULAR_ARC)
-            if n <= 4:
-                assert out.is_member() == brute_force_circular_member(g), g
-            verdicts[g] = out.kind
+    graphs = [g for n in range(1, 7) for g in nonisomorphic_graphs(n)]
+    verdicts = _census_verdicts(graphs)
     assert len(verdicts) == 208
+    for g in graphs:
+        if g.n <= 4:
+            assert (verdicts[g] == "member") == brute_force_circular_member(g), g
     frozen = list(_frozen("circular_arc_small_graphs.json"))
     assert len(frozen) == 149
     for g, entry in frozen:
         assert verdicts[g] == entry["verdict"], g
+    monkeypatch.setattr(_OrderSearch, "_cliques", _all_cliques)
+    assert _census_verdicts(graphs) == verdicts
+
+
+def test_circular_cuts_contain_one_least_degree_vertex(monkeypatch):
+    # the search tries exactly {c} with each clique of N(c), smallest
+    # first, where c is the core's vertex of least degree, the lowest
+    # label on ties; an isolated vertex leaves {c} the only cut
+    tried = []
+    cliques = _OrderSearch._cliques
+
+    def recorded(search):
+        for cut in cliques(search):
+            tried.append(frozenset(search.labels[v] for v in cut))
+            yield cut
+
+    monkeypatch.setattr(_OrderSearch, "_cliques", recorded)
+    lone = Graph.build(["a"] + sorted(domino().vertices), domino().edges)
+    hub = Graph.build(sorted(domino().vertices) + ["hub"],
+                      list(domino().edges) + [(v, "hub") for v in domino().vertices])
+    for g, core in ((lone, lone), (hub, domino()), (complete_bipartite(2, 3), None),
+                    (petersen(), None), (complete_bipartite(4, 4), None)):
+        core = core or g
+        tried.clear()
+        assert recognize(g, CIRCULAR_ARC, BIG).is_nonmember()
+        c = min(sorted(core.vertices), key=core.degree)
+        through_c = [frozenset(w) | {c}
+                     for size in range(core.n)
+                     for w in itertools.combinations(sorted(core.neighbors(c)), size)
+                     if all(core.has_edge(a, b) for a, b in itertools.combinations(w, 2))]
+        assert tried == through_c, g
+        if g is lone:
+            assert tried == [{"a"}]
 
 
 def _frozen(name):
@@ -960,7 +1010,7 @@ def test_deep_search_answers(g, family):
 @pytest.mark.parametrize("g, family, kind, nodes", [
     (domino(), UNIT, "member", 309),
     (complete_bipartite(2, 3), BALANCED, "member", 51),
-    (complete_bipartite(2, 3), CIRCULAR_ARC, "nonmember", 205),
+    (complete_bipartite(2, 3), CIRCULAR_ARC, "nonmember", 60),
     (domino(), XX(2), "member", 113),
     (cycle(5), INTERVAL_CLASS, "nonmember", 5),
     (path(200), TWO_INTERVAL, "member", 2_081),
@@ -969,11 +1019,12 @@ def test_deep_search_answers(g, family):
     (complete_bipartite(2, 4), BALANCED, "member", 84),
     (petersen(), BALANCED, "member", 175),
     (complete_bipartite(3, 4), BALANCED, "member", 78),
-    # circular-arc: every clique of the core as a cut, the empty one first
-    (domino(), CIRCULAR_ARC, "nonmember", 288),
-    (complete_bipartite(4, 4), CIRCULAR_ARC, "nonmember", 776),
-    (petersen(), CIRCULAR_ARC, "nonmember", 960),
-    (cycle(20), CIRCULAR_ARC, "member", 205),
+    # circular-arc: {c} with each clique of N(c) as a cut, for a vertex c
+    # of least degree
+    (domino(), CIRCULAR_ARC, "nonmember", 72),
+    (complete_bipartite(4, 4), CIRCULAR_ARC, "nonmember", 176),
+    (petersen(), CIRCULAR_ARC, "nonmember", 170),
+    (cycle(20), CIRCULAR_ARC, "member", 185),
     # the clique-count bound is tight (15 = 2 * 8 - 1) or exceeded (16)
     (complete_bipartite(5, 3), BALANCED, "member", 143),
     (complete_bipartite(4, 4), TWO_INTERVAL, "nonmember", 8),
