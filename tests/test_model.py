@@ -49,6 +49,24 @@ def test_rationals():
         q("1/0")
 
 
+def test_rationals_by_exact_type_and_subclass():
+    # ints and Fractions take q's exact-type path, their subclasses
+    # (bool among them) the isinstance one, to the same values
+    class Half(Fraction):
+        pass
+
+    half = Half(1, 2)
+    for value, expected in ((7, Fraction(7)), (True, Fraction(1)), (False, Fraction(0)),
+                            (Fraction(-3, 4), Fraction(-3, 4)), (half, Fraction(1, 2))):
+        got = q(value)
+        assert got == expected and isinstance(got, Fraction), value
+    assert type(q(7)) is Fraction and type(q(True)) is Fraction
+    assert q(half) is half
+    for bad in (1.5, None, [1]):
+        with pytest.raises(ModelError, match="cannot interpret"):
+            q(bad)
+
+
 def test_intersects_examples():
     assert intersects(interval(0, 1), interval(1, 2))
     assert not intersects(open_interval(0, 2), open_interval(2, 4))
