@@ -48,8 +48,6 @@ def test_rationals():
     with pytest.raises(ModelError):
         q("1/0")
 
-
-def test_rationals_by_exact_type_and_subclass():
     # ints and Fractions take q's exact-type path, their subclasses
     # (bool among them) the isinstance one, to the same values
     class Half(Fraction):

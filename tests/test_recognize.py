@@ -862,7 +862,9 @@ def test_circular_engine_on_small_graph_census(monkeypatch):
 def test_circular_cuts_contain_one_least_degree_vertex(monkeypatch):
     # the search tries exactly {c} with each clique of N(c), smallest
     # first, where c is the core's vertex of least degree, the lowest
-    # label on ties; an isolated vertex leaves {c} the only cut
+    # label on ties; an isolated vertex leaves {c} the only cut, and a
+    # triangle beside a 4-cycle (not interval, so not circular-arc) has
+    # c = "a" in the triangle, with the edge bc in N(c)
     tried = []
     cliques = _OrderSearch._cliques
 
@@ -875,8 +877,11 @@ def test_circular_cuts_contain_one_least_degree_vertex(monkeypatch):
     lone = Graph.build(["a"] + sorted(domino().vertices), domino().edges)
     hub = Graph.build(sorted(domino().vertices) + ["hub"],
                       list(domino().edges) + [(v, "hub") for v in domino().vertices])
-    for g, core in ((lone, lone), (hub, domino()), (complete_bipartite(2, 3), None),
-                    (petersen(), None), (complete_bipartite(4, 4), None)):
+    beside = Graph.build("abcwxyz", [("a", "b"), ("a", "c"), ("b", "c"), ("w", "x"),
+                                     ("x", "y"), ("y", "z"), ("z", "w")])
+    for g, core in ((lone, lone), (hub, domino()), (beside, None),
+                    (complete_bipartite(2, 3), None), (petersen(), None),
+                    (complete_bipartite(4, 4), None)):
         core = core or g
         tried.clear()
         assert recognize(g, CIRCULAR_ARC, BIG).is_nonmember()
@@ -888,6 +893,8 @@ def test_circular_cuts_contain_one_least_degree_vertex(monkeypatch):
         assert tried == through_c, g
         if g is lone:
             assert tried == [{"a"}]
+        if g is beside:
+            assert tried == [{"a"}, {"a", "b"}, {"a", "c"}, {"a", "b", "c"}]
 
 
 def _frozen(name):
