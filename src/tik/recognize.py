@@ -366,9 +366,9 @@ class _OrderSearch(_Search):
 
     Circular-arc runs the same search once per cut: a clique W of arcs
     over a point of the circle that is no endpoint, read from that point,
-    where W runs over the cliques through one fixed arc.  Each w in W has two slots, a prefix open from the start of the word
-    (slot 0) and a suffix that never closes (slot 1); every other arc is
-    one interval."""
+    where W runs over the cliques through one fixed arc.  Each w in W has
+    two slots, a prefix open from the start of the word (slot 0) and a
+    suffix that never closes (slot 1); every other arc is one interval."""
 
     def __init__(self, g: Graph, family: FamilySelector, counter: _Counter,
                  visitor=None):

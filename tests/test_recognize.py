@@ -879,10 +879,9 @@ def test_circular_cuts_contain_one_least_degree_vertex(monkeypatch):
                       list(domino().edges) + [(v, "hub") for v in domino().vertices])
     beside = Graph.build("abcwxyz", [("a", "b"), ("a", "c"), ("b", "c"), ("w", "x"),
                                      ("x", "y"), ("y", "z"), ("z", "w")])
-    for g, core in ((lone, lone), (hub, domino()), (beside, None),
-                    (complete_bipartite(2, 3), None), (petersen(), None),
-                    (complete_bipartite(4, 4), None)):
-        core = core or g
+    k23, k44 = complete_bipartite(2, 3), complete_bipartite(4, 4)
+    for g, core in ((lone, lone), (hub, domino()), (beside, beside), (k23, k23),
+                    (petersen(), petersen()), (k44, k44)):
         tried.clear()
         assert recognize(g, CIRCULAR_ARC, BIG).is_nonmember()
         c = min(sorted(core.vertices), key=core.degree)
