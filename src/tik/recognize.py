@@ -305,6 +305,7 @@ class _Search:
         # entered at `start` nodes accepted one iff this exceeds start
         self.accepted = -1
         self.table = {}  # {depth + 1: {key: nodes}}
+        self.pieces = {}  # a leaf's TwoIntervals by endpoint key, built once
         self.room = clique_number_of_masks(self.adjm) - 1
         self.slack = -len(g.edges)  # each engine adds room per move
 
@@ -627,9 +628,15 @@ class _OrderSearch(_Search):
 
         items = {}
         if self.slots[0] == 2:
+            # an enumeration meets the same pair of ends in many leaves
+            pieces = self.pieces
             for v in range(self.n):
-                items[labels[v]] = TwoInterval(piece(*ends[(v, 0)]),
-                                               piece(*ends[(v, 1)]))
+                left, right = ends[(v, 0)], ends[(v, 1)]
+                key = (*left, *right)
+                pair = pieces.get(key)
+                if pair is None:
+                    pair = pieces[key] = TwoInterval(piece(*left), piece(*right))
+                items[labels[v]] = pair
         else:
             top = max(hi for _, hi in ends.values())
             for v in range(self.n):
@@ -700,7 +707,6 @@ class _XXSearch(_Search):
         self.everyone = (1 << self.n) - 1
         self.slack += self.room * self.moves
         self.pos = [[None, None] for _ in range(self.n)]
-        self.pieces = {}  # a leaf's TwoIntervals by endpoint key, built once
         self.copies = [0] * self.n
         self.placed = 0  # vertices with a copy placed
         self.placed2 = 0  # vertices with both copies placed
