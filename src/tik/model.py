@@ -23,16 +23,10 @@ class ModelError(ValueError):
 
 def q(value) -> Fraction:
     """Coerce ints / 'p/q' strings / Fractions to an exact rational."""
-    # exact types first: isinstance(value, Fraction) asks the ABC machinery
-    # (Fraction is a numbers.Rational), and bool must stay on that path
-    if type(value) is Fraction:
-        return value
-    if type(value) is int:
+    if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
     if isinstance(value, str):
         try:
             return Fraction(value)

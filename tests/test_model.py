@@ -48,8 +48,8 @@ def test_rationals():
     with pytest.raises(ModelError):
         q("1/0")
 
-    # ints and Fractions take q's exact-type path, their subclasses
-    # (bool among them) the isinstance one, to the same values
+    # ints (bool among them), Fractions and their subclasses coerce to
+    # equal Fractions; an exact Fraction comes back as itself
     class Half(Fraction):
         pass
 
