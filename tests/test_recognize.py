@@ -655,8 +655,9 @@ def _cert_json(cert):
 
 def _table_searches():
     # (label, call) pairs: every graph on at most five vertices in every
-    # family and on six as unit and circular-arc (where a key without the
-    # begun mask, or a table kept across cuts, first goes wrong), the small
+    # family, on six as unit (where a key without the begun mask first goes
+    # wrong) and on six and seven as circular-arc (a table kept across the
+    # cuts through one vertex first goes wrong on seven), the small
     # enumerations, and budget ladders that cut the two searches inside
     # charges the table makes; each call returns what a caller can see of
     # the search
@@ -676,9 +677,10 @@ def _table_searches():
         return call
 
     families = (*FAMILIES.values(), XX(3))
-    for n in range(1, 7):
+    by_n = {6: (UNIT, CIRCULAR_ARC), 7: (CIRCULAR_ARC,)}
+    for n in range(1, 8):
         for g in nonisomorphic_graphs(n):
-            for family in families if n < 6 else (UNIT, CIRCULAR_ARC):
+            for family in by_n.get(n, families):
                 yield (g, family), recognition(g, family, Budget(10**5))
     for family, max_n in ((XX(1), 4), (XX(2), 4), (TWO_INTERVAL, 3)):
         for n in range(1, max_n + 1):
