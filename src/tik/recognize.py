@@ -136,18 +136,6 @@ class _Counter:
             raise _BudgetExhausted()
 
 
-def _greedy_disjoint(mask, adjm):
-    """How many vertices of `mask` a greedy pass in ascending order keeps
-    pairwise nonadjacent (adjacency as the bitmasks `adjm`)."""
-    kept = 0
-    while mask:
-        low = mask & -mask
-        if not adjm[low.bit_length() - 1] & kept:
-            kept |= low
-        mask ^= low
-    return kept.bit_count()
-
-
 # --- order words and metric feasibility -------------------------------------
 
 
@@ -170,12 +158,6 @@ def check_word(word) -> None:
     bad = [iid for iid, s in state.items() if s != 2]
     if bad:
         raise RecognizeError(f"intervals never closed: {bad!r}")
-
-
-def word_intervals(word) -> dict:
-    """The closed intervals {id: Interval} of a word, with endpoints at the
-    events' positions."""
-    return {iid: Interval(lo, hi) for iid, (lo, hi) in _position_ends(word).items()}
 
 
 def order_feasible(word, family: FamilySelector, pairing=None):
@@ -276,6 +258,10 @@ class _Search:
     covers, and a branch whose slack would fall below 0 is dead.  No move
     is left at a leaf, so every leaf reached has every edge covered.
 
+    Capacity: the unit capacity rules of both engines compare the
+    independence number of a vertex's uncovered neighbours with what its
+    intervals can still meet; `alpha` caches it by neighbour mask.
+
     Refuted states: `table` maps a node's depth + 1 (its height on
     `_run`'s stack) and its key, the int `_key()` packs from the state
     its subtree is a function of, to the nodes that subtree charged when
@@ -306,6 +292,7 @@ class _Search:
         self.accepted = -1
         self.table = {}  # {depth + 1: {key: nodes}}
         self.pieces = {}  # a leaf's TwoIntervals by endpoint key, built once
+        self.alpha = {}  # {vertex mask: its independence number, capped at 5}
         self.room = clique_number_of_masks(self.adjm) - 1
         self.slack = -len(g.edges)  # each engine adds room per move
 
@@ -330,6 +317,30 @@ class _Search:
             edges ^= edge_bit[w]
             newly ^= low
         self.cover_edges = edges
+
+    def _independence(self, mask):
+        # the independence number of the vertices of `mask`, or 5 if it is
+        # larger: no capacity rule compares it with more than 4.  Bitset
+        # branch and bound as in graphs.clique_number_of_masks, on the
+        # non-neighbours; cached per search by mask
+        alpha = self.alpha.get(mask)
+        if alpha is None:
+            adjm = self.adjm
+            alpha = 0
+            stack = [(0, mask)]
+            while stack and alpha < 5:
+                size, cand = stack.pop()
+                if size + cand.bit_count() <= alpha:
+                    continue
+                if not cand:
+                    alpha = size
+                    continue
+                low = cand & -cand
+                cand ^= low
+                stack.append((size, cand))
+                stack.append((size + 1, cand & ~adjm[low.bit_length() - 1]))
+            self.alpha[mask] = alpha
+        return alpha
 
     def _edges(self):
         # the covered edges as one mask over edge indices
@@ -399,25 +410,12 @@ class _OrderSearch(_Search):
         self.unopened = (1 << self.n) - 1  # vertices with a slot still to open
         self.begun = 0  # vertices with a slot opened
 
-    def _coverage_ok(self, u):
-        # every uncovered edge (u, w) must still be able to meet: an
-        # unopened u can meet any w not yet closed, an open u only a w
-        # still to open, a closed u nothing (design notes: "Bitset kernels")
-        bit = 1 << u
-        if self.unopened & bit:
-            possible = self.unopened | self.live
-        elif self.live & bit:
-            possible = self.unopened
-        else:
-            possible = 0
-        if self.adjm[u] & ~self.covered[u] & ~possible:
-            return False
-        return not self.fifo or self._capacity_ok(
-            u, self.slots[u] - self.opened[u] + self.open_now[u])
-
     def _close_ok(self, v):
-        # _coverage_ok(v) as it would read once v's open interval closed,
-        # tested before the close is applied
+        # every uncovered edge (v, w) must still be able to meet once v's
+        # open interval closed: a v with a slot left can meet any w not yet
+        # closed, a v closed for good nothing.  Tested before the close is
+        # applied; an open needs no test, as it keeps every vertex passing
+        # (design notes: "Bitset kernels")
         bit = 1 << v
         possible = self.unopened | (self.live ^ bit) if self.unopened & bit else 0
         if self.adjm[v] & ~self.covered[v] & ~possible:
@@ -428,12 +426,13 @@ class _OrderSearch(_Search):
     def _capacity_ok(self, u, alive):
         # equal lengths: one interval meets at most two pairwise-disjoint
         # intervals over its whole lifetime, and closed intervals meet
-        # nothing new, so uncovered pairwise-nonadjacent neighbors must fit
-        # in twice the count `alive` of u's intervals not yet closed
+        # nothing new, so the uncovered neighbours' independence number
+        # must fit in twice the count `alive` of u's intervals not yet
+        # closed
         uncovered = self.adjm[u] & ~self.covered[u]
         if uncovered.bit_count() <= 2 * alive:
             return True
-        return _greedy_disjoint(uncovered, self.adjm) <= 2 * alive
+        return self._independence(uncovered) <= 2 * alive
 
     def run(self):
         if self.fifo and any(
@@ -571,8 +570,7 @@ class _OrderSearch(_Search):
             word.append((iid, OPEN))
             self._flip_cover(v, newly)
             self.slack = slack + k - self.room
-            if self._coverage_ok(v):
-                yield True
+            yield True
             self.slack = slack
             self._flip_cover(v, newly)
             word.pop()
@@ -661,10 +659,11 @@ def _position_ends(word):
 def _fifo_unit_ends(word):
     """Unit intervals with the intersection pattern of a FIFO word's
     position intervals, as ({interval id: (lo, hi)}, d) with integer ends
-    in units of 1/d: proper_to_unit_interval(word_intervals(word)) without
-    the Fractions.  Interval k, the k-th to open, meets exactly the
-    predecessors still open when it opens, f(k) = the closes before it,
-    ..., k - 1 (design notes: "Unitization by difference constraints").
+    in units of 1/d: what proper_to_unit_interval gives for the closed
+    intervals at the events' positions, without the Fractions.  Interval
+    k, the k-th to open, meets exactly the predecessors still open when
+    it opens, f(k) = the closes before it, ..., k - 1 (design notes:
+    "Unitization by difference constraints").
     RecognizeError if a close is not of the oldest open interval."""
     order = []  # interval ids in open order
     fs = []
@@ -771,14 +770,13 @@ class _XXSearch(_Search):
             # those; only unplaced copies and placed copies still within
             # reach of future positions can serve them
             if need.bit_count() > cap:
-                kept = _greedy_disjoint(need, adjm)
-                if kept > cap:
-                    alive = 2 - cu
-                    for i in range(cu):
-                        if pos[u][i] > p - x:
-                            alive += 1
-                    if cap * alive < kept:
-                        return False
+                alive = 2 - cu
+                for i in range(cu):
+                    if pos[u][i] > p - x:
+                        alive += 1
+                bound = cap * alive
+                if need.bit_count() > bound and self._independence(need) > bound:
+                    return False
         return True
 
     def _key(self):

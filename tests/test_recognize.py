@@ -54,7 +54,6 @@ from tik.recognize import (
     enumerate_realizations,
     order_feasible,
     recognize,
-    word_intervals,
 )
 
 BIG = Budget(10**7)
@@ -70,6 +69,16 @@ def test_check_word_rejects_malformed():
         check_word([("a", CLOSE)])
     with pytest.raises(RecognizeError):
         check_word([("a", OPEN)])
+
+
+def word_intervals(word):
+    # the closed intervals {id: Interval} of a word, with endpoints at the
+    # events' positions: proper_to_unit_interval of these is the reference
+    # for the unit engines' integer unitization, _fifo_unit_ends
+    ends = {}
+    for i, (iid, _) in enumerate(word):
+        ends.setdefault(iid, []).append(i)
+    return {iid: model.Interval(q(lo), q(hi)) for iid, (lo, hi) in ends.items()}
 
 
 def _unitized(word):
@@ -504,6 +513,18 @@ def test_xx_engine_against_window_brute_force():
     assert agreements == 240
 
 
+def _independence_number(adj, vertices):
+    # the size of a largest pairwise-nonadjacent subset of `vertices`, by
+    # brute force: a graph with no independent k-set has none larger
+    best = 0
+    for size in range(1, len(vertices) + 1):
+        if not any(all(b not in adj[a] for a, b in itertools.combinations(subset, 2))
+                   for subset in itertools.combinations(sorted(vertices), size)):
+            break
+        best = size
+    return best
+
+
 def _full_scan_edges_alive(search, p):
     # the liveness test as a rescan of every vertex, the reference for the
     # incremental check in _XXSearch._edges_alive
@@ -534,16 +555,13 @@ def _full_scan_edges_alive(search, p):
             elif cw == 2 and pos[w][1] + x <= e_u:
                 return False
         if len(uncovered) > cap:
-            kept = []
-            for w in sorted(uncovered):
-                if all(k not in search.adj[w] for k in kept):
-                    kept.append(w)
-            if len(kept) > cap:
+            kept = _independence_number(search.adj, uncovered)
+            if kept > cap:
                 live = 2 - cu
                 for i in range(cu):
                     if pos[u][i] > p - x:
                         live += 1
-                if cap * live < len(kept):
+                if cap * live < kept:
                     return False
     return True
 
@@ -576,8 +594,9 @@ def test_incremental_liveness_equals_full_rescan(monkeypatch):
 
 def _set_rule_coverage_ok(search, u):
     # the coverage test of the endpoint-order engine as it read on vertex
-    # sets, from the per-vertex slot counts: the reference for the bitmask
-    # test in _OrderSearch._close_ok
+    # sets, from the per-vertex slot counts, with the capacity rule on an
+    # exact independent set: the reference for the bitmask test in
+    # _OrderSearch._close_ok
     covered = {w for w in search.adj[u] if search.covered[u] >> w & 1}
 
     def possible(u, w):
@@ -593,13 +612,8 @@ def _set_rule_coverage_ok(search, u):
     if search.fifo:
         uncovered = [w for w in search.adj[u] if w not in covered]
         live = (search.slots[u] - search.opened[u]) + search.open_now[u]
-        if len(uncovered) > 2 * live:
-            kept = []
-            for w in sorted(uncovered):
-                if all(k not in search.adj[w] for k in kept):
-                    kept.append(w)
-            if len(kept) > 2 * live:
-                return False
+        if _independence_number(search.adj, uncovered) > 2 * live:
+            return False
     return True
 
 
@@ -607,21 +621,19 @@ def test_coverage_masks_equal_set_rule(monkeypatch):
     from conftest import nonisomorphic_graphs
     from tik import recognize as engine
 
-    # an open is tested after it is applied; a close before, and must get
-    # the set rule's verdict on the state after it.  The refuted-state
-    # table is off, so every subtree is walked and every test is seen
-    verdicts = {(path, got): 0 for path in ("open", "close") for got in (True, False)}
+    # a close is tested before it is applied, and must get the set rule's
+    # verdict on the state after it.  An open is not tested: it covers
+    # edges, which only shrinks the independent sets the capacity rule
+    # counts, and keeps the opener's intervals not yet closed, so the set
+    # rule must pass at the opener once the open is applied.  The
+    # refuted-state table is off, so every subtree is walked and every
+    # state is seen
+    verdicts = {("close", True): 0, ("close", False): 0, ("open", True): 0}
 
     class Checked(engine._OrderSearch):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             self.table = None
-
-        def _coverage_ok(self, u):
-            got = super()._coverage_ok(u)
-            assert got == _set_rule_coverage_ok(self, u), (self.word, u)
-            verdicts["open", got] += 1
-            return got
 
         def _close_ok(self, v):
             got = super()._close_ok(v)
@@ -632,15 +644,23 @@ def test_coverage_masks_equal_set_rule(monkeypatch):
             verdicts["close", got] += 1
             return got
 
+        def _dfs(self):
+            for moved in super()._dfs():
+                (v, _), kind = self.word[-1]
+                if kind == OPEN:
+                    assert _set_rule_coverage_ok(self, v), (self.word, v)
+                    verdicts["open", True] += 1
+                yield moved
+
     monkeypatch.setattr(engine, "_OrderSearch", Checked)
     families = (TWO_INTERVAL, BALANCED, UNIT, INTERVAL_CLASS, UNIT_INTERVAL, CIRCULAR_ARC)
     for n in range(1, 6):
         for g in nonisomorphic_graphs(n):
             for family in families:
                 recognize(g, family, Budget(10**5))
-    # an open can fail only the unit capacity rule, whose greedy bound may
-    # grow as edges are covered; never on five vertices, but 2,430 times
-    # here: K2 joined to three independent vertices, joined to another K2
+    # K2 joined to three independent vertices, joined to another K2: with
+    # a greedy independent set in label order in the capacity rule, 2,430
+    # of its opens failed the rule once applied
     g = from_edge_list("a b\na x\na y\na z\nb x\nb y\nb z\n"
                        "x c\nx d\ny c\ny d\nz c\nz d\nc d\n")
     recognize(g, UNIT, Budget(3 * 10**5))
@@ -686,7 +706,7 @@ def _table_searches():
         for n in range(1, max_n + 1):
             for g in nonisomorphic_graphs(n):
                 yield (g, family, "enumeration"), enumeration(g, family)
-    for g, family, top, step in ((wheel(7), UNIT, 20_000, 97),
+    for g, family, top, step in ((wheel(9), UNIT, 20_000, 97),
                                  (xx_separator(2).graph, XX(2), 40_000, 499)):
         for b in range(1, top, step):
             yield (g, family, b), recognition(g, family, Budget(b))
@@ -732,7 +752,7 @@ def test_refuted_table_equals_full_search(monkeypatch):
             m.setattr(engine, "RECORD_AFTER", 0)
             answers[table] = [(label, call()) for label, call in _table_searches()]
         entered[table] = 0
-        recognize(wheel(7), UNIT, Budget(10**5))
+        recognize(wheel(9), UNIT, Budget(10**5))
     assert len(answers[True]) == len(answers[False])
     for got, expected in zip(answers[True], answers[False]):
         assert got == expected, got[0]
@@ -744,8 +764,7 @@ def test_record_policy_table_sizes(monkeypatch):
     # node counts cannot see which ones are; the table sizes these searches
     # end with at the default settings pin the record rules (design notes:
     # "Refuted states").  Not counting leaf and table-hit children as
-    # yielded gives 2,894, 2,496 and 345 entries in the first, second and
-    # last search
+    # yielded gives 2,575 and 345 entries in the second and last search
     from tik import recognize as engine
 
     searches = []
@@ -761,7 +780,7 @@ def test_record_policy_table_sizes(monkeypatch):
     recognize(xx_separator(2).graph, XX(2), Budget(10**4))
     enumerate_realizations(k44_minus_e(), XX(2), BIG, lambda rep: None)
     sizes = [sum(map(len, search.table.values())) for search in searches]
-    assert sizes == [3_005, 2_541, 28, 417]
+    assert sizes == [142, 2_587, 28, 417]
 
 
 def test_circular_engine_against_brute_force():
@@ -992,6 +1011,52 @@ def test_star_capacity_boundaries():
             assert_member_sound(out_unit, star, UNIT)
 
 
+# literal edge lists on vertices 0..n-1, independent of any engine
+OBSTRUCTIONS = {
+    "K1,5": (6, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5)]),
+    "claw": (4, [(0, 1), (0, 2), (0, 3)]),
+    "C4": (4, [(0, 1), (1, 2), (2, 3), (3, 0)]),
+    "C5": (5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]),
+    "C6": (6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]),
+    # a triangle with a pendant vertex at each corner
+    "net": (6, [(0, 1), (1, 2), (2, 0), (0, 3), (1, 4), (2, 5)]),
+    # a triangle with a vertex beside each side, adjacent to its two ends
+    "tent": (6, [(0, 1), (1, 2), (2, 0), (0, 3), (1, 3), (1, 4), (2, 4),
+                 (2, 5), (0, 5)]),
+}
+
+
+def test_minimal_obstructions_on_six_vertices():
+    # the paper's K_{1,5}-freeness: on at most six vertices the only
+    # vertex-minimal nonmember of unit, and of xx(2), is K_{1,5}; those of
+    # unit-interval are the claw, C4, C5, C6, the net and the tent, the
+    # forbidden graphs of proper interval graphs (Roberts).  Every family
+    # is closed under induced subgraphs, so a nonmember is vertex-minimal
+    # iff deleting any one vertex leaves a member
+    from conftest import _canonical_key, nonisomorphic_graphs
+
+    def key(g):  # equal iff the graphs are isomorphic
+        index = {v: i for i, v in enumerate(sorted(g.vertices))}
+        return _canonical_key(g.n, [(index[a], index[b]) for a, b in g.edges])
+
+    names = {_canonical_key(n, edges): name for name, (n, edges) in OBSTRUCTIONS.items()}
+    graphs = [g for n in range(1, 7) for g in nonisomorphic_graphs(n)]
+    expected = {UNIT: {"K1,5"}, XX(2): {"K1,5"},
+                UNIT_INTERVAL: {"claw", "C4", "C5", "C6", "net", "tent"}}
+    for family, obstructions in expected.items():
+        is_member = {}
+        for g in graphs:
+            out = recognize(g, family, Budget(10**5))
+            assert not out.is_inconclusive(), (g, family)
+            is_member[key(g)] = out.is_member()
+        minimal = [
+            names.get(key(g), g) for g in graphs
+            if not is_member[key(g)]
+            and all(is_member[key(g.induced(set(g.vertices) - {v}))] for v in g.vertices)
+        ]
+        assert sorted(minimal, key=str) == sorted(obstructions), family
+
+
 def test_k53_is_balanced_but_not_unit():
     k53 = complete_bipartite(5, 3)
     assert recognize(k53, UNIT, BIG).is_nonmember()
@@ -1038,6 +1103,9 @@ def test_deep_search_answers(g, family):
     (complete_bipartite(4, 4), TWO_INTERVAL, "nonmember", 8),
     # a deep placement search: liveness re-checks only what a move touched
     (path(600), XX(1), "member", 183_090),
+    # the placement engine's capacity rule on the exact independence
+    # number: a greedy count in label order leaves 74,962 nodes here
+    (wheel(5), XX(1), "nonmember", 2_450),
     # a position tie in a gap the clique-count bound rules out whole: only
     # the candidates after the last placed copy are nodes there
     (Graph.build([f"v{i}" for i in range(7)],
@@ -1048,7 +1116,8 @@ def test_deep_search_answers(g, family):
         "c5-interval", "path200-2interval", "k33-balanced", "k24-balanced",
         "petersen-balanced", "k34-balanced", "domino-circular-arc",
         "k44-circular-arc", "petersen-circular-arc", "c20-circular-arc",
-        "k53-balanced", "k44-2interval", "path600-xx1", "tie-in-dead-gap-xx2"])
+        "k53-balanced", "k44-2interval", "path600-xx1", "wheel5-xx1",
+        "tie-in-dead-gap-xx2"])
 def test_node_counts_pinned(g, family, kind, nodes):
     out = recognize(g, family, BIG)
     assert (out.kind, out.nodes_used) == (kind, nodes)
@@ -1086,11 +1155,23 @@ def test_long_word_certificates_pinned(g, family, nodes, digest):
 
 
 @st.composite
-def small_graphs(draw):
-    vs = [f"v{i}" for i in range(draw(st.integers(1, 5)))]
+def small_graphs(draw, max_n=5):
+    vs = [f"v{i}" for i in range(draw(st.integers(1, max_n)))]
     pairs = list(itertools.combinations(vs, 2))
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     return Graph.build(vs, [e for e, k in zip(pairs, keep) if k])
+
+
+@st.composite
+def relabelled_graphs(draw, max_n=6):
+    """(g, relabel, h): a graph g on at most max_n vertices, a random
+    permutation `relabel` of its labels, and h, the graph g with each
+    label v renamed relabel[v]."""
+    g = draw(small_graphs(max_n))
+    labels = sorted(g.vertices)
+    relabel = dict(zip(labels, draw(st.permutations(labels))))
+    h = Graph.build(labels, [(relabel[a], relabel[b]) for a, b in g.edges])
+    return g, relabel, h
 
 
 # (smaller class, larger class): membership must carry upwards
@@ -1121,6 +1202,22 @@ def test_hierarchy_is_monotone(g):
     interval = outs[INTERVAL_CLASS]
     if not interval.is_inconclusive():
         assert interval.is_member() == is_interval_graph_oracle(g)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(relabelled_graphs())
+def test_relabelling_keeps_verdicts_and_nonmember_counts(drawn):
+    # every prune reads the graph, not its labels, so a nonmember proof
+    # walks an isomorphic search tree under any labelling and charges the
+    # same nodes.  Circular-arc is left out: it picks its cut vertex by
+    # index among those of least degree
+    g, _, h = drawn
+    for family in (UNIT, UNIT_INTERVAL, INTERVAL_CLASS, TWO_INTERVAL, BALANCED):
+        out, relabelled = (recognize(g, family, Budget(10**5)),
+                           recognize(h, family, Budget(10**5)))
+        assert out.kind == relabelled.kind != "inconclusive", family
+        if out.is_nonmember():
+            assert out.nodes_used == relabelled.nodes_used, family
 
 
 # --- budget semantics ---------------------------------------------------------------
