@@ -338,6 +338,29 @@ def clique_number_of_masks(nbrs) -> int:
     return best
 
 
+def independence_number_of_masks(nbrs, mask, cap) -> int:
+    """min(alpha, cap), where alpha is the size of a largest set of
+    pairwise nonadjacent vertices among the set bits of `mask`, with
+    neighbours as in clique_number_of_masks.
+
+    The same branch and bound on the non-neighbours, branching on the
+    lowest candidate; it stops once it has found `cap` vertices."""
+    best = 0
+    stack = [(0, mask)]
+    while stack and best < cap:
+        size, cand = stack.pop()
+        if size + cand.bit_count() <= best:
+            continue
+        if not cand:
+            best = size
+            continue
+        low = cand & -cand
+        cand ^= low
+        stack.append((size, cand))
+        stack.append((size + 1, cand & ~nbrs[low.bit_length() - 1]))
+    return min(best, cap)
+
+
 def is_triangle_free_3regular(g: Graph) -> bool:
     if any(g.degree(v) != 3 for v in g.vertices):
         return False

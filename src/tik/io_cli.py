@@ -101,14 +101,9 @@ def circular_to_json(ca: CircularArcRep) -> dict:
     }
 
 
-def parse_representation(source: str):
-    """Parse a Representation or CircularArcRep from a JSON file path or
-    literal JSON text."""
-    if os.path.exists(source):
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = source
+def parse_representation(text: str):
+    """Parse a Representation or CircularArcRep from JSON text.  Text that
+    names a file is still text, so a file holding a path is not JSON."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:

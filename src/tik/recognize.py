@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import lp, transforms
-from .graphs import Graph, clique_number_of_masks
+from .graphs import Graph, clique_number_of_masks, independence_number_of_masks
 from .model import (
     Arc,
     CircularArcRep,
@@ -160,7 +160,7 @@ def check_word(word) -> None:
         raise RecognizeError(f"intervals never closed: {bad!r}")
 
 
-def order_feasible(word, family: FamilySelector, pairing=None):
+def order_feasible(word, pairing):
     """Decide whether rational endpoint values realize the strict event
     order of a balanced word, where `pairing` maps each vertex to the ids
     of its two intervals, which must get equal lengths.
@@ -176,20 +176,12 @@ def order_feasible(word, family: FamilySelector, pairing=None):
     Unit and unit-interval words need no LP: every FIFO word unitizes
     (see _OrderSearch._realize).
     """
-    if family.kind != "balanced":
-        raise RecognizeError(f"order_feasible does not handle family {family}")
-    if pairing is None:
-        raise RecognizeError("balanced feasibility needs a pairing")
     word = list(word)
     check_word(word)
     m = len(word)
     if m == 0:
         return {}
-    index = {}
-    for i, event in enumerate(word):
-        if event in index:
-            raise RecognizeError("duplicate events in word")
-        index[event] = i
+    index = {event: i for i, event in enumerate(word)}
 
     def gap_range(iid):
         return range(index[(iid, OPEN)], index[(iid, CLOSE)])
@@ -241,10 +233,10 @@ def order_feasible(word, family: FamilySelector, pairing=None):
 
 class _Search:
     """State every engine shares: vertex labels, adjacency by vertex index
-    (as sets and as bitmasks), the node counter, and the realizations
-    accepted so far.  Vertex sets the engines keep per move (covered
-    neighbours, open or live vertices) are int bitmasks too, so their
-    per-candidate tests are a few integer operations.
+    as bitmasks, the node counter, and the realizations accepted so far.
+    Vertex sets the engines keep per move (covered neighbours, open or
+    live vertices) are int bitmasks too, so their per-candidate tests are
+    a few integer operations.
 
     An engine's `run` and `_dfs` are generators driven by `_run`: each
     yields once per move it makes, with the move applied, and resumes to
@@ -273,11 +265,10 @@ class _Search:
         self.labels = sorted(g.vertices)
         self.n = len(self.labels)
         idx = {v: i for i, v in enumerate(self.labels)}
-        self.adj = [set() for _ in range(self.n)]
+        self.adjm = [0] * self.n
         for u, v in g.edges:
-            self.adj[idx[u]].add(idx[v])
-            self.adj[idx[v]].add(idx[u])
-        self.adjm = [sum(1 << w for w in a) for a in self.adj]
+            self.adjm[idx[u]] |= 1 << idx[v]
+            self.adjm[idx[v]] |= 1 << idx[u]
         self.covered = [0] * self.n  # neighbours each vertex has met so far
         # the covered edges as one mask over edge indices, for the keys:
         # made when the first key is, then kept up to date by _flip_cover
@@ -319,27 +310,12 @@ class _Search:
         self.cover_edges = edges
 
     def _independence(self, mask):
-        # the independence number of the vertices of `mask`, or 5 if it is
-        # larger: no capacity rule compares it with more than 4.  Bitset
-        # branch and bound as in graphs.clique_number_of_masks, on the
-        # non-neighbours; cached per search by mask
+        # the independence number of the vertices of `mask`, capped at 5:
+        # no capacity rule compares it with more than 4; cached per search
+        # by mask
         alpha = self.alpha.get(mask)
         if alpha is None:
-            adjm = self.adjm
-            alpha = 0
-            stack = [(0, mask)]
-            while stack and alpha < 5:
-                size, cand = stack.pop()
-                if size + cand.bit_count() <= alpha:
-                    continue
-                if not cand:
-                    alpha = size
-                    continue
-                low = cand & -cand
-                cand ^= low
-                stack.append((size, cand))
-                stack.append((size + 1, cand & ~adjm[low.bit_length() - 1]))
-            self.alpha[mask] = alpha
+            alpha = self.alpha[mask] = independence_number_of_masks(self.adjm, mask, 5)
         return alpha
 
     def _edges(self):
@@ -348,12 +324,15 @@ class _Search:
             self.edge_bit = [{} for _ in range(self.n)]
             e = 0
             for u in range(self.n):
-                for w in sorted(self.adj[u]):
-                    if w > u:
-                        self.edge_bit[u][w] = self.edge_bit[w][u] = 1 << e
-                        if self.covered[u] >> w & 1:
-                            self.cover_edges |= 1 << e
-                        e += 1
+                later = self.adjm[u] >> u + 1 << u + 1  # the neighbours above u
+                while later:
+                    low = later & -later
+                    later ^= low
+                    w = low.bit_length() - 1
+                    self.edge_bit[u][w] = self.edge_bit[w][u] = 1 << e
+                    if self.covered[u] & low:
+                        self.cover_edges |= 1 << e
+                    e += 1
         return self.cover_edges
 
     def _leaf(self):
@@ -380,20 +359,28 @@ class _OrderSearch(_Search):
     over a point of the circle that is no endpoint, read from that point,
     where W runs over the cliques through one fixed arc.  Each w in W has
     two slots, a prefix open from the start of the word (slot 0) and a
-    suffix that never closes (slot 1); every other arc is one interval."""
+    suffix that never closes (slot 1); every other arc is one interval.
+
+    The per-vertex state is masks alone, which determine every count the
+    moves read: a vertex's next open fills slot 1 iff it is in `begun`,
+    and is its last iff that slot is 1 or the family has one slot per
+    vertex; it has an interval open iff it is in `live`; and the pinned
+    suffixes, at the front of `open_list`, are the vertices of `cutmask`
+    not in `unopened` (design notes: "Refuted states")."""
 
     def __init__(self, g: Graph, family: FamilySelector, counter: _Counter,
                  visitor=None):
         super().__init__(g, counter, visitor)
         self.family = family
-        one = family.kind in ("interval", "unit-interval", "circular-arc")
-        self.slots = [1 if one else 2] * self.n
+        # one slot per vertex; a cut arc has a second, its suffix
+        self.one_slot = family.kind in ("interval", "unit-interval", "circular-arc")
         self.fifo = family.kind in ("unit", "unit-interval")
         # an open and a close per slot; circular-arc makes 2n moves on every
         # cut too, as W's prefixes start open and W's suffixes never close
-        self.moves = 2 * sum(self.slots)
-        self.slack += self.room * sum(self.slots)
-        self.cut = frozenset()
+        slots = self.n if self.one_slot else 2 * self.n
+        self.moves = 2 * slots
+        self.slack += self.room * slots
+        self.cutmask = 0  # the cut arcs
         if family.kind == "balanced":
             self.table = None  # its leaf LP reads the whole word
         # the open order (FIFO) or the live mask ends a key; at most omega
@@ -403,9 +390,6 @@ class _OrderSearch(_Search):
 
         self.word = []
         self.open_list = []  # pinned suffixes, then interval ids oldest first
-        self.pinned = 0  # suffixes at the front of open_list, never closed
-        self.opened = [0] * self.n
-        self.open_now = [0] * self.n  # 0 or 1: a vertex opens one at a time
         self.live = 0  # vertices with an interval open now
         self.unopened = (1 << self.n) - 1  # vertices with a slot still to open
         self.begun = 0  # vertices with a slot opened
@@ -417,11 +401,13 @@ class _OrderSearch(_Search):
         # applied; an open needs no test, as it keeps every vertex passing
         # (design notes: "Bitset kernels")
         bit = 1 << v
-        possible = self.unopened | (self.live ^ bit) if self.unopened & bit else 0
+        unopened = self.unopened
+        left = unopened & bit  # v has a slot left
+        possible = unopened | (self.live ^ bit) if left else 0
         if self.adjm[v] & ~self.covered[v] & ~possible:
             return False
-        return not self.fifo or self._capacity_ok(
-            v, self.slots[v] - self.opened[v] + self.open_now[v] - 1)
+        # after the close, v's intervals not yet closed are its slot left
+        return not self.fifo or self._capacity_ok(v, 1 if left else 0)
 
     def _capacity_ok(self, u, alive):
         # equal lengths: one interval meets at most two pairwise-disjoint
@@ -435,29 +421,22 @@ class _OrderSearch(_Search):
         return self._independence(uncovered) <= 2 * alive
 
     def run(self):
-        if self.fifo and any(
-            not self._capacity_ok(u, self.slots[u]) for u in range(self.n)
-        ):
+        slots = 1 if self.one_slot else 2
+        if self.fifo and any(not self._capacity_ok(u, slots) for u in range(self.n)):
             return
         if self.family.kind != "circular-arc":
             yield True
             return
         for cut in self._cliques():
-            self.cut = frozenset(cut)
             for w in cut:
-                self.slots[w] = 2
-                self.opened[w] = self.open_now[w] = 1
-                self.live |= 1 << w
+                self.cutmask |= 1 << w
                 self.open_list.append((w, 0))
                 self.word.append(((w, 0), OPEN))
-            self.begun = self.live
+            self.live = self.begun = self.cutmask
             if self.table:
                 self.table.clear()  # a key does not say which arcs are cut
             yield True
-            for w in cut:
-                self.slots[w] = 1
-                self.opened[w] = self.open_now[w] = 0
-            self.live = self.begun = 0
+            self.cutmask = self.live = self.begun = 0
             self.open_list.clear()
             self.word.clear()
 
@@ -467,21 +446,24 @@ class _OrderSearch(_Search):
         # generated lazily.  c is a vertex of least degree, the lowest on
         # ties; every model has a cut through c (design notes: "Cuts
         # through one vertex")
-        c = min(range(self.n), key=lambda v: len(self.adj[v]))
+        adjm = self.adjm
+        c = min(range(self.n), key=lambda v: adjm[v].bit_count())
         size, more = 0, True
         while more:
             more = False
-            stack = [((), sorted(self.adj[c], reverse=True))]  # clique, extensions
+            stack = [((), adjm[c])]  # clique, the mask of its extensions
             while stack:
-                clique, ext = stack[-1]
+                clique, ext = stack.pop()
                 if len(clique) == size:
                     more = True
                     yield (c,) + clique
-                if len(clique) == size or len(clique) + len(ext) < size:
-                    stack.pop()
                     continue
-                v = ext.pop()
-                stack.append((clique + (v,), [w for w in ext if w in self.adj[v]]))
+                if len(clique) + ext.bit_count() < size:
+                    continue
+                low = ext & -ext
+                v = low.bit_length() - 1
+                stack.append((clique, ext ^ low))
+                stack.append((clique + (v,), ext & adjm[v]))
             size += 1
 
     def _key(self):
@@ -501,12 +483,13 @@ class _OrderSearch(_Search):
         counter = self.counter
 
         # close moves, oldest open first; equal-length families may only
-        # close the oldest open interval (containment is infeasible there).
-        # Each is a node, tested before it is applied; the closes dropped
-        # are charged in bulk just before the next move, or after the last
-        opened, open_now, slots = self.opened, self.open_now, self.slots
+        # close the oldest open interval (containment is infeasible there),
+        # and no family closes a pinned suffix.  Each is a node, tested
+        # before it is applied; the closes dropped are charged in bulk just
+        # before the next move, or after the last
         open_list, word = self.open_list, self.word
-        base = 0 if self.fifo else self.pinned
+        cutmask = self.cutmask
+        base = (cutmask & ~self.unopened).bit_count()  # the pinned suffixes
         closables = open_list[:1] if self.fifo else open_list[base:]
         pending = 0  # nodes dropped and not charged yet
         for i, iid in enumerate(closables):
@@ -519,11 +502,9 @@ class _OrderSearch(_Search):
             bit = 1 << v
             word.append((iid, CLOSE))
             open_list.pop(base + i)
-            open_now[v] -= 1
             self.live ^= bit
             yield True
             self.live ^= bit
-            open_now[v] += 1
             open_list.insert(base + i, iid)
             word.pop()
 
@@ -553,18 +534,16 @@ class _OrderSearch(_Search):
             rest ^= upto
             counter.charge(pending + upto.bit_count())
             pending = 0
-            iid = (v, opened[v])
-            opened[v] += 1
-            open_now[v] += 1
+            slot = 1 if begun & low else 0
+            iid = (v, slot)
             self.live = live | low
             self.begun = begun | low
-            last = opened[v] == slots[v]
+            last = slot or self.one_slot
             if last:
                 self.unopened ^= low
-            pin = v in self.cut  # a cut arc's suffix: open to the word's end
+            pin = cutmask & low  # a cut arc's suffix: open to the word's end
             if pin:
                 open_list.insert(0, iid)
-                self.pinned += 1
             else:
                 open_list.append(iid)
             word.append((iid, OPEN))
@@ -576,15 +555,12 @@ class _OrderSearch(_Search):
             word.pop()
             if pin:
                 open_list.pop(0)
-                self.pinned -= 1
             else:
                 open_list.pop()
             if last:
                 self.unopened ^= low
             self.live = live
             self.begun = begun
-            open_now[v] -= 1
-            opened[v] -= 1
         pending += rest.bit_count()
         if pending:
             counter.charge(pending)
@@ -594,7 +570,7 @@ class _OrderSearch(_Search):
         # certificate from them
         if self.family.kind == "balanced":
             pairing = {v: ((v, 0), (v, 1)) for v in range(self.n)}
-            values = order_feasible(self.word, self.family, pairing)
+            values = order_feasible(self.word, pairing)
             if values is None:
                 return None
             ends = {iid: (at, values[(iid, CLOSE)])
@@ -608,7 +584,7 @@ class _OrderSearch(_Search):
         # glue the cut back: a cut arc runs from its suffix's open around
         # the circle to its prefix's close
         return CircularArcRep(q(len(self.word)), {
-            self.labels[v]: Arc(ends[(v, self.slots[v] - 1)][0], ends[(v, 0)][1])
+            self.labels[v]: Arc(ends[(v, self.cutmask >> v & 1)][0], ends[(v, 0)][1])
             for v in range(self.n)
         })
 
@@ -625,7 +601,7 @@ class _OrderSearch(_Search):
                 return Interval(Fraction(lo, d), Fraction(hi, d))
 
         items = {}
-        if self.slots[0] == 2:
+        if not self.one_slot:
             # an enumeration meets the same pair of ends in many leaves
             pieces = self.pieces
             for v in range(self.n):

@@ -63,22 +63,7 @@ def k1t_free(g: Graph, t: int) -> bool:
     (t = 3 is claw-free)."""
     if t < 1:
         raise graphs.GraphError("t must be >= 1")
-    for v in sorted(g.vertices):
-        if _has_independent_t(g, sorted(g.neighbors(v)), t):
-            return False
-    return True
-
-
-def _has_independent_t(g: Graph, candidates: list[str], t: int) -> bool:
-    def extend(chosen_count: int, rest: list[str]) -> bool:
-        if chosen_count == t:
-            return True
-        if chosen_count + len(rest) < t:
-            return False
-        for i, u in enumerate(rest):
-            nxt = [w for w in rest[i + 1:] if not g.has_edge(u, w)]
-            if extend(chosen_count + 1, nxt):
-                return True
-        return False
-
-    return extend(0, candidates)
+    vs = sorted(g.vertices)
+    index = {v: i for i, v in enumerate(vs)}
+    nbrs = [sum(1 << index[w] for w in g.neighbors(v)) for v in vs]
+    return all(graphs.independence_number_of_masks(nbrs, mask, t) < t for mask in nbrs)

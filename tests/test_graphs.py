@@ -15,6 +15,7 @@ from tik.graphs import (
     cycle,
     domino,
     from_edge_list,
+    independence_number_of_masks,
     is_triangle_free_3regular,
     k_colorable,
     kneser,
@@ -194,6 +195,13 @@ def test_clique_number_against_brute_force():
             if all(g.has_edge(a, b) for a, b in itertools.combinations(vs, 2))
         )
         assert clique_number(g) == expected, g
+        # the cliques of g are the independent sets of its complement
+        index = {v: i for i, v in enumerate(g.vertices)}
+        co = complement(g)
+        nbrs = [sum(1 << index[w] for w in co.neighbors(v)) for v in g.vertices]
+        for cap in range(1, g.n + 2):
+            got = independence_number_of_masks(nbrs, (1 << g.n) - 1, cap)
+            assert got == min(expected, cap), (g, cap)
 
 
 def test_is_triangle_free_3regular():

@@ -127,7 +127,7 @@ def test_cli_recognize_exit_codes(tmp_path):
         "--budget", "10000000", "--emit", str(cert), str(k23),
     ])
     assert code == EXIT_YES
-    rep = parse_representation(str(cert))
+    rep = parse_representation(cert.read_text())
     assert model.family_check(rep, model.XX(2)).ok
     assert model.intersection_graph(rep) == complete_bipartite(2, 3)
 
@@ -222,7 +222,7 @@ def test_cli_reduce_and_check(tmp_path):
     ])
     assert code == EXIT_YES
     assert "span" in err  # informational aggregate comparison
-    rep = parse_representation(str(emit))
+    rep = parse_representation(emit.read_text())
     assert model.family_check(rep, BALANCED).ok
 
     c5 = tmp_path / "c5.edges"
@@ -349,6 +349,21 @@ def test_cli_internal_error_is_not_a_verdict(tmp_path, monkeypatch):
     assert err == "error: internal: RuntimeError: boom\n"
 
 
+def test_cli_reads_representation_text_not_a_named_file(tmp_path):
+    # a file whose text is the path of a valid certificate is not JSON
+    code, out, _ = run_cli(["realize", "k53"])
+    assert code == EXIT_YES
+    rep = tmp_path / "rep.json"
+    rep.write_text(out)
+    pointer = tmp_path / "pointer.txt"
+    pointer.write_text(str(rep))
+    for argv in (["verify", "--family", "balanced"], ["transform", "stretch"],
+                 ["render", "svg"]):
+        code, _, err = run_cli([*argv, str(pointer)])
+        assert code == EXIT_ERROR, argv
+        assert "not valid JSON" in err, argv
+
+
 def test_cli_recognizes_path300_2interval(tmp_path):
     # the search is far deeper than the interpreter's recursion limit
     p300 = tmp_path / "path300.edges"
@@ -360,7 +375,7 @@ def test_cli_recognizes_path300_2interval(tmp_path):
     assert code == EXIT_YES
     code, _, _ = run_cli(["verify", "--family", "2interval", str(cert)])
     assert code == EXIT_YES
-    assert model.intersection_graph(parse_representation(str(cert))) == path(300)
+    assert model.intersection_graph(parse_representation(cert.read_text())) == path(300)
 
 
 def test_python_dash_m_tik():

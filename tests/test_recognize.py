@@ -84,9 +84,6 @@ def word_intervals(word):
 def _unitized(word):
     # the certificate path of the unit engines: FIFO word -> proper
     # position intervals -> unit intervals
-    for family in (UNIT, UNIT_INTERVAL):
-        with pytest.raises(RecognizeError, match="does not handle"):
-            order_feasible(word, family)
     return transforms.proper_to_unit_interval(word_intervals(word))
 
 
@@ -209,9 +206,9 @@ def test_unit_certificate_touching_endpoints_survive():
 
 def test_order_feasible_balanced_needs_pairing():
     word = [(("v", 0), OPEN), (("v", 0), CLOSE), (("v", 1), OPEN), (("v", 1), CLOSE)]
-    with pytest.raises(RecognizeError):
-        order_feasible(word, BALANCED)
-    values = order_feasible(word, BALANCED, {"v": (("v", 0), ("v", 1))})
+    with pytest.raises(TypeError):
+        order_feasible(word)
+    values = order_feasible(word, {"v": (("v", 0), ("v", 1))})
     assert values is not None
 
 
@@ -236,9 +233,9 @@ def test_order_feasible_balanced_chain_contradiction(k):
     # len 0 < len 1 < ... < len k-1 < len 0: infeasible; opening the
     # cycle makes the same lefts feasible
     word, pairing = _chain_word(k)
-    assert order_feasible(word, BALANCED, pairing) is None
+    assert order_feasible(word, pairing) is None
     word, pairing = _chain_word(k, closed=False)
-    assert order_feasible(word, BALANCED, pairing) is not None
+    assert order_feasible(word, pairing) is not None
 
 
 @pytest.mark.parametrize("pair, message", [
@@ -249,7 +246,7 @@ def test_order_feasible_balanced_chain_contradiction(k):
 def test_order_feasible_rejects_bad_pairing(pair, message):
     word = [(("v", 0), OPEN), (("v", 0), CLOSE), (("v", 1), OPEN), (("v", 1), CLOSE)]
     with pytest.raises(RecognizeError, match=message):
-        order_feasible(word, BALANCED, {"v": pair})
+        order_feasible(word, {"v": pair})
 
 
 def test_order_feasible_accepts_words_of_balanced_reps():
@@ -271,7 +268,7 @@ def test_order_feasible_accepts_words_of_balanced_reps():
                 break
         word = sorted(ends, key=ends.get)
         pairing = {v: ((v, 0), (v, 1)) for v in range(n)}
-        values = order_feasible(word, BALANCED, pairing)
+        values = order_feasible(word, pairing)
         assert values is not None, word
         assert all(values[a] < values[b] for a, b in zip(word, word[1:]))
         for left, right in pairing.values():
@@ -525,6 +522,12 @@ def _independence_number(adj, vertices):
     return best
 
 
+def _adjacency(search):
+    # the neighbour sets by vertex index, read off the search's masks
+    return [{w for w in range(search.n) if search.adjm[u] >> w & 1}
+            for u in range(search.n)]
+
+
 def _full_scan_edges_alive(search, p):
     # the liveness test as a rescan of every vertex, the reference for the
     # incremental check in _XXSearch._edges_alive
@@ -532,8 +535,9 @@ def _full_scan_edges_alive(search, p):
     pos = search.pos
     copies = search.copies
     cap = 1 if x == 1 else 2
+    adj = _adjacency(search)
     for u in range(search.n):
-        adj_u = search.adj[u]
+        adj_u = adj[u]
         cov_u = search.covered[u]
         if cov_u.bit_count() == len(adj_u):
             continue
@@ -555,7 +559,7 @@ def _full_scan_edges_alive(search, p):
             elif cw == 2 and pos[w][1] + x <= e_u:
                 return False
         if len(uncovered) > cap:
-            kept = _independence_number(search.adj, uncovered)
+            kept = _independence_number(adj, uncovered)
             if kept > cap:
                 live = 2 - cu
                 for i in range(cu):
@@ -592,27 +596,39 @@ def test_incremental_liveness_equals_full_rescan(monkeypatch):
     assert min(verdicts.values()) > 1000, verdicts
 
 
-def _set_rule_coverage_ok(search, u):
+def _set_rule_coverage_ok(search, u, word):
     # the coverage test of the endpoint-order engine as it read on vertex
-    # sets, from the per-vertex slot counts, with the capacity rule on an
-    # exact independent set: the reference for the bitmask test in
-    # _OrderSearch._close_ok
-    covered = {w for w in search.adj[u] if search.covered[u] >> w & 1}
+    # sets, from per-vertex slot counts after `word`, with the capacity
+    # rule on an exact independent set: the reference for the bitmask test
+    # in _OrderSearch._close_ok.  The counts are read off the word, the
+    # slots off the family and the cut arcs, the adjacency off the masks
+    adj = _adjacency(search)
+    one_slot = search.family.kind in ("interval", "unit-interval", "circular-arc")
+    slots = [1 if one_slot and not search.cutmask >> v & 1 else 2
+             for v in range(search.n)]
+    opened, open_now = [0] * search.n, [0] * search.n
+    for (v, _), kind in word:
+        if kind == OPEN:
+            opened[v] += 1
+            open_now[v] += 1
+        else:
+            open_now[v] -= 1
+    covered = {w for w in adj[u] if search.covered[u] >> w & 1}
 
     def possible(u, w):
-        u_unopened = search.opened[u] < search.slots[u]
-        w_unopened = search.opened[w] < search.slots[w]
-        u_unclosed = u_unopened or search.open_now[u] > 0
-        w_unclosed = w_unopened or search.open_now[w] > 0
+        u_unopened = opened[u] < slots[u]
+        w_unopened = opened[w] < slots[w]
+        u_unclosed = u_unopened or open_now[u] > 0
+        w_unclosed = w_unopened or open_now[w] > 0
         return (u_unopened and w_unclosed) or (w_unopened and u_unclosed)
 
-    for w in search.adj[u]:
+    for w in adj[u]:
         if w not in covered and not possible(u, w):
             return False
     if search.fifo:
-        uncovered = [w for w in search.adj[u] if w not in covered]
-        live = (search.slots[u] - search.opened[u]) + search.open_now[u]
-        if _independence_number(search.adj, uncovered) > 2 * live:
+        uncovered = [w for w in adj[u] if w not in covered]
+        live = (slots[u] - opened[u]) + open_now[u]
+        if _independence_number(adj, uncovered) > 2 * live:
             return False
     return True
 
@@ -637,9 +653,10 @@ def test_coverage_masks_equal_set_rule(monkeypatch):
 
         def _close_ok(self, v):
             got = super()._close_ok(v)
-            self.open_now[v] -= 1  # apply the close: v is no longer open
-            expected = _set_rule_coverage_ok(self, v)
-            self.open_now[v] += 1
+            # apply the close: v's last event so far is the open of the
+            # interval it closes
+            iid = next(iid for iid, _ in reversed(self.word) if iid[0] == v)
+            expected = _set_rule_coverage_ok(self, v, self.word + [(iid, CLOSE)])
             assert got == expected, (self.word, v)
             verdicts["close", got] += 1
             return got
@@ -648,7 +665,7 @@ def test_coverage_masks_equal_set_rule(monkeypatch):
             for moved in super()._dfs():
                 (v, _), kind = self.word[-1]
                 if kind == OPEN:
-                    assert _set_rule_coverage_ok(self, v), (self.word, v)
+                    assert _set_rule_coverage_ok(self, v, self.word), (self.word, v)
                     verdicts["open", True] += 1
                 yield moved
 
@@ -843,7 +860,7 @@ def _all_cliques(search):
     # included, smallest first and lexicographic within a size
     for size in range(search.n + 1):
         for clique in itertools.combinations(range(search.n), size):
-            if all(b in search.adj[a] for a, b in itertools.combinations(clique, 2)):
+            if all(search.adjm[a] >> b & 1 for a, b in itertools.combinations(clique, 2)):
                 yield clique
 
 

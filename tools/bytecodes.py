@@ -13,7 +13,7 @@ version, so two versions of the search loop compare by them.  To count
 another version, point PYTHONPATH at its `src`.  The counts include
 the work a search hands to other modules (its set-up, certificates) but
 not the time spent inside C functions, so they size interpreter work,
-not wall time.  All nine searches take about 20 s traced.
+not wall time.  All twelve searches take about 20 s traced.
 """
 
 from __future__ import annotations
@@ -21,8 +21,15 @@ from __future__ import annotations
 import sys
 
 from tik.gadgets import k44_minus_e, xx_separator
-from tik.graphs import complete_bipartite, path, wheel
-from tik.model import CIRCULAR_ARC, INTERVAL_CLASS, UNIT, UNIT_INTERVAL, XX
+from tik.graphs import complement, complete_bipartite, cycle, path, petersen, wheel
+from tik.model import (
+    CIRCULAR_ARC,
+    INTERVAL_CLASS,
+    TWO_INTERVAL,
+    UNIT,
+    UNIT_INTERVAL,
+    XX,
+)
 from tik.recognize import Budget, enumerate_realizations, recognize
 
 
@@ -49,12 +56,18 @@ def searches():
         ("xx_separator(2)/xx(2) 10^4",
          _recognition(xx_separator(2).graph, XX(2), 10**4)),
         ("K4,4/circular-arc", _recognition(complete_bipartite(4, 4), CIRCULAR_ARC, 10**7)),
+        ("petersen/circular-arc", _recognition(petersen(), CIRCULAR_ARC, 10**7)),
+        # about half of its entered nodes have a cut arc's suffix pinned;
+        # petersen's have none
+        ("co-C8/circular-arc", _recognition(complement(cycle(8)), CIRCULAR_ARC, 10**7)),
         ("K4,4-e xx(2) enumeration 10^5", _enumeration(k44_minus_e(), XX(2), 10**5)),
         ("K4,4-e xx(2) enumeration (C2 audit)", _enumeration(k44_minus_e(), XX(2), 10**8)),
         # long words: the leaf certificates weigh here
         ("path(300)/interval", _recognition(path(300), INTERVAL_CLASS, 10**7)),
         ("path(300)/unit-interval", _recognition(path(300), UNIT_INTERVAL, 10**7)),
         ("path(60)/unit", _recognition(path(60), UNIT, 10**7)),
+        # non-FIFO opens of a vertex's second slot
+        ("path(300)/2interval", _recognition(path(300), TWO_INTERVAL, 10**7)),
     )
 
 
