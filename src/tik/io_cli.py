@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from fractions import Fraction
@@ -41,14 +40,9 @@ class FormatError(ValueError):
 # --- graph parsing -------------------------------------------------------------
 
 
-def parse_graph(source: str) -> Graph:
-    """Parse an edge list from a file path, or from literal text when the
-    string does not name a file."""
-    if os.path.exists(source):
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = source
+def parse_graph(text: str) -> Graph:
+    """Parse a Graph from edge-list text.  Text that names a file is still
+    text: the one-vertex graph of that label, not the file's graph."""
     return graphs.from_edge_list(text)
 
 

@@ -21,8 +21,10 @@ in the order and with the stop node that one tick per candidate would
 give.  The loop does what every node does alike: it tests for a leaf,
 and it remembers the states whose subtree was walked without accepting
 a leaf and charges such a subtree in one step when its state comes back
-(balanced excepted), so verdicts, node counts and certificates are those
-of the full walk.
+(balanced excepted).  A placement enumeration remembers the subtrees
+that accepted leaves too, and replays their leaves when the state comes
+back.  So verdicts, node counts, certificates and the order of visits
+are those of the full walk.
 
 NonMember is returned only when the search space was provably exhausted
 within budget.  Every Member certificate re-verifies: family_check passes
@@ -32,8 +34,11 @@ and its intersection graph equals the input under labeled equality.
 from __future__ import annotations
 
 import os
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from . import lp, transforms
 from .graphs import Graph, clique_number_of_masks, independence_number_of_masks
@@ -259,7 +264,10 @@ class _Search:
     its subtree is a function of, to the nodes that subtree charged when
     it finished without accepting a leaf; `_run` looks nodes up and
     records them (design notes: "Refuted states").  The table is None
-    where a leaf's verdict reads more than the key (balanced)."""
+    where a leaf's verdict reads more than the key (balanced).  Where
+    leaves are logged (`stamps` is not None: placement enumerations), the
+    table maps every finished node, accepted leaves or not, to the int
+    `_entry` packs, and a node that comes back is replayed by `_replay`."""
 
     def __init__(self, g: Graph, counter: _Counter, visitor=None):
         self.labels = sorted(g.vertices)
@@ -281,7 +289,11 @@ class _Search:
         # nodes charged when the last realization was accepted: a subtree
         # entered at `start` nodes accepted one iff this exceeds start
         self.accepted = -1
-        self.table = {}  # {depth + 1: {key: nodes}}
+        self.table = {}  # {depth + 1: {key: nodes, or an entry to replay}}
+        # the leaves visited, in order, where the engine replays subtrees
+        # that accepted leaves (placement enumerations): the nodes charged
+        # at each, and its positions, 2n per leaf
+        self.stamps = self.leaves = None
         self.pieces = {}  # a leaf's TwoIntervals by endpoint key, built once
         self.alpha = {}  # {vertex mask: its independence number, capped at 5}
         self.room = clique_number_of_masks(self.adjm) - 1
@@ -341,6 +353,9 @@ class _Search:
             return
         self.accepted = self.counter.nodes
         if self.visitor is not None:
+            if self.stamps is not None:
+                self.stamps.append(self.accepted)
+                self.leaves.extend(chain.from_iterable(self.pos))
             self.visitor(rep)
             self.count += 1
         if self.found is None:
@@ -692,6 +707,16 @@ class _XXSearch(_Search):
         # a key's fixed-width fields: the covered edges, placed and placed2
         self.fixed_bits = len(g.edges) + 2 * self.n
         self.dist_bits = (x - 1).bit_length()
+        # an enumeration also records the subtrees that accepted leaves,
+        # and replays them from its log of leaves (design notes: "Refuted
+        # states").  A position is at most (2n - 1)x, a node count at
+        # most the limit
+        top = (2 * self.n - 1) * x
+        self.pos_bits = top.bit_length()
+        self.count_bits = counter.limit.bit_length()
+        if visitor is not None:
+            self.stamps = _uint_array(counter.limit)
+            self.leaves = _uint_array(top)
 
     def run(self):
         yield True
@@ -899,6 +924,42 @@ class _XXSearch(_Search):
         if pending:
             counter.charge(pending)
 
+    def _entry(self, start, nodes):
+        # the record of a finished node that was entered at `start` nodes
+        # and charged `nodes`: both counts and its last position, packed
+        return (start << self.count_bits | nodes) << self.pos_bits | self.seq[-1][0]
+
+    def _replay(self, entry):
+        # walk a recorded subtree again without entering it: charge the
+        # nodes between its leaves where the walk charged them, and visit
+        # its logged leaves in order, moved by this node's last position
+        # minus the recorded one.  The copies this node has placed keep
+        # their own positions
+        width = self.pos_bits
+        shift = self.seq[-1][0] - (entry & (1 << width) - 1)
+        entry >>= width
+        start = entry >> self.count_bits
+        stop = start + (entry & (1 << self.count_bits) - 1)
+        pos = self.pos
+        # the copies the subtree places: (their vertex's positions, the
+        # copy, its place among a leaf's positions)
+        cells = [(pos[v], c, 2 * v + c)
+                 for v in range(self.n) for c in range(self.copies[v], 2)]
+        counter, stamps, leaves = self.counter, self.stamps, self.leaves
+        first = bisect_right(stamps, start)
+        at = start
+        for i in range(first, bisect_right(stamps, stop, first)):
+            counter.charge(stamps[i] - at)
+            at = stamps[i]
+            base = 2 * self.n * i
+            for cell, c, j in cells:
+                cell[c] = leaves[base + j] + shift
+            self._leaf()
+        if stop > at:
+            counter.charge(stop - at)
+        for cell, c, _ in cells:
+            cell[c] = None
+
     def _realize(self):
         x = self.x
         items = {}
@@ -912,6 +973,14 @@ class _XXSearch(_Search):
                 )
             items[self.labels[v]] = self.pieces[key]
         return Representation(items)
+
+
+def _uint_array(top):
+    # an array of the narrowest unsigned type that holds 0..top, else a list
+    for code in "BHILQ":
+        if top < 1 << 8 * array(code).itemsize:
+            return array(code)
+    return []
 
 
 def _strip_universal(g: Graph):
@@ -956,13 +1025,19 @@ def _run(search) -> bool:
     every node does alike: a child `moves` deep is a leaf, handed to
     `_leaf`, and a search without a visitor stops at its first
     realization; a child in the refuted-state table is charged in one
-    step; any other is entered as a `_dfs` generator, and recorded in
-    the table when it finishes if the record rules allow (design notes:
-    "Refuted states")."""
+    step, or replayed leaf by leaf in a search that logs its leaves; any
+    other is entered as a `_dfs` generator, and recorded in the table
+    when it finishes if the record rules allow (design notes: "Refuted
+    states")."""
     counter, table = search.counter, search.table
     dfs, key = search._dfs, search._key
     stop = search.visitor is None
     leaf = search.moves + 1
+    # a search that logs its leaves records every node it finishes, and
+    # replays a subtree that comes back; any other records the nodes that
+    # accepted no leaf, and charges such a subtree in one step
+    replays = search.stamps is not None
+    hit = search._replay if replays else counter.charge
     stack = [search.run()]
     # per node on the stack: the nodes charged when it was entered, and
     # its key if it was looked up.  A child is charged before it is
@@ -987,19 +1062,21 @@ def _run(search) -> bool:
                     k = key()
                     known = table[height].get(k)
                     if known is not None:
-                        counter.charge(known)  # refuted before
+                        hit(known)  # walked before
                         continue
                 stack.append(dfs())
                 entered.append((last, k))
                 continue
             stack.pop()
             start, k = entered.pop()
-            # a node that yielded a child, accepted no leaf and is not the
-            # root; it has undone its moves, so key() reads its own state
-            if (last > start and counter.nodes > RECORD_AFTER and search.accepted < start
-                    and len(stack) > 1 and table is not None):
-                table.setdefault(len(stack), {})[key() if k is None else k] = \
-                    counter.nodes - start
+            # a node that yielded a child, accepted no leaf unless the search
+            # replays, and is not the root; it has undone its moves, so
+            # key() reads its own state
+            if (last > start and counter.nodes > RECORD_AFTER and len(stack) > 1
+                    and table is not None and (search.accepted < start or replays)):
+                table.setdefault(len(stack), {})[key() if k is None else k] = (
+                    search._entry(start, counter.nodes - start) if replays
+                    else counter.nodes - start)
     except _BudgetExhausted:
         return False
     return True
@@ -1041,7 +1118,13 @@ def enumerate_realizations(g: Graph, family: FamilySelector, budget: Budget,
                            visitor) -> Enumeration:
     """Visit every realization in the canonical enumeration: all integer
     placements in the window up to translation (xx), or all consistent
-    order words (2interval)."""
+    order words (2interval).
+
+    The visits, their order and the nodes charged before each are those
+    of the full walk.  An xx enumeration walks a subtree once per state:
+    when the state comes back, its logged leaves are visited again, moved
+    to the new position, and its nodes are charged between them where the
+    walk charged them (design notes: "Refuted states")."""
     if g.n == 0:
         raise RecognizeError("enumerate_realizations needs a nonempty graph")
     counter = _Counter(budget.max_nodes)

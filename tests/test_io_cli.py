@@ -41,7 +41,17 @@ def test_parse_graph_text_and_file(tmp_path):
     assert g.n == 3
     path = tmp_path / "g.edges"
     path.write_text("a b\nb c\n")
-    assert parse_graph(str(path)) == g
+    assert parse_graph(path.read_text()) == g
+
+
+def test_parse_graph_does_not_read_a_named_file(tmp_path, monkeypatch):
+    # the text "g.edges" is the one-vertex graph of that label, whether or
+    # not a file of that name exists in the working directory
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g.edges").write_text("a b\nb c\n")
+    g = parse_graph("g.edges")
+    assert g.vertices == ("g.edges",)
+    assert not g.edges
 
 
 def test_representation_roundtrip_fixture():
@@ -331,7 +341,7 @@ def test_cli_input_text_is_not_a_path(tmp_path):
     g.write_text(str(other))
     code, out, _ = run_cli(["render", "dot", str(g)])
     assert code == EXIT_YES
-    assert out == emit_dot(parse_graph(str(g)))
+    assert out == emit_dot(parse_graph(g.read_text()))
     assert '"x"' not in out
 
 

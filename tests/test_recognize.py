@@ -694,10 +694,10 @@ def _table_searches():
     # (label, call) pairs: every graph on at most five vertices in every
     # family, on six as unit (where a key without the begun mask first goes
     # wrong) and on six and seven as circular-arc (a table kept across the
-    # cuts through one vertex first goes wrong on seven), the small
-    # enumerations, and budget ladders that cut the two searches inside
-    # charges the table makes; each call returns what a caller can see of
-    # the search
+    # cuts through one vertex first goes wrong on seven), the enumerations,
+    # whose recorded subtrees that accepted leaves are replayed, and budget
+    # ladders that cut the searches inside charges and replays the table
+    # makes; each call returns what a caller can see of the search
     from conftest import nonisomorphic_graphs
 
     def recognition(g, family, budget):
@@ -706,10 +706,15 @@ def _table_searches():
             return out.kind, out.nodes_used, _cert_json(out.certificate)
         return call
 
-    def enumeration(g, family):
-        def call():  # the visited certificates compare by value, in order
+    def enumeration(g, family, budget=BIG):
+        def call():
+            # the visited certificates compare by value, in order, each as
+            # its pieces in label order: whole Representations weigh far
+            # more, and five independent vertices have 113,400 as xx(1)
             seen = []
-            out = enumerate_realizations(g, family, BIG, seen.append)
+            out = enumerate_realizations(
+                g, family, budget,
+                lambda rep: seen.append(tuple(rep[v] for v in rep.labels())))
             return out.complete, out.count, out.nodes_used, seen
         return call
 
@@ -719,10 +724,15 @@ def _table_searches():
         for g in nonisomorphic_graphs(n):
             for family in by_n.get(n, families):
                 yield (g, family), recognition(g, family, Budget(10**5))
-    for family, max_n in ((XX(1), 4), (XX(2), 4), (TWO_INTERVAL, 3)):
+    for family, max_n in ((XX(1), 5), (XX(2), 4), (TWO_INTERVAL, 3)):
         for n in range(1, max_n + 1):
             for g in nonisomorphic_graphs(n):
                 yield (g, family, "enumeration"), enumeration(g, family)
+    # xx(2) on five vertices takes over 7 * 10^7 nodes in all, so each
+    # enumeration is cut off, mostly inside a replay
+    for g in nonisomorphic_graphs(5):
+        yield (g, XX(2), "enumeration"), enumeration(g, XX(2), Budget(10**4))
+    yield (k44_minus_e(), XX(2), "enumeration"), enumeration(k44_minus_e(), XX(2))
     for g, family, top, step in ((wheel(9), UNIT, 20_000, 97),
                                  (xx_separator(2).graph, XX(2), 40_000, 499)):
         for b in range(1, top, step):
@@ -730,12 +740,14 @@ def _table_searches():
 
 
 def test_refuted_table_equals_full_search(monkeypatch):
-    # the table charges a subtree it has seen refuted in one step; a run
-    # with the table off walks every subtree and is the reference, so each
-    # search must answer alike, node counts, certificates, enumeration
-    # order and the stop node of every budget included.  The table records
-    # from the first node here, so these short searches use it too: any
-    # subset of its records is exact as well
+    # the table charges a subtree it has seen refuted in one step, and an
+    # enumeration replays one that accepted leaves; a run with the table
+    # off walks every subtree and is the reference, so each search must
+    # answer alike, node counts, certificates, enumeration order and the
+    # stop node of every budget included.  The table records from the
+    # first node here, so these short searches use it too: any subset of
+    # its records is exact as well.  Each search runs with the table on and
+    # off in turn, so only one pair of answers is held at a time
     from tik import recognize as engine
 
     entered = {True: 0, False: 0}  # _dfs nodes, table on and off
@@ -760,28 +772,41 @@ def test_refuted_table_equals_full_search(monkeypatch):
 
         return Order, Placement
 
-    answers = {}
-    for table in (True, False):
+    def use(table):
         order, placement = engines(table)
         monkeypatch.setattr(engine, "_OrderSearch", order)
         monkeypatch.setattr(engine, "_XXSearch", placement)
-        with monkeypatch.context() as m:
-            m.setattr(engine, "RECORD_AFTER", 0)
-            answers[table] = [(label, call()) for label, call in _table_searches()]
-        entered[table] = 0
-        recognize(wheel(9), UNIT, Budget(10**5))
-    assert len(answers[True]) == len(answers[False])
-    for got, expected in zip(answers[True], answers[False]):
-        assert got == expected, got[0]
-    assert entered[True] < entered[False], entered
+
+    with monkeypatch.context() as m:
+        m.setattr(engine, "RECORD_AFTER", 0)
+        for label, call in _table_searches():
+            answers = {}
+            for table in (True, False):
+                use(table)
+                answers[table] = call()
+            assert answers[True] == answers[False], label
+    # at the default settings the table must save work: the order engine
+    # on a refuted-heavy search, the placement engine on the C2 audit,
+    # whose replays enter 6,944 nodes instead of 41,598
+    for g, family, budget, run, factor in (
+            (wheel(9), UNIT, Budget(10**5), recognize, 1),
+            (k44_minus_e(), XX(2), BIG,
+             lambda *args: enumerate_realizations(*args, lambda rep: None), 4)):
+        for table in (True, False):
+            use(table)
+            entered[table] = 0
+            run(g, family, budget)
+        assert entered[True] * factor < entered[False], (family, entered)
 
 
 def test_record_policy_table_sizes(monkeypatch):
-    # any subset of the refuted nodes is exact to record, so answers and
-    # node counts cannot see which ones are; the table sizes these searches
-    # end with at the default settings pin the record rules (design notes:
-    # "Refuted states").  Not counting leaf and table-hit children as
-    # yielded gives 2,575 and 345 entries in the second and last search
+    # any subset of the nodes the table may hold is exact to record, so
+    # answers and node counts cannot see which ones are; the table sizes
+    # these searches end with at the default settings pin the record rules
+    # (design notes: "Refuted states").  Not counting leaf and table-hit
+    # children as yielded gives 2,575 and 4,711 entries in the second and
+    # last search.  The C2 audit, an enumeration, records the subtrees
+    # that accepted leaves too: 417 refuted and 5,943 to replay
     from tik import recognize as engine
 
     searches = []
@@ -797,7 +822,7 @@ def test_record_policy_table_sizes(monkeypatch):
     recognize(xx_separator(2).graph, XX(2), Budget(10**4))
     enumerate_realizations(k44_minus_e(), XX(2), BIG, lambda rep: None)
     sizes = [sum(map(len, search.table.values())) for search in searches]
-    assert sizes == [142, 2_587, 28, 417]
+    assert sizes == [142, 2_587, 28, 6_360]
 
 
 def test_circular_engine_against_brute_force():
