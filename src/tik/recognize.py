@@ -267,7 +267,17 @@ class _Search:
     where a leaf's verdict reads more than the key (balanced).  Where
     leaves are logged (`stamps` is not None: placement enumerations), the
     table maps every finished node, accepted leaves or not, to the int
-    `_entry` packs, and a node that comes back is replayed by `_replay`."""
+    `_entry` packs, and a node that comes back is replayed by `_replay`.
+
+    CPython 3.11 keeps an instance's attributes in a compact shared-key
+    layout only while it has fewer than 30; past that, every attribute
+    read is slower (design notes: "Refuted states").  So state that only
+    some searches need lives in class defaults."""
+
+    # the leaves visited, in order, where the engine replays subtrees that
+    # accepted leaves (placement enumerations): the nodes charged at each,
+    # and its positions, 2n per leaf
+    stamps = leaves = None
 
     def __init__(self, g: Graph, counter: _Counter, visitor=None):
         self.labels = sorted(g.vertices)
@@ -290,10 +300,6 @@ class _Search:
         # entered at `start` nodes accepted one iff this exceeds start
         self.accepted = -1
         self.table = {}  # {depth + 1: {key: nodes, or an entry to replay}}
-        # the leaves visited, in order, where the engine replays subtrees
-        # that accepted leaves (placement enumerations): the nodes charged
-        # at each, and its positions, 2n per leaf
-        self.stamps = self.leaves = None
         self.pieces = {}  # a leaf's TwoIntervals by endpoint key, built once
         self.alpha = {}  # {vertex mask: its independence number, capped at 5}
         self.room = clique_number_of_masks(self.adjm) - 1
@@ -709,14 +715,10 @@ class _XXSearch(_Search):
         self.dist_bits = (x - 1).bit_length()
         # an enumeration also records the subtrees that accepted leaves,
         # and replays them from its log of leaves (design notes: "Refuted
-        # states").  A position is at most (2n - 1)x, a node count at
-        # most the limit
-        top = (2 * self.n - 1) * x
-        self.pos_bits = top.bit_length()
-        self.count_bits = counter.limit.bit_length()
+        # states").  A position is at most (2n - 1)x
         if visitor is not None:
             self.stamps = _uint_array(counter.limit)
-            self.leaves = _uint_array(top)
+            self.leaves = _uint_array((2 * self.n - 1) * x)
 
     def run(self):
         yield True
@@ -924,41 +926,45 @@ class _XXSearch(_Search):
         if pending:
             counter.charge(pending)
 
-    def _entry(self, start, nodes):
-        # the record of a finished node that was entered at `start` nodes
-        # and charged `nodes`: both counts and its last position, packed
-        return (start << self.count_bits | nodes) << self.pos_bits | self.seq[-1][0]
+    def _entry(self, start):
+        # the record of a node entered at `start` nodes and finished now:
+        # both counts in one int
+        return start * (self.counter.limit + 1) + self.counter.nodes
 
     def _replay(self, entry):
         # walk a recorded subtree again without entering it: charge the
         # nodes between its leaves where the walk charged them, and visit
-        # its logged leaves in order, moved by this node's last position
-        # minus the recorded one.  The copies this node has placed keep
-        # their own positions
-        width = self.pos_bits
-        shift = self.seq[-1][0] - (entry & (1 << width) - 1)
-        entry >>= width
-        start = entry >> self.count_bits
-        stop = start + (entry & (1 << self.count_bits) - 1)
-        pos = self.pos
-        # the copies the subtree places: (their vertex's positions, the
-        # copy, its place among a leaf's positions)
-        cells = [(pos[v], c, 2 * v + c)
-                 for v in range(self.n) for c in range(self.copies[v], 2)]
+        # its logged leaves in order, each moved by this node's last
+        # position minus the recorded node's.  The copies this node has
+        # placed keep their own positions
         counter, stamps, leaves = self.counter, self.stamps, self.leaves
+        start, stop = divmod(entry, counter.limit + 1)
         first = bisect_right(stamps, start)
+        end = bisect_right(stamps, stop, first)
         at = start
-        for i in range(first, bisect_right(stamps, stop, first)):
-            counter.charge(stamps[i] - at)
-            at = stamps[i]
-            base = 2 * self.n * i
-            for cell, c, j in cells:
-                cell[c] = leaves[base + j] + shift
-            self._leaf()
+        if first < end:
+            n2, pos = 2 * self.n, self.pos
+            # the keys agree, so this node's newest copy is the recorded
+            # node's, which every leaf below it holds at the recorded last
+            # position
+            last, bit = self.seq[-1]
+            v = bit.bit_length() - 1
+            shift = last - leaves[n2 * first + 2 * v + self.copies[v] - 1]
+            # the copies the subtree places: (their vertex's positions, the
+            # copy, its place among a leaf's positions)
+            cells = [(pos[v], c, 2 * v + c)
+                     for v in range(self.n) for c in range(self.copies[v], 2)]
+            for i in range(first, end):
+                counter.charge(stamps[i] - at)
+                at = stamps[i]
+                base = n2 * i
+                for cell, c, j in cells:
+                    cell[c] = leaves[base + j] + shift
+                self._leaf()
+            for cell, c, _ in cells:
+                cell[c] = None
         if stop > at:
             counter.charge(stop - at)
-        for cell, c, _ in cells:
-            cell[c] = None
 
     def _realize(self):
         x = self.x
@@ -1075,8 +1081,7 @@ def _run(search) -> bool:
             if (last > start and counter.nodes > RECORD_AFTER and len(stack) > 1
                     and table is not None and (search.accepted < start or replays)):
                 table.setdefault(len(stack), {})[key() if k is None else k] = (
-                    search._entry(start, counter.nodes - start) if replays
-                    else counter.nodes - start)
+                    search._entry(start) if replays else counter.nodes - start)
     except _BudgetExhausted:
         return False
     return True
@@ -1121,10 +1126,11 @@ def enumerate_realizations(g: Graph, family: FamilySelector, budget: Budget,
     order words (2interval).
 
     The visits, their order and the nodes charged before each are those
-    of the full walk.  An xx enumeration walks a subtree once per state:
-    when the state comes back, its logged leaves are visited again, moved
-    to the new position, and its nodes are charged between them where the
-    walk charged them (design notes: "Refuted states")."""
+    of the full walk.  An xx enumeration does not walk a recorded subtree
+    again: when its state comes back, the subtree's logged leaves are
+    visited again, moved to the new position, and its nodes are charged
+    between them where the walk charged them (design notes: "Refuted
+    states")."""
     if g.n == 0:
         raise RecognizeError("enumerate_realizations needs a nonempty graph")
     counter = _Counter(budget.max_nodes)

@@ -825,6 +825,22 @@ def test_record_policy_table_sizes(monkeypatch):
     assert sizes == [142, 2_587, 28, 6_360]
 
 
+def test_engines_keep_compact_instance_dicts():
+    # CPython 3.11 keeps an instance's attributes in a compact shared-key
+    # layout only while it has fewer than 30, and reads each more slowly
+    # past that; engines with 30 and 31 attributes cost tikbench
+    # metric-members about 3% of its ops per second
+    from tik import recognize as engine
+
+    g = wheel(5)
+    searches = [engine._OrderSearch(g, family, engine._Counter(10))
+                for family in FAMILIES.values() if family.kind != "xx"]
+    searches += [engine._XXSearch(g, 2, engine._Counter(10), visitor)
+                 for visitor in (None, lambda rep: None)]
+    for search in searches:
+        assert len(vars(search)) < 30, (type(search).__name__, sorted(vars(search)))
+
+
 def test_circular_engine_against_brute_force():
     from conftest import brute_force_circular_member
 
