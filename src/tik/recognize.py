@@ -34,7 +34,6 @@ and its intersection graph equals the input under labeled equality.
 from __future__ import annotations
 
 import os
-from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -948,8 +947,8 @@ class _XXSearch(_Search):
             # node's, which every leaf below it holds at the recorded last
             # position
             last, bit = self.seq[-1]
-            v = bit.bit_length() - 1
-            shift = last - leaves[n2 * first + 2 * v + self.copies[v] - 1]
+            u = bit.bit_length() - 1
+            shift = last - leaves[n2 * first + 2 * u + self.copies[u] - 1]
             # the copies the subtree places: (their vertex's positions, the
             # copy, its place among a leaf's positions)
             cells = [(pos[v], c, 2 * v + c)
@@ -982,7 +981,11 @@ class _XXSearch(_Search):
 
 
 def _uint_array(top):
-    # an array of the narrowest unsigned type that holds 0..top, else a list
+    # an array of the narrowest unsigned type that holds 0..top, else a
+    # list.  Only enumerations log leaves, and loading the array module
+    # adds about 0.15 MB to a process's peak RSS, so it is imported here
+    from array import array
+
     for code in "BHILQ":
         if top < 1 << 8 * array(code).itemsize:
             return array(code)
