@@ -221,12 +221,6 @@ def emit_svg(rep: Representation) -> str:
 # --- CLI ---------------------------------------------------------------------------
 
 
-_FAMILIES = [
-    "2interval", "balanced", "unit", "xx",
-    "interval", "unit-interval", "circular-arc",
-]
-
-
 def _family_from_args(args) -> FamilySelector:
     if args.family == "xx":
         if args.x is None:
@@ -468,12 +462,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=int)
 
     p = sub.add_parser("verify", help="check a representation against a family")
-    p.add_argument("--family", choices=_FAMILIES, required=True)
+    p.add_argument("--family", choices=model.FAMILY_KINDS, required=True)
     p.add_argument("--x", type=int)
     p.add_argument("input")
 
     p = sub.add_parser("recognize", help="budgeted exact membership search")
-    p.add_argument("--family", choices=_FAMILIES, required=True)
+    p.add_argument("--family", choices=model.FAMILY_KINDS, required=True)
     p.add_argument("--x", type=int)
     p.add_argument("--budget", type=int)
     p.add_argument("--emit", help="write the certificate JSON here")

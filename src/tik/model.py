@@ -314,22 +314,24 @@ def circular_intersection_graph(ca: CircularArcRep) -> Graph:
 # --- family selectors and verifiers ----------------------------------------
 
 
+# the families a FamilySelector names, in the order the CLI lists them
+FAMILY_KINDS = (
+    "2interval", "balanced", "unit", "xx",
+    "interval", "unit-interval", "circular-arc",
+)
+
+
 @dataclass(frozen=True)
 class FamilySelector:
     kind: str
     x: int | None = None
 
-    _KINDS = {
-        "2interval", "balanced", "unit", "xx",
-        "interval", "unit-interval", "circular-arc",
-    }
-
     def __post_init__(self):
-        if self.kind not in self._KINDS:
+        if self.kind not in FAMILY_KINDS:
             raise ModelError(f"unknown family {self.kind!r}")
         if self.kind == "xx":
-            if self.x is None or self.x < 1:
-                raise ModelError("xx family needs x >= 1")
+            if type(self.x) is not int or self.x < 1:  # positions are ints, not bools
+                raise ModelError(f"xx family needs an int x >= 1, got {self.x!r}")
         elif self.x is not None:
             raise ModelError(f"family {self.kind!r} takes no x parameter")
 

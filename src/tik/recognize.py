@@ -76,6 +76,8 @@ class Budget:
     max_nodes: int
 
     def __post_init__(self):
+        if type(self.max_nodes) is not int:  # node counts are ints, not bools
+            raise RecognizeError(f"budget must be an int, got {self.max_nodes!r}")
         if self.max_nodes < 1:
             raise RecognizeError("budget must allow at least one node")
 
@@ -237,10 +239,13 @@ def order_feasible(word, pairing):
 
 class _Search:
     """State every engine shares: vertex labels, adjacency by vertex index
-    as bitmasks, the node counter, and the realizations accepted so far.
-    Vertex sets the engines keep per move (covered neighbours, open or
-    live vertices) are int bitmasks too, so their per-candidate tests are
-    a few integer operations.
+    as bitmasks, the node counter, and the visitor with the count of the
+    realizations it was handed.  Vertex sets the engines keep per move
+    (covered neighbours, open, live or placed vertices) are int bitmasks
+    too, so their per-candidate tests are a few integer operations.  An
+    engine keeps only its move state and what it caches: nothing that
+    other state determines, and not the first realization or the stop
+    and record marks, which `_run` keeps.
 
     An engine's `run` and `_dfs` are generators driven by `_run`: each
     yields once per move it makes, with the move applied, and resumes to
@@ -293,11 +298,7 @@ class _Search:
         self.cover_edges = 0
         self.counter = counter
         self.visitor = visitor
-        self.found = None
         self.count = 0
-        # nodes charged when the last realization was accepted: a subtree
-        # entered at `start` nodes accepted one iff this exceeds start
-        self.accepted = -1
         self.table = {}  # {depth + 1: {key: nodes, or an entry to replay}}
         self.pieces = {}  # a leaf's TwoIntervals by endpoint key, built once
         self.alpha = {}  # {vertex mask: its independence number, capped at 5}
@@ -353,18 +354,16 @@ class _Search:
         return self.cover_edges
 
     def _leaf(self):
+        # the leaf's realization, or None; with a visitor, an accepted one
+        # is logged where leaves are logged, then visited and counted
         rep = self._realize()
-        if rep is None:
-            return
-        self.accepted = self.counter.nodes
-        if self.visitor is not None:
+        if rep is not None and self.visitor is not None:
             if self.stamps is not None:
-                self.stamps.append(self.accepted)
+                self.stamps.append(self.counter.nodes)
                 self.leaves.extend(chain.from_iterable(self.pos))
             self.visitor(rep)
             self.count += 1
-        if self.found is None:
-            self.found = rep
+        return rep
 
 
 # --- order-enumeration engine ------------------------------------------------
@@ -699,10 +698,8 @@ class _XXSearch(_Search):
         super().__init__(g, counter, visitor)
         self.x = x
         self.moves = 2 * self.n  # one per copy
-        self.everyone = (1 << self.n) - 1
         self.slack += self.room * self.moves
         self.pos = [[None, None] for _ in range(self.n)]
-        self.copies = [0] * self.n
         self.placed = 0  # vertices with a copy placed
         self.placed2 = 0  # vertices with both copies placed
         self.seq = []  # (position, vertex bit) in placement order
@@ -730,10 +727,9 @@ class _XXSearch(_Search):
         # "Incremental liveness in the placement engine")
         x = self.x
         pos = self.pos
-        copies = self.copies
         adjm = self.adjm
         covered = self.covered
-        placed2 = self.placed2
+        placed, placed2 = self.placed, self.placed2
         cap = 1 if x == 1 else 2  # disjoint length-x intervals one copy can meet
         while touched:
             low = touched & -touched
@@ -742,8 +738,7 @@ class _XXSearch(_Search):
             need = adjm[u] & ~covered[u]
             if not need:
                 continue
-            cu = copies[u]
-            if cu == 2:
+            if placed2 & low:
                 # u's last copy must reach a copy of w still to come, which
                 # starts at >= p, and at >= first + x when w has one down
                 if need & placed2:
@@ -755,12 +750,12 @@ class _XXSearch(_Search):
                 while rest:
                     w_low = rest & -rest
                     w = w_low.bit_length() - 1
-                    if copies[w] and reach <= pos[w][0] + x:
+                    if placed & w_low and reach <= pos[w][0] + x:
                         return False
                     rest ^= w_low
             elif need & placed2:
                 # w's last copy must reach u's next one
-                e_u = p if cu == 0 else max(p, pos[u][0] + x)
+                e_u = max(p, pos[u][0] + x) if placed & low else p
                 rest = need & placed2
                 while rest:
                     w_low = rest & -rest
@@ -772,10 +767,9 @@ class _XXSearch(_Search):
             # those; only unplaced copies and placed copies still within
             # reach of future positions can serve them
             if need.bit_count() > cap:
-                alive = 2 - cu
-                for i in range(cu):
-                    if pos[u][i] > p - x:
-                        alive += 1
+                first, second = pos[u]
+                lo = p - x
+                alive = (first is None or first > lo) + (second is None or second > lo)
                 bound = cap * alive
                 if need.bit_count() > bound and self._independence(need) > bound:
                     return False
@@ -802,10 +796,10 @@ class _XXSearch(_Search):
         depth = len(seq)
         x = self.x
         counter = self.counter
-        pos, copies = self.pos, self.copies
+        pos = self.pos
         adjm, covered = self.adjm, self.covered
         # finishing vertices first makes coverage constraints bite early
-        everyone = self.everyone
+        everyone = (1 << self.n) - 1
         finishing = self.placed ^ self.placed2
         unplaced = everyone ^ self.placed
         last_pos, last_bit = seq[-1] if depth else (0, 0)
@@ -887,9 +881,8 @@ class _XXSearch(_Search):
                     counter.charge(pending + upto.bit_count())
                     pending = 0
                     applied = True
-                    c = copies[v]
+                    c = 1 if finishing & bit else 0
                     pos[v][c] = p
-                    copies[v] = c + 1
                     if c:
                         self.placed2 ^= bit
                     else:
@@ -911,7 +904,6 @@ class _XXSearch(_Search):
                         self.placed2 ^= bit
                     else:
                         self.placed ^= bit
-                    copies[v] = c
                     pos[v][c] = None
                 pending += rest.bit_count()
             if not g:
@@ -946,13 +938,14 @@ class _XXSearch(_Search):
             # the keys agree, so this node's newest copy is the recorded
             # node's, which every leaf below it holds at the recorded last
             # position
+            placed, placed2 = self.placed, self.placed2
             last, bit = self.seq[-1]
             u = bit.bit_length() - 1
-            shift = last - leaves[n2 * first + 2 * u + self.copies[u] - 1]
+            shift = last - leaves[n2 * first + 2 * u + (1 if placed2 & bit else 0)]
             # the copies the subtree places: (their vertex's positions, the
             # copy, its place among a leaf's positions)
-            cells = [(pos[v], c, 2 * v + c)
-                     for v in range(self.n) for c in range(self.copies[v], 2)]
+            cells = [(pos[v], c, 2 * v + c) for v in range(self.n)
+                     for c in range((placed >> v & 1) + (placed2 >> v & 1), 2)]
             for i in range(first, end):
                 counter.charge(stamps[i] - at)
                 at = stamps[i]
@@ -994,20 +987,14 @@ def _uint_array(top):
 
 def _strip_universal(g: Graph):
     """Peel universal vertices; a graph is circular-arc iff the peeled
-    graph is (each one returns as a near-full arc)."""
-    stripped = []
-    current = g
-    while current.n > 0:
-        universal = [
-            v for v in sorted(current.vertices)
-            if current.degree(v) == current.n - 1
-        ]
-        if not universal:
-            break
-        v = universal[0]
-        stripped.append(v)
-        current = current.induced([w for w in current.vertices if w != v])
-    return current, stripped
+    graph is (each one returns as a near-full arc).  Removing a universal
+    vertex leaves every other vertex's non-neighbours as they were, so
+    the vertices to peel are exactly g's universal ones."""
+    stripped = [v for v in sorted(g.vertices) if g.degree(v) == g.n - 1]
+    if not stripped:
+        return g, stripped
+    peeled = set(stripped)
+    return g.induced([w for w in g.vertices if w not in peeled]), stripped
 
 
 def _readd_universal(ca: CircularArcRep, stripped) -> CircularArcRep:
@@ -1025,19 +1012,21 @@ def _readd_universal(ca: CircularArcRep, stripped) -> CircularArcRep:
 # --- public operations --------------------------------------------------------
 
 
-def _run(search) -> bool:
+def _run(search):
     """Drive a search depth first on an explicit stack of its generators;
-    False iff the node budget cut it off.
+    return (found, exhausted): the first realization accepted, or None,
+    and False iff the node budget cut the search off.
 
     Each generator yields once per move, with the move applied, and
     resumes, to undo it, once the child is finished.  The loop does what
-    every node does alike: a child `moves` deep is a leaf, handed to
-    `_leaf`, and a search without a visitor stops at its first
-    realization; a child in the refuted-state table is charged in one
-    step, or replayed leaf by leaf in a search that logs its leaves; any
-    other is entered as a `_dfs` generator, and recorded in the table
-    when it finishes if the record rules allow (design notes: "Refuted
-    states")."""
+    every node does alike: a child `moves` deep is a leaf, whose
+    realization `_leaf` returns; the loop keeps the first and the node
+    count of the last, for the record rule, and a search without a
+    visitor stops at its first.  A child in the refuted-state table is
+    charged in one step, or replayed leaf by leaf in a search that logs
+    its leaves; any other is entered as a `_dfs` generator, and recorded
+    in the table when it finishes if the record rules allow (design
+    notes: "Refuted states")."""
     counter, table = search.counter, search.table
     dfs, key = search._dfs, search._key
     stop = search.visitor is None
@@ -1054,6 +1043,10 @@ def _run(search) -> bool:
     # yield, exceeds its entry
     entered = [(0, None)]
     last = 0
+    found = None
+    # nodes charged when the last realization was accepted: a subtree
+    # entered at `start` nodes accepted one iff this exceeds start
+    accepted = -1
     try:
         while stack:
             if next(stack[-1], False):
@@ -1062,9 +1055,13 @@ def _run(search) -> bool:
                 # indexes the table
                 height = len(stack)
                 if height == leaf:
-                    search._leaf()
-                    if stop and search.found is not None:
-                        break
+                    rep = search._leaf()
+                    if rep is not None:
+                        if found is None:
+                            found = rep
+                            if stop:
+                                break
+                        accepted = last
                     continue
                 k = None
                 if table and height in table:
@@ -1082,12 +1079,12 @@ def _run(search) -> bool:
             # replays, and is not the root; it has undone its moves, so
             # key() reads its own state
             if (last > start and counter.nodes > RECORD_AFTER and len(stack) > 1
-                    and table is not None and (search.accepted < start or replays)):
+                    and table is not None and (accepted < start or replays)):
                 table.setdefault(len(stack), {})[key() if k is None else k] = (
                     search._entry(start) if replays else counter.nodes - start)
     except _BudgetExhausted:
-        return False
-    return True
+        return found, False
+    return found, True
 
 
 def recognize(g: Graph, family: FamilySelector, budget: Budget) -> SearchOutcome:
@@ -1106,9 +1103,8 @@ def recognize(g: Graph, family: FamilySelector, budget: Budget) -> SearchOutcome
         search = _OrderSearch(core, family, counter)
     else:
         search = _OrderSearch(g, family, counter)
-    exhausted = _run(search)
-    if search.found is not None:
-        cert = search.found
+    cert, exhausted = _run(search)
+    if cert is not None:
         if family.kind == "circular-arc":
             cert = _readd_universal(cert, stripped)
         return member(cert, counter.nodes)
@@ -1143,6 +1139,6 @@ def enumerate_realizations(g: Graph, family: FamilySelector, budget: Budget,
         search = _OrderSearch(g, family, counter, visitor=visitor)
     else:
         raise RecognizeError(f"enumerate_realizations does not handle {family}")
-    complete = _run(search)
+    _, complete = _run(search)
     return Enumeration(complete=complete, count=search.count,
                        nodes_used=counter.nodes)

@@ -308,6 +308,14 @@ def test_family_selector_validation():
         FamilySelector("nope")
 
 
+@pytest.mark.parametrize("x", [2.5, 2.0, True, "2"])
+def test_family_selector_rejects_non_int_x(x):
+    # positions are ints: a float x would reach the placement engine, and
+    # True is an int to isinstance but names no length
+    with pytest.raises(ModelError, match="int x"):
+        FamilySelector("xx", x)
+
+
 def test_contiguity_fixture():
     assert contiguity(k53_balanced_realization()).contiguous
 
