@@ -164,6 +164,12 @@ _CHAIN_JUNCTIONS = {1: "I2", 2: "I1", 3: "I3", 4: "I2", 5: "I1", 6: "I3"}
 
 
 def unbalanced_chain() -> Graph:
+    """The chain of seven K_{5,3} blocks joined by I1, I2 and I3.  Only its
+    fixture realization is unbalanced: the graph itself is balanced.
+    Started 78 into their left block, all six straddles have length 89/4,
+    and that realization passes the balanced check.  So no instance here
+    shows balanced ⊊ 2-interval.  The name stays, as the fixture
+    `unbalanced_chain.json` carries it."""
     vertices = []
     edges = []
     base = k53()

@@ -11,10 +11,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter, itemgetter
 
 from .graphs import Graph
 
 Q = Fraction
+_KEY, _THIRD = attrgetter("_key"), itemgetter(2)  # read in C by the sweeps
 
 
 class ModelError(ValueError):
@@ -46,7 +48,9 @@ def q_str(value: Fraction) -> str:
 class Interval:
     """Interval with per-endpoint closedness.  Degenerate points ([p,p],
     both ends closed) are representable but rejected by every family
-    verifier."""
+    verifier.  `_key`, built with it outside the fields, is (lo, hi, d):
+    each end as the int 4·(value·d) + rank, d the lcm of the ends'
+    denominators (design notes: "Intersection graphs by one sweep")."""
 
     lo: Fraction
     hi: Fraction
@@ -54,11 +58,19 @@ class Interval:
     hi_closed: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", q(self.lo))
-        object.__setattr__(self, "hi", q(self.hi))
-        if self.lo > self.hi:
-            raise ModelError(f"interval with lo > hi: {self}")
-        if self.lo == self.hi and not (self.lo_closed and self.hi_closed):
+        lo, hi = q(self.lo), q(self.hi)
+        d, hi_den = lo.denominator, hi.denominator
+        lo_key, hi_key = lo.numerator, hi.numerator
+        if d != hi_den:
+            d = math.lcm(d, hi_den)
+            lo_key *= d // lo.denominator
+            hi_key *= d // hi_den
+        lo_key = 4 * lo_key + (1 if self.lo_closed else 3)
+        hi_key = 4 * hi_key + (2 if self.hi_closed else 0)
+        self.__dict__.update(lo=lo, hi=hi, _key=(lo_key, hi_key, d))  # frozen
+        if lo_key > hi_key:  # lo > hi, or lo = hi with an open end
+            if lo > hi:
+                raise ModelError(f"interval with lo > hi: {self}")
             raise ModelError("degenerate interval must be closed at both ends")
 
     @property
@@ -66,7 +78,8 @@ class Interval:
         return self.hi - self.lo
 
     def is_degenerate(self) -> bool:
-        return self.lo == self.hi
+        lo, hi, _ = self._key
+        return lo >> 2 == hi >> 2
 
     def contains_point(self, x: Fraction) -> bool:
         x = q(x)
@@ -92,17 +105,27 @@ def open_interval(lo, hi) -> Interval:
     return Interval(q(lo), q(hi), False, False)
 
 
+def _rescale(key: int, m: int) -> int:
+    # a key over d, over d·m (>> and & floor, so negative values keep rank)
+    return (key >> 2) * m << 2 | key & 3
+
+
+def _pair_keys(a: Interval, b: Interval) -> tuple[int, int, int, int]:
+    # the ends of a and b as keys over one denominator
+    a_lo, a_hi, a_den = a._key
+    b_lo, b_hi, b_den = b._key
+    if a_den != b_den:
+        den = math.lcm(a_den, b_den)
+        a_lo, a_hi = _rescale(a_lo, den // a_den), _rescale(a_hi, den // a_den)
+        b_lo, b_hi = _rescale(b_lo, den // b_den), _rescale(b_hi, den // b_den)
+    return a_lo, a_hi, b_lo, b_hi
+
+
 def intersects(a: Interval, b: Interval) -> bool:
-    """True iff some point lies in both intervals, respecting closedness."""
-    if a.lo > b.lo or (a.lo == b.lo and not a.lo_closed and b.lo_closed):
-        a, b = b, a
-    # now a starts no later than b
-    if b.lo > a.hi:
-        return False
-    if b.lo < a.hi:
-        return True
-    # touching at a single point b.lo == a.hi
-    return a.hi_closed and b.lo_closed
+    """True iff some point lies in both intervals, respecting closedness:
+    each starts before the other ends, in the sweep order."""
+    a_lo, a_hi, b_lo, b_hi = _pair_keys(a, b)
+    return a_lo < b_hi and b_lo < a_hi
 
 
 @dataclass(frozen=True)
@@ -113,9 +136,10 @@ class TwoInterval:
     right: Interval
 
     def __post_init__(self):
-        if intersects(self.left, self.right):
+        a_lo, a_hi, b_lo, b_hi = _pair_keys(self.left, self.right)
+        if a_lo < b_hi and b_lo < a_hi:
             raise ModelError(f"2-interval halves intersect: {self.left} {self.right}")
-        if self.left.lo > self.right.lo:
+        if a_lo >> 2 > b_lo >> 2:
             raise ModelError("2-interval not normalized: left.lo > right.lo")
 
     def parts(self) -> tuple[Interval, Interval]:
@@ -127,7 +151,8 @@ class TwoInterval:
 
 def two_interval(a: Interval, b: Interval) -> TwoInterval:
     """Build a TwoInterval from two disjoint intervals in either order."""
-    if (b.lo, not b.lo_closed) < (a.lo, not a.lo_closed):
+    a_lo, _, b_lo, _ = _pair_keys(a, b)
+    if b_lo < a_lo:
         a, b = b, a
     return TwoInterval(a, b)
 
@@ -137,12 +162,12 @@ class Representation:
     built once."""
 
     def __init__(self, items: dict[str, TwoInterval]):
-        self._items = dict(items)
-        self._ground = tuple(
-            (v, side, iv)
-            for v in sorted(self._items)
-            for side, iv in enumerate(self._items[v].parts())
-        )
+        self._items = items = dict(items)
+        ground = []
+        for v in sorted(items):
+            ti = items[v]
+            ground += (v, 0, ti.left), (v, 1, ti.right)
+        self._ground = tuple(ground)
 
     @property
     def items(self) -> dict[str, TwoInterval]:
@@ -173,9 +198,8 @@ class Representation:
     def span(self) -> Interval:
         if not self._items:
             raise ModelError("empty representation has no span")
-        los = [iv.lo for _, _, iv in self.ground_set()]
-        his = [iv.hi for _, _, iv in self.ground_set()]
-        return Interval(min(los), max(his))
+        ground = self._ground
+        return Interval(min(iv.lo for _, _, iv in ground), max(iv.hi for _, _, iv in ground))
 
 
 @dataclass(frozen=True)
@@ -189,8 +213,7 @@ class Arc:
     end_closed: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "start", q(self.start))
-        object.__setattr__(self, "end", q(self.end))
+        self.__dict__.update(start=q(self.start), end=q(self.end))  # frozen
         if self.start == self.end:
             raise ModelError("full-circle arcs are not representable")
 
@@ -251,28 +274,16 @@ class CircularArcRep:
 # --- intersection graphs ---------------------------------------------------
 
 
-def _sweep_keys(ivs) -> tuple[int, list[tuple[int, int, int, int]]]:
-    """The common denominator of the intervals' endpoints, and each interval
-    as (lo, start rank, hi, end rank): its ends as exact integers over that
-    denominator, which sort far faster than Fractions, and the ranks of the
-    sweep order in `_overlaps` (closed start 1, open start 3, open end 0,
-    closed end 2)."""
-    den = 1
-    ends = []  # each endpoint's numerator and denominator, read once
-    for iv in ivs:
-        lo, hi = iv.lo, iv.hi
-        lo_den, hi_den = lo.denominator, hi.denominator
-        if lo_den != 1 or hi_den != 1:
-            den = math.lcm(den, lo_den, hi_den)
-        ends.append((lo.numerator, lo_den, 1 if iv.lo_closed else 3,
-                     hi.numerator, hi_den, 2 if iv.hi_closed else 0))
-    if den == 1:  # integer endpoints need no scaling
-        return 1, [(lo, lo_rank, hi, hi_rank)
-                   for lo, _, lo_rank, hi, _, hi_rank in ends]
-    return den, [
-        (lo * (den // lo_den), lo_rank, hi * (den // hi_den), hi_rank)
-        for lo, lo_den, lo_rank, hi, hi_den, hi_rank in ends
-    ]
+def _sweep_keys(ivs) -> tuple[int, list[tuple[int, int, int]]]:
+    """The common denominator of the intervals' endpoints, and each
+    interval's `_key` over it: ints, which sort far faster than Fractions,
+    in the sweep order of `_overlaps`."""
+    keys = list(map(_KEY, ivs))
+    dens = set(map(_THIRD, keys))
+    if len(dens) < 2:  # the keys share one denominator already
+        return (dens.pop() if dens else 1), keys
+    den = math.lcm(*dens)
+    return den, [(_rescale(lo, den // d), _rescale(hi, den // d), den) for lo, hi, d in keys]
 
 
 def _overlaps(pieces) -> list[tuple]:
@@ -285,13 +296,13 @@ def _overlaps(pieces) -> list[tuple]:
     """
     _, keys = _sweep_keys([iv for _, iv in pieces])
     events = []
-    for i, (lo, lo_rank, hi, hi_rank) in enumerate(keys):
-        events += [(lo, lo_rank, i), (hi, hi_rank, i)]
+    for i, (lo, hi, _) in enumerate(keys):
+        events += (lo, i), (hi, i)
     events.sort()
     active: set[int] = set()
     pairs = []
-    for _, rank, i in events:
-        if rank % 2:  # a start
+    for point, i in events:
+        if point & 1:  # a start
             key = pieces[i][0]
             pairs.extend((pieces[j][0], key) for j in active)
             active.add(i)
@@ -383,10 +394,9 @@ def family_check(rep, family: FamilySelector) -> Verdict:
     if not isinstance(rep, Representation):
         return _fail(f"{family} check expects a Representation")
 
-    for v in rep.labels():
-        for side, iv in zip(("left", "right"), rep[v].parts()):
-            if iv.is_degenerate():
-                return _fail(f"degenerate {side} interval at {v!r}")
+    for v, side, iv in rep.ground_set():
+        if iv.is_degenerate():
+            return _fail(f"degenerate {('left', 'right')[side]} interval at {v!r}")
 
     if family.kind == "2interval":
         return PASS
@@ -420,7 +430,7 @@ def family_check(rep, family: FamilySelector) -> Verdict:
         for v, side, iv in rep.ground_set():
             if iv.lo_closed or iv.hi_closed:
                 return _fail(f"{v!r} has a non-open interval")
-            if iv.lo.denominator != 1 or iv.hi.denominator != 1:
+            if iv._key[2] != 1:
                 return _fail(f"{v!r} has a non-integer endpoint")
             if iv.length != x:
                 return _fail(f"{v!r} has interval of length {q_str(iv.length)} != {x}")
@@ -454,23 +464,21 @@ def contiguity(rep: Representation) -> Contiguity:
     maximal uncovered gaps strictly inside the span."""
     if len(rep) == 0:
         raise ModelError("contiguity undefined for an empty representation")
-    den, items = _sweep_keys([iv for _, _, iv in rep.ground_set()])
-    items.sort()
+    den, keys = _sweep_keys(map(_THIRD, rep._ground))
+    keys.sort()
     holes: list[Interval] = []
-    _, _, cur_hi, cur_rank = items[0]
-    for lo, lo_rank, hi, hi_rank in items[1:]:
+    reach = keys[0][1]
+    for lo, hi, _ in keys:
         # joined unless a gap, or an open start at an open end, comes first
-        if lo < cur_hi or (lo == cur_hi and (lo_rank == 1 or cur_rank == 2)):
-            if (hi, hi_rank) > (cur_hi, cur_rank):
-                cur_hi, cur_rank = hi, hi_rank
-        else:
-            end = Fraction(cur_hi, den)
-            holes.append(
-                Interval(end, Fraction(lo, den), cur_rank == 0, lo_rank == 3)
-                if cur_hi < lo
-                else Interval(end, end)  # single uncovered point
-            )
-            cur_hi, cur_rank = hi, hi_rank
+        if lo - reach < 3:
+            if hi > reach:
+                reach = hi
+            continue
+        # closed where the run or the next start is open: an open start at
+        # an open end leaves one closed point
+        holes.append(Interval(Fraction(reach >> 2, den), Fraction(lo >> 2, den),
+                              reach & 3 == 0, lo & 3 == 3))
+        reach = hi
     return Contiguity(contiguous=not holes, holes=tuple(holes))
 
 
@@ -507,13 +515,11 @@ def normalize(rep: Representation) -> Representation:
             raise ModelError("normalize is defined for the all-closed model only")
         events.append((iv.lo, 0, v, side))
         events.append((iv.hi, 1, v, side))
-    events.sort(key=lambda t: (t[0], t[1], t[2], t[3]))
+    events.sort()
     pos = {(v, side, which): i
            for i, (_, which, v, side) in enumerate(events)}
-    out = {}
-    for v in rep.labels():
-        parts = []
-        for side in (0, 1):
-            parts.append(Interval(q(pos[(v, side, 0)]), q(pos[(v, side, 1)])))
-        out[v] = two_interval(parts[0], parts[1])
-    return Representation(out)
+    return Representation({
+        v: two_interval(*(Interval(q(pos[v, side, 0]), q(pos[v, side, 1]))
+                          for side in (0, 1)))
+        for v in rep.labels()
+    })

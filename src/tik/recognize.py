@@ -61,6 +61,12 @@ DEFAULT_BUDGET_ENV = "TIK_BUDGET_DEFAULT"
 # they save (design notes: "Refuted states")
 RECORD_AFTER = 1000
 
+# an enumeration logs at most this many leaves for its replays (14 bytes
+# a leaf for K5 as xx(2) at 10^7 nodes); past it, it records only the
+# subtrees that accepted no leaf, as a recognition search does (design
+# notes: "Refuted states")
+LEAF_LOG_MAX = 10**6
+
 
 class RecognizeError(ValueError):
     pass
@@ -278,9 +284,9 @@ class _Search:
     read is slower (design notes: "Refuted states").  So state that only
     some searches need lives in class defaults."""
 
-    # the leaves visited, in order, where the engine replays subtrees that
-    # accepted leaves (placement enumerations): the nodes charged at each,
-    # and its positions, 2n per leaf
+    # the first LEAF_LOG_MAX leaves visited, in order, where the engine
+    # replays subtrees that accepted leaves (placement enumerations): the
+    # nodes charged at each, and its positions, 2n per leaf
     stamps = leaves = None
 
     def __init__(self, g: Graph, counter: _Counter, visitor=None):
@@ -355,10 +361,11 @@ class _Search:
 
     def _leaf(self):
         # the leaf's realization, or None; with a visitor, an accepted one
-        # is logged where leaves are logged, then visited and counted
+        # is logged where leaves are logged, until the log is full, then
+        # visited and counted
         rep = self._realize()
         if rep is not None and self.visitor is not None:
-            if self.stamps is not None:
+            if self.stamps is not None and len(self.stamps) < LEAF_LOG_MAX:
                 self.stamps.append(self.counter.nodes)
                 self.leaves.extend(chain.from_iterable(self.pos))
             self.visitor(rep)
@@ -927,7 +934,7 @@ class _XXSearch(_Search):
         # nodes between its leaves where the walk charged them, and visit
         # its logged leaves in order, each moved by this node's last
         # position minus the recorded node's.  The copies this node has
-        # placed keep their own positions
+        # placed keep their own positions.  True iff it visited a leaf
         counter, stamps, leaves = self.counter, self.stamps, self.leaves
         start, stop = divmod(entry, counter.limit + 1)
         first = bisect_right(stamps, start)
@@ -957,6 +964,7 @@ class _XXSearch(_Search):
                 cell[c] = None
         if stop > at:
             counter.charge(stop - at)
+        return first < end
 
     def _realize(self):
         x = self.x
@@ -1025,15 +1033,18 @@ def _run(search):
     visitor stops at its first.  A child in the refuted-state table is
     charged in one step, or replayed leaf by leaf in a search that logs
     its leaves; any other is entered as a `_dfs` generator, and recorded
-    in the table when it finishes if the record rules allow (design
-    notes: "Refuted states")."""
+    in the table when it finishes if the record rules allow: once the log
+    of leaves is full, a subtree that accepted a leaf is not recorded,
+    as its leaves may not all be logged (design notes: "Refuted
+    states")."""
     counter, table = search.counter, search.table
     dfs, key = search._dfs, search._key
     stop = search.visitor is None
     leaf = search.moves + 1
-    # a search that logs its leaves records every node it finishes, and
-    # replays a subtree that comes back; any other records the nodes that
-    # accepted no leaf, and charges such a subtree in one step
+    # a search that logs its leaves records every node it finishes while
+    # its log has room, and replays a subtree that comes back; any other
+    # records the nodes that accepted no leaf, and charges such a subtree
+    # in one step
     replays = search.stamps is not None
     hit = search._replay if replays else counter.charge
     stack = [search.run()]
@@ -1044,8 +1055,8 @@ def _run(search):
     entered = [(0, None)]
     last = 0
     found = None
-    # nodes charged when the last realization was accepted: a subtree
-    # entered at `start` nodes accepted one iff this exceeds start
+    # nodes charged when the last realization was accepted, or replayed:
+    # a subtree entered at `start` nodes accepted one iff this exceeds start
     accepted = -1
     try:
         while stack:
@@ -1068,7 +1079,8 @@ def _run(search):
                     k = key()
                     known = table[height].get(k)
                     if known is not None:
-                        hit(known)  # walked before
+                        if hit(known):  # walked before; a replay visited leaves
+                            accepted = last
                         continue
                 stack.append(dfs())
                 entered.append((last, k))
@@ -1076,10 +1088,11 @@ def _run(search):
             stack.pop()
             start, k = entered.pop()
             # a node that yielded a child, accepted no leaf unless the search
-            # replays, and is not the root; it has undone its moves, so
-            # key() reads its own state
+            # replays and logged all its leaves, and is not the root; it has
+            # undone its moves, so key() reads its own state
             if (last > start and counter.nodes > RECORD_AFTER and len(stack) > 1
-                    and table is not None and (accepted < start or replays)):
+                    and table is not None and (accepted < start or (
+                        replays and len(search.stamps) < LEAF_LOG_MAX))):
                 table.setdefault(len(stack), {})[key() if k is None else k] = (
                     search._entry(start) if replays else counter.nodes - start)
     except _BudgetExhausted:

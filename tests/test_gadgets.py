@@ -97,6 +97,19 @@ def test_unbalanced_chain_fixture_realization():
     assert intersection_graph(rep) == g
 
 
+def test_unbalanced_chain_graph_is_balanced():
+    # the fixture starts each I vertex's second straddle 1/2 early; started
+    # 78 into its left block like the first, every straddle has length 89/4
+    rep = unbalanced_chain_realization().items
+    for iv in ("I1", "I2", "I3"):
+        left, right = rep[iv].parts()
+        rep[iv] = model.two_interval(left, model.Interval(right.hi - left.length, right.hi))
+    rep = model.Representation(rep)
+    assert {rep[iv].right.length for iv in ("I1", "I2", "I3")} == {model.q("89/4")}
+    assert model.family_check(rep, BALANCED).ok
+    assert intersection_graph(rep) == unbalanced_chain()
+
+
 def test_xx_separator_graph():
     inst = xx_separator(2)
     assert inst.graph.n == 38

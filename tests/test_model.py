@@ -406,6 +406,134 @@ def test_contiguity_empty_rejected():
         contiguity(Representation({}))
 
 
+# --- the integer keys against Fraction references -------------------------------
+
+# negative values and denominators 1, 2, 3, 4 and 6 on [-3, 3]: the keys
+# floor with >> and &, and mixed denominators meet over their lcm
+_GRID = sorted({Fraction(k, d) for d in (1, 2, 3, 4, 6) for k in range(-3 * d, 3 * d + 1)})
+
+
+def _grid_interval(rng, lo=None):
+    # every closedness mix, with about one closed point in six
+    lo = rng.choice(_GRID) if lo is None else lo
+    hi = lo if rng.random() < 0.15 else rng.choice(_GRID[_GRID.index(lo):])
+    return Interval(lo, hi) if lo == hi else Interval(lo, hi, rng.random() < 0.5,
+                                                      rng.random() < 0.5)
+
+
+def _construction_error(make):
+    try:
+        make()
+    except ModelError as exc:
+        return str(exc)
+    return None
+
+
+def test_interval_errors_match_fraction_reference():
+    rng = random.Random(2101)
+    seen = set()
+    for _ in range(3000):
+        lo, hi = rng.choice(_GRID), rng.choice(_GRID)
+        if rng.random() < 0.2:
+            hi = lo
+        ends = (rng.random() < 0.5, rng.random() < 0.5)
+        if lo > hi:
+            left, right = "[" if ends[0] else "(", "]" if ends[1] else ")"
+            expected = f"interval with lo > hi: {left}{model.q_str(lo)}, {model.q_str(hi)}{right}"
+        elif lo == hi and not all(ends):
+            expected = "degenerate interval must be closed at both ends"
+        else:
+            expected = None
+        assert _construction_error(lambda: Interval(lo, hi, *ends)) == expected, (lo, hi, ends)
+        seen.add(expected is None or expected[:10])
+    assert len(seen) == 3
+
+
+def _ref_two_interval_error(a, b):
+    if _meets(a, b):
+        return f"2-interval halves intersect: {a} {b}"
+    if a.lo > b.lo:
+        return "2-interval not normalized: left.lo > right.lo"
+    return None
+
+
+def test_interval_pairs_match_fraction_reference():
+    # intersects, TwoInterval's checks and two_interval's order, on pairs
+    # that touch often, mixed denominators and closed points among them
+    rng = random.Random(2102)
+    kinds = {"meet": 0, "disjoint": 0, "touching": 0, "unnormalized": 0}
+    for _ in range(3000):
+        a = _grid_interval(rng)
+        b = _grid_interval(rng, a.hi if rng.random() < 0.25 else None)
+        a, b = rng.sample((a, b), 2)
+        meets = _meets(a, b)
+        assert intersects(a, b) == intersects(b, a) == meets, (a, b)
+        expected = _ref_two_interval_error(a, b)
+        assert _construction_error(lambda: model.TwoInterval(a, b)) == expected, (a, b)
+        left, right = sorted((a, b), key=lambda iv: (iv.lo, not iv.lo_closed))
+        if meets:
+            kinds["meet"] += 1
+            assert _construction_error(lambda: two_interval(a, b)) == (
+                _ref_two_interval_error(left, right))
+            continue
+        kinds["disjoint"] += 1
+        kinds["touching"] += a.hi == b.lo or b.hi == a.lo
+        kinds["unnormalized"] += expected is not None
+        ti = two_interval(a, b)
+        assert (ti.left, ti.right) == (left, right)
+        assert ti == two_interval(b, a)
+    assert min(kinds.values()) >= 100, kinds
+
+
+def _grid_rep(rng, n):
+    items = {}
+    while len(items) < n:
+        try:
+            items[f"v{len(items)}"] = two_interval(_grid_interval(rng), _grid_interval(rng))
+        except ModelError:  # the two pieces meet
+            continue
+    return Representation(items)
+
+
+def test_sweeps_match_fraction_reference():
+    # contiguity's holes and the intersection graph over mixed denominators
+    rng = random.Random(2103)
+    holes = 0
+    for _ in range(400):
+        rep = _grid_rep(rng, rng.randint(1, 5))
+        got = contiguity(rep)
+        assert got == _reference_contiguity(rep), rep.items
+        holes += len(got.holes)
+        assert intersection_graph(rep) == _pairwise_graph(rep), rep.items
+    assert holes >= 100
+
+
+def test_interval_key_is_no_field():
+    import copy
+    import dataclasses
+    import pickle
+
+    iv = Interval(Fraction(-1, 2), Fraction(2, 3), True, False)
+    assert [f.name for f in dataclasses.fields(iv)] == ["lo", "hi", "lo_closed", "hi_closed"]
+    assert dataclasses.asdict(iv) == {"lo": Fraction(-1, 2), "hi": Fraction(2, 3),
+                                      "lo_closed": True, "hi_closed": False}
+    assert repr(iv) == ("Interval(lo=Fraction(-1, 2), hi=Fraction(2, 3), "
+                        "lo_closed=True, hi_closed=False)")
+    same = Interval(q("-2/4"), q("4/6"), True, False)
+    assert iv == same and hash(iv) == hash(same)
+    assert hash(iv) == hash((iv.lo, iv.hi, iv.lo_closed, iv.hi_closed))
+    assert iv != Interval(iv.lo, iv.hi, True, True)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        iv.lo = q(0)
+    # ints become Fractions, and the copies keep a key that still works
+    assert type(Interval(1, 2).lo) is Fraction
+    other = Interval(q(0), q("2/3"))
+    for twin in (copy.copy(iv), copy.deepcopy(iv), pickle.loads(pickle.dumps(iv))):
+        assert twin == iv and twin._key == iv._key
+        assert intersects(twin, other) == intersects(iv, other) is True
+        assert not intersects(twin, Interval(q("2/3"), q(1)))
+
+
 def test_affine_identity_and_graph_preservation():
     rng = random.Random(29)
     for _ in range(60):

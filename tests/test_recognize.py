@@ -889,6 +889,44 @@ def test_record_policy_table_sizes(monkeypatch):
     assert sizes == [142, 2_587, 28, 6_360]
 
 
+def test_leaf_log_cap_keeps_enumerations_exact(monkeypatch):
+    # once an enumeration's log holds LEAF_LOG_MAX leaves it logs no more
+    # and records only the subtrees that accepted no leaf, leaves replayed
+    # from older records included; the records made before stay exact, so
+    # the C2 audit visits the same leaves in the same order, and budget cuts
+    # stop at the same node, with the log cut to 100 leaves
+    from tik import recognize as engine
+
+    run = engine._run
+
+    def audit(budget):
+        searches, seen = [], []
+
+        def capture(search):
+            searches.append(search)
+            return run(search)
+
+        with monkeypatch.context() as m:
+            m.setattr(engine, "_run", capture)
+            out = enumerate_realizations(
+                k44_minus_e(), XX(2), budget,
+                lambda rep: seen.append(tuple(rep[v] for v in rep.labels())))
+        return (out.complete, out.count, out.nodes_used), seen, searches[0]
+
+    full, full_seen, search = audit(BIG)
+    assert len(search.stamps) == 6_336
+    monkeypatch.setattr(engine, "LEAF_LOG_MAX", 100)
+    capped, seen, search = audit(BIG)
+    assert capped == full == (True, 6_336, 395_809)
+    assert seen == full_seen
+    assert len(search.stamps) == 100 and len(search.leaves) == 100 * 2 * search.n
+    for b in (5_000, 123_457, 300_001):
+        monkeypatch.setattr(engine, "LEAF_LOG_MAX", 10**6)
+        expected = audit(Budget(b))[:2]
+        monkeypatch.setattr(engine, "LEAF_LOG_MAX", 100)
+        assert audit(Budget(b))[:2] == expected, b
+
+
 def test_engines_keep_compact_instance_dicts():
     # CPython 3.11 keeps an instance's attributes in a compact shared-key
     # layout only while it has fewer than 30, and reads each more slowly

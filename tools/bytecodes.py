@@ -1,9 +1,10 @@
 """Opcode counts of a fixed list of searches, a work measure that does not
 vary from run to run.
 
-Runs each search below under `sys.settrace` with `f_trace_opcodes` set on
-every frame and prints the number of bytecode instructions the
-interpreter executed for it, with the search's answer and node count:
+Runs each search below, and one intersection graph, under `sys.settrace`
+with `f_trace_opcodes` set on every frame and prints the number of
+bytecode instructions the interpreter executed for it, with its answer
+(a search's node count among it):
 
     PYTHONPATH=src python3 tools/bytecodes.py
 
@@ -13,15 +14,23 @@ version, so two versions of the search loop compare by them.  To count
 another version, point PYTHONPATH at its `src`.  The counts include
 the work a search hands to other modules (its set-up, certificates) but
 not the time spent inside C functions, so they size interpreter work,
-not wall time.  All twelve searches take about 20 s traced.
+not wall time.  All fourteen lines take about 30 s traced.
 """
 
 from __future__ import annotations
 
 import sys
 
-from tik.gadgets import k44_minus_e, xx_separator
-from tik.graphs import complement, complete_bipartite, cycle, path, petersen, wheel
+from tik.gadgets import hamiltonicity_expansion, k44_minus_e, xx_separator
+from tik.graphs import (
+    Graph,
+    complement,
+    complete_bipartite,
+    cycle,
+    path,
+    petersen,
+    wheel,
+)
 from tik.model import (
     CIRCULAR_ARC,
     INTERVAL_CLASS,
@@ -29,8 +38,11 @@ from tik.model import (
     UNIT,
     UNIT_INTERVAL,
     XX,
+    contiguity,
+    intersection_graph,
 )
 from tik.recognize import Budget, enumerate_realizations, recognize
+from tik.reductions import find_hamiltonian_cycle, ham_cycle_realization
 
 
 def _recognition(g, family, budget):
@@ -40,16 +52,33 @@ def _recognition(g, family, budget):
     return call
 
 
-def _enumeration(g, family, budget):
+def _enumeration(g, family, budget, visitor=lambda rep: None):
     def call():
-        out = enumerate_realizations(g, family, Budget(budget), lambda rep: None)
+        out = enumerate_realizations(g, family, Budget(budget), visitor)
         return f"complete={out.complete} count={out.count} nodes={out.nodes_used}"
     return call
 
 
+def _prism_witness_graph():
+    # the balanced realization of prism(30)'s Hamiltonicity expansion, 565
+    # vertices, is built untraced; only its intersection graph is counted
+    k = 30
+    a = [f"a{i}" for i in range(k)]
+    b = [f"b{i}" for i in range(k)]
+    prism = Graph.build(a + b, [(x[i], x[(i + 1) % k]) for x in (a, b)
+                                for i in range(k)] + list(zip(a, b)))
+    rep = ham_cycle_realization(hamiltonicity_expansion(prism),
+                                find_hamiltonian_cycle(prism))
+
+    def call():
+        g = intersection_graph(rep)
+        return f"vertices={g.n} edges={len(g.edges)}"
+    return call
+
+
 def searches():
-    """(name, call) pairs; each call runs one search and describes its
-    answer."""
+    """(name, call) pairs; each call runs one search (the last, one
+    intersection graph) and describes its answer."""
     return (
         ("wheel(7)/unit 10^5", _recognition(wheel(7), UNIT, 10**5)),
         ("wheel(9)/unit 10^5", _recognition(wheel(9), UNIT, 10**5)),
@@ -62,12 +91,16 @@ def searches():
         ("co-C8/circular-arc", _recognition(complement(cycle(8)), CIRCULAR_ARC, 10**7)),
         ("K4,4-e xx(2) enumeration 10^5", _enumeration(k44_minus_e(), XX(2), 10**5)),
         ("K4,4-e xx(2) enumeration (C2 audit)", _enumeration(k44_minus_e(), XX(2), 10**8)),
+        # the same leaves, each checked for holes: the leaf kernel
+        ("K4,4-e xx(2) enumeration + contiguity (C2 audit)",
+         _enumeration(k44_minus_e(), XX(2), 10**8, contiguity)),
         # long words: the leaf certificates weigh here
         ("path(300)/interval", _recognition(path(300), INTERVAL_CLASS, 10**7)),
         ("path(300)/unit-interval", _recognition(path(300), UNIT_INTERVAL, 10**7)),
         ("path(60)/unit", _recognition(path(60), UNIT, 10**7)),
         # non-FIFO opens of a vertex's second slot
         ("path(300)/2interval", _recognition(path(300), TWO_INTERVAL, 10**7)),
+        ("prism(30) witness intersection_graph", _prism_witness_graph()),
     )
 
 
@@ -96,7 +129,7 @@ def count_opcodes(call):
 def main() -> int:
     for name, call in searches():
         opcodes, answer = count_opcodes(call)
-        print(f"{name:40s} {opcodes:>12,d}  {answer}", flush=True)
+        print(f"{name:48s} {opcodes:>12,d}  {answer}", flush=True)
     return 0
 
 
