@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import Graph, GraphError, complete_bipartite
-from .model import Interval, Representation, q, two_interval
+from .graphs import Graph, GraphError, complete_bipartite, is_triangle_free_3regular
+from .model import Interval, Representation, TwoInterval, q, two_interval
 
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
@@ -30,11 +30,10 @@ def k44_minus_e() -> Graph:
     return Graph.build(g.vertices, edges)
 
 
-def _rep(items: dict[str, tuple]) -> Representation:
-    out = {}
-    for v, (a, b, c, d) in items.items():
-        out[v] = two_interval(Interval(q(a), q(b)), Interval(q(c), q(d)))
-    return Representation(out)
+def _prefixed(prefix: str, block: Graph) -> Graph:
+    """The block with every label v written prefix:v, in the same order."""
+    return Graph.build([f"{prefix}:{v}" for v in block.vertices],
+                       [(f"{prefix}:{u}", f"{prefix}:{w}") for u, w in block.edges])
 
 
 # The balanced K_{5,3} layout: the six length-11 intervals of t1..t3 form a
@@ -56,7 +55,7 @@ _K53_LAYOUT = {
 def k53_balanced_realization() -> Representation:
     """Balanced, contiguous realization of K_{5,3}: s-side lengths 7,
     t-side lengths 11, total span 79."""
-    return _rep(_K53_LAYOUT)
+    return Representation(k53_block("", 0))
 
 
 # the layout's quadruples as Fractions, built once: k53_block only moves them
@@ -65,11 +64,12 @@ _K53_SPAN = q(79)
 
 
 def k53_block(prefix: str, offset, scale=1, mirror: bool = False,
-              left_overhang: bool = False) -> dict[str, tuple]:
-    """Interval quadruples of the K_{5,3} layout, optionally mirrored
-    (so s1's extremal interval sits at the block's left edge), scaled and
-    shifted.  With left_overhang, s2's first interval is slid out past the
-    left edge, giving the block s-owned extremities on both sides."""
+              left_overhang: bool = False) -> dict[str, TwoInterval]:
+    """The 2-intervals of the K_{5,3} layout, labelled prefix:v (v for an
+    empty prefix), optionally mirrored (so s1's extremal interval sits at
+    the block's left edge), scaled and shifted.  With left_overhang, s2's
+    first interval is slid out past the left edge, giving the block
+    s-owned extremities on both sides."""
     offset, scale = q(offset), q(scale)
     items = {}
     for v, quad in _K53_QUADS.items():
@@ -79,7 +79,8 @@ def k53_block(prefix: str, offset, scale=1, mirror: bool = False,
             quad = tuple(_K53_SPAN - e for e in reversed(quad))
         if scale != 1:  # most blocks are unscaled
             quad = tuple(scale * e for e in quad)
-        items[f"{prefix}:{v}"] = tuple(e + offset for e in quad)
+        a, b, c, d = (e + offset for e in quad)
+        items[f"{prefix}:{v}" if prefix else v] = TwoInterval(Interval(a, b), Interval(c, d))
     return items
 
 
@@ -144,13 +145,6 @@ def degree4_anchor_pair(gadget: Graph) -> tuple[str, str]:
     raise GraphError("gadget has no adjacent degree-4 pair")
 
 
-def _prefixed_k44e(prefix: str) -> Graph:
-    base = k44_minus_e()
-    vs = [f"{prefix}:{v}" for v in base.vertices]
-    es = [(f"{prefix}:{u}", f"{prefix}:{w}") for u, w in base.edges]
-    return Graph.build(vs, es)
-
-
 # --- unbalanced chain --------------------------------------------------------
 
 # Seven K_{5,3} blocks B1..B7 in a row; three extra vertices I1,I2,I3 whose
@@ -174,8 +168,9 @@ def unbalanced_chain() -> Graph:
     edges = []
     base = k53()
     for i in range(1, 8):
-        vertices.extend(f"B{i}:{v}" for v in base.vertices)
-        edges.extend((f"B{i}:{u}", f"B{i}:{w}") for u, w in base.edges)
+        block = _prefixed(f"B{i}", base)
+        vertices.extend(block.vertices)
+        edges.extend(block.edges)
     vertices.extend(["I1", "I2", "I3"])
     for j, iv in _CHAIN_JUNCTIONS.items():
         edges.append((iv, f"B{j}:s1"))
@@ -186,9 +181,7 @@ def unbalanced_chain() -> Graph:
 def unbalanced_chain_realization() -> Representation:
     rep = {}
     for i in range(1, 8):
-        for v, quad in k53_block(f"B{i}", 100 * (i - 1)).items():
-            rep[v] = two_interval(Interval(quad[0], quad[1]),
-                                  Interval(quad[2], quad[3]))
+        rep.update(k53_block(f"B{i}", 100 * (i - 1)))
     straddles: dict[str, list] = {"I1": [], "I2": [], "I3": []}
     for j in sorted(_CHAIN_JUNCTIONS):
         iv = _CHAIN_JUNCTIONS[j]
@@ -232,7 +225,7 @@ def xx_separator(x: int) -> XxSeparatorInstance:
 
     blocks = {}
     for j in range(1, 5):
-        blk = _prefixed_k44e(f"X{j}")
+        blk = _prefixed(f"X{j}", k44_minus_e())
         blocks[j] = blk
         vertices.extend(blk.vertices)
         edges.extend(blk.edges)
@@ -316,7 +309,7 @@ def c4_anchored() -> Graph:
     vertices = [f"v{i}" for i in range(1, 5)]
     edges = [("v1", "v2"), ("v2", "v3"), ("v3", "v4"), ("v1", "v4")]
     for i in range(1, 5):
-        blk = _prefixed_k44e(f"X{i}")
+        blk = _prefixed(f"X{i}", k44_minus_e())
         vertices.extend(blk.vertices)
         edges.extend(blk.edges)
         for w in degree4_anchor_pair(blk):
@@ -339,16 +332,7 @@ class HamiltonicityInstance:
     roles: dict
 
 
-def _k53_prefixed(prefix: str) -> tuple[list[str], list[tuple[str, str]]]:
-    base = k53()
-    vs = [f"{prefix}:{v}" for v in base.vertices]
-    es = [(f"{prefix}:{u}", f"{prefix}:{w}") for u, w in base.edges]
-    return vs, es
-
-
 def hamiltonicity_expansion(g: Graph) -> HamiltonicityInstance:
-    from .graphs import is_triangle_free_3regular
-
     if g.n == 0:
         raise GraphError("expansion needs a nonempty base graph")
     if not is_triangle_free_3regular(g):
@@ -365,10 +349,11 @@ def hamiltonicity_expansion(g: Graph) -> HamiltonicityInstance:
     edges = list(g.edges)
 
     m_anchor = {}
+    base = k53()
     for u in order:
-        vs, es = _k53_prefixed(f"M({u})")
-        vertices.extend(vs)
-        edges.extend(es)
+        block = _prefixed(f"M({u})", base)
+        vertices.extend(block.vertices)
+        edges.extend(block.edges)
         m_anchor[u] = f"M({u}):s1"
         edges.append((u, m_anchor[u]))
 
@@ -376,20 +361,20 @@ def hamiltonicity_expansion(g: Graph) -> HamiltonicityInstance:
     for u in order:
         edges.append((u, "z"))
     # z reaches the whole block M(v_0) and no other M block
-    for w in sorted(k53().vertices):
+    for w in sorted(base.vertices):
         edges.append(("z", f"M({v0}):{w}"))
 
     for name in ("H1", "H2", "H3"):
-        vs, es = _k53_prefixed(name)
-        vertices.extend(vs)
-        edges.extend(es)
+        block = _prefixed(name, base)
+        vertices.extend(block.vertices)
+        edges.extend(block.edges)
     # H1 hosts z at its right extremity (s1) and inside the hole covered
     # by s3; its left extremity (s2) hooks onto H2's extremal vertex s1
     edges.append(("z", "H1:s1"))
     edges.append(("z", "H1:s3"))
     edges.append(("H1:s2", "H2:s1"))
     edges.append(("z", "H3:s1"))
-    for w in sorted(k53().vertices):
+    for w in sorted(base.vertices):
         edges.append((v0, f"H3:{w}"))
 
     roles = {

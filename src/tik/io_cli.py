@@ -325,7 +325,7 @@ def _cmd_verify(args, out, err) -> int:
 
 
 def _cmd_recognize(args, out, err) -> int:
-    g = graphs.from_edge_list(_read_input(args.input))
+    g = parse_graph(_read_input(args.input))
     family = _family_from_args(args)
     budget = _budget_from_args(args)
     outcome = recognize.recognize(g, family, budget)
@@ -374,7 +374,7 @@ def _cmd_transform(args, out, err) -> int:
 
 
 def _cmd_reduce(args, out, err) -> int:
-    g = graphs.from_edge_list(_read_input(args.input))
+    g = parse_graph(_read_input(args.input))
     if args.op == "hc-balanced":
         inst = reductions.hc_to_balanced_instance(g)
         out.write(graphs.to_edge_list(inst.graph))
@@ -402,7 +402,7 @@ def _cmd_reduce(args, out, err) -> int:
 
 
 def _cmd_check(args, out, err) -> int:
-    g = graphs.from_edge_list(_read_input(args.input))
+    g = parse_graph(_read_input(args.input))
     if args.op == "all-k-simplicial":
         if args.k is None:
             raise FormatError("all-k-simplicial needs --k")
@@ -426,7 +426,7 @@ def _cmd_check(args, out, err) -> int:
 
 def _cmd_render(args, out, err) -> int:
     if args.what == "dot":
-        out.write(emit_dot(graphs.from_edge_list(_read_input(args.input))))
+        out.write(emit_dot(parse_graph(_read_input(args.input))))
         return EXIT_YES
     if args.what == "svg":
         rep = parse_representation(_read_input(args.input))

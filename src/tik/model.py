@@ -128,6 +128,13 @@ def intersects(a: Interval, b: Interval) -> bool:
     return a_lo < b_hi and b_lo < a_hi
 
 
+def within(a: Interval, b: Interval) -> bool:
+    """True iff a ⊆ b, respecting closedness: a starts no earlier and ends
+    no later than b, in the sweep order."""
+    a_lo, a_hi, b_lo, b_hi = _pair_keys(a, b)
+    return b_lo <= a_lo and a_hi <= b_hi
+
+
 @dataclass(frozen=True)
 class TwoInterval:
     """Union of two disjoint intervals, normalized so left.lo <= right.lo."""
@@ -274,7 +281,7 @@ class CircularArcRep:
 # --- intersection graphs ---------------------------------------------------
 
 
-def _sweep_keys(ivs) -> tuple[int, list[tuple[int, int, int]]]:
+def sweep_keys(ivs) -> tuple[int, list[tuple[int, int, int]]]:
     """The common denominator of the intervals' endpoints, and each
     interval's `_key` over it: ints, which sort far faster than Fractions,
     in the sweep order of `_overlaps`."""
@@ -294,7 +301,7 @@ def _overlaps(pieces) -> list[tuple]:
     start: the order of x - eps, x, x, x + eps with starts before ends at x.
     So two intervals meet iff one starts while the other is active.
     """
-    _, keys = _sweep_keys([iv for _, iv in pieces])
+    _, keys = sweep_keys([iv for _, iv in pieces])
     events = []
     for i, (lo, hi, _) in enumerate(keys):
         events += (lo, i), (hi, i)
@@ -464,7 +471,7 @@ def contiguity(rep: Representation) -> Contiguity:
     maximal uncovered gaps strictly inside the span."""
     if len(rep) == 0:
         raise ModelError("contiguity undefined for an empty representation")
-    den, keys = _sweep_keys(map(_THIRD, rep._ground))
+    den, keys = sweep_keys(map(_THIRD, rep._ground))
     keys.sort()
     holes: list[Interval] = []
     reach = keys[0][1]

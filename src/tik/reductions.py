@@ -79,22 +79,16 @@ def ham_cycle_realization(inst: HamiltonicityInstance, cycle) -> Representation:
     matching = _cycle_matching(base, cyc)
 
     d = q(165 + 2 * n)
-    quads: dict[str, tuple] = {}
-
     # H1 dilated by d, with s-owned extremities on both sides
-    quads.update(k53_block("H1", 0, scale=d, left_overhang=True))
+    items: dict[str, object] = k53_block("H1", 0, scale=d, left_overhang=True)
     # H2 pokes H1's left extremity
-    quads.update(k53_block("H2", -HALF * d - 78))
+    items.update(k53_block("H2", -HALF * d - 78))
 
     e_end = 79 * d + q(2 * n) + Fraction(325, 2)  # right end of z's interval
     # M(v_0) sits wholly inside z's second interval
-    quads.update(k53_block(f"M({v0})", 79 * d + HALF))
+    items.update(k53_block(f"M({v0})", 79 * d + HALF))
     # H3 mirrored so its extremal s1 interval pokes z's right end
-    quads.update(k53_block("H3", e_end - HALF, mirror=True))
-
-    items: dict[str, object] = {}
-    for v, (a, b, c, dd) in quads.items():
-        items[v] = two_interval(Interval(a, b), Interval(c, dd))
+    items.update(k53_block("H3", e_end - HALF, mirror=True))
 
     items["z"] = two_interval(
         Interval(11 * d + 1, 12 * d - 1),
@@ -119,18 +113,14 @@ def ham_cycle_realization(inst: HamiltonicityInstance, cycle) -> Representation:
     rights: dict[str, Interval] = {}
     m0 = next(w for e in matching for w in e if v0 in e and w != v0)
     rights[m0] = Interval(e_end + Fraction(163, 2), e_end + Fraction(169, 2))
-    quads_m0 = k53_block(f"M({m0})", e_end + 84, mirror=True)
-    for v, (a, b, c, dd) in quads_m0.items():
-        items[v] = two_interval(Interval(a, b), Interval(c, dd))
+    items.update(k53_block(f"M({m0})", e_end + 84, mirror=True))
 
     pos = e_end + 164
     for a, b in matching:
         if v0 in (a, b):
             continue
-        quads_pair = k53_block(f"M({a})", pos)
-        quads_pair.update(k53_block(f"M({b})", pos + 83, mirror=True))
-        for v, (qa, qb, qc, qd) in quads_pair.items():
-            items[v] = two_interval(Interval(qa, qb), Interval(qc, qd))
+        items.update(k53_block(f"M({a})", pos))
+        items.update(k53_block(f"M({b})", pos + 83, mirror=True))
         rights[a] = Interval(pos + 78, pos + 81)
         rights[b] = Interval(pos + Fraction(161, 2), pos + Fraction(167, 2))
         pos += 163

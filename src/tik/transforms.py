@@ -26,7 +26,9 @@ from .model import (
     family_check,
     intersects,
     q,
+    sweep_keys,
     two_interval,
+    within,
 )
 
 class TransformError(ValueError):
@@ -118,15 +120,16 @@ def balanced_from_circular_arc(ca: CircularArcRep, p) -> Representation:
 
 def _assert_proper(intervals: dict) -> list:
     """The keys in proper order, or TransformError on a containment.  After
-    sorting by (lo, hi), no interval contains another iff lo and hi both
-    strictly rise; a first failure is a containment between neighbors."""
-    order = sorted(intervals, key=lambda v: (intervals[v].lo, intervals[v].hi, v))
-    for u, w in zip(order, order[1:]):
-        a, b = intervals[u], intervals[w]
-        if not (a.lo < b.lo and a.hi < b.hi):
+    sorting by the sweep keys of (lo, hi), no interval contains another iff
+    lo and hi both strictly rise; a first failure is a containment between
+    neighbors."""
+    _, keys = sweep_keys(intervals.values())
+    ranked = sorted(zip(keys, intervals))
+    for ((a_lo, a_hi, _), u), ((b_lo, b_hi, _), w) in zip(ranked, ranked[1:]):
+        if not (a_lo < b_lo and a_hi < b_hi):
             u, w = sorted((u, w))
             raise TransformError(f"containment between {u!r} and {w!r}")
-    return order
+    return [v for _, v in ranked]
 
 
 def proper_circular_arc_check(ca: CircularArcRep) -> None:
@@ -153,28 +156,11 @@ def proper_circular_arc_check(ca: CircularArcRep) -> None:
 
 
 def _arc_contains_arc(a: Arc, b: Arc, c: Fraction) -> bool:
+    """b ⊆ a: each piece of b lies within one piece of a.  A piece is an
+    interval and a's pieces are disjoint on [0, C], so a piece inside
+    their union lies inside one of them."""
     segs_a = a.segments(c)
-    for seg in b.segments(c):
-        remaining = [seg]
-        for sa in segs_a:
-            nxt = []
-            for piece in remaining:
-                nxt.extend(_interval_minus(piece, sa))
-            remaining = nxt
-        if remaining:
-            return False
-    return True
-
-
-def _interval_minus(piece: Interval, cover: Interval) -> list[Interval]:
-    if not intersects(piece, cover):
-        return [piece]
-    out = []
-    if piece.lo < cover.lo or (piece.lo == cover.lo and piece.lo_closed and not cover.lo_closed):
-        out.append(Interval(piece.lo, cover.lo, piece.lo_closed, not cover.lo_closed))
-    if cover.hi < piece.hi or (cover.hi == piece.hi and piece.hi_closed and not cover.hi_closed):
-        out.append(Interval(cover.hi, piece.hi, not cover.hi_closed, piece.hi_closed))
-    return out
+    return all(any(within(seg, sa) for sa in segs_a) for seg in b.segments(c))
 
 
 def unit_from_proper_circular_arc(ca: CircularArcRep, p) -> Representation:
@@ -192,16 +178,20 @@ def unit_from_proper_circular_arc(ca: CircularArcRep, p) -> Representation:
 
     ground: dict[tuple[str, int], Interval] = {}
     # heads all start at the segment's left end: extend outward (left), the
-    # piece with the smallest interior end reaching furthest out so that no
-    # head contains another
-    heads = sorted(through, key=lambda v: (through[v][0].hi, v))
+    # piece with the earliest interior end in the sweep order reaching
+    # furthest out so that no head contains another
+    _, keys = sweep_keys([head for head, _ in through.values()])
+    his = dict(zip(through, (hi for _, hi, _ in keys)))
+    heads = sorted(through, key=his.get)
     for idx, v in enumerate(heads):
         head = through[v][0]
         reach = len(heads) - idx
         ground[(v, 0)] = Interval(
             head.lo - reach * step, head.hi, head.lo_closed, head.hi_closed
         )
-    tails = sorted(through, key=lambda v: (through[v][1].lo, v))
+    _, keys = sweep_keys([tail for _, tail in through.values()])
+    los = dict(zip(through, (lo for lo, _, _ in keys)))
+    tails = sorted(through, key=los.get)
     for rank, v in enumerate(tails, start=1):
         tail = through[v][1]
         ground[(v, 1)] = Interval(

@@ -195,6 +195,24 @@ def is_interval_graph_oracle(g: Graph) -> bool:
     return False
 
 
+def _sample_points(a: Interval, b: Interval) -> list:
+    # the ends of a and b and the midpoints of consecutive ends: membership
+    # in either interval is constant between two consecutive ends
+    pts = sorted({a.lo, a.hi, b.lo, b.hi})
+    return pts + [(x + y) / 2 for x, y in zip(pts, pts[1:])]
+
+
+def meets_pointcheck(a: Interval, b: Interval) -> bool:
+    """Two intervals meet iff one of their endpoints, or the midpoint of
+    two consecutive endpoints, lies in both."""
+    return any(a.contains_point(x) and b.contains_point(x) for x in _sample_points(a, b))
+
+
+def within_pointcheck(a: Interval, b: Interval) -> bool:
+    """a ⊆ b iff every such point that lies in a lies in b."""
+    return all(b.contains_point(x) for x in _sample_points(a, b) if a.contains_point(x))
+
+
 def circular_graph_pointcheck(ca: CircularArcRep) -> Graph:
     """Intersection graph by direct point membership: two arcs meet iff
     they share an arc endpoint or the midpoint of a gap between

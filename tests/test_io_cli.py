@@ -9,7 +9,7 @@ import pytest
 
 from conftest import mixed_star_rep, random_circular_rep, random_closed_rep, random_graph
 import tik
-from tik import model
+from tik import io_cli, model
 from tik.gadgets import k53_balanced_realization
 from tik.graphs import complete_bipartite, path, to_edge_list
 from tik.io_cli import (
@@ -27,7 +27,7 @@ from tik.io_cli import (
     parse_representation,
     representation_to_json,
 )
-from tik.model import BALANCED
+from tik.model import BALANCED, UNIT
 
 
 def run_cli(argv):
@@ -52,6 +52,26 @@ def test_parse_graph_does_not_read_a_named_file(tmp_path, monkeypatch):
     g = parse_graph("g.edges")
     assert g.vertices == ("g.edges",)
     assert not g.edges
+
+
+@pytest.mark.parametrize("argv", [
+    ["recognize", "--family", "interval"],
+    ["reduce", "coloring-simplicial", "--k", "2"],
+    ["check", "k-colorable", "--k", "2"],
+    ["render", "dot"],
+])
+def test_cli_reads_graphs_through_parse_graph(tmp_path, monkeypatch, argv):
+    texts = []
+
+    def spy(text):
+        texts.append(text)
+        return parse_graph(text)
+
+    monkeypatch.setattr(io_cli, "parse_graph", spy)
+    path = tmp_path / "p3.edges"
+    path.write_text("a b\nb c\n")
+    code, _, _ = run_cli(argv + [str(path)])
+    assert code == EXIT_YES and texts == ["a b\nb c\n"]
 
 
 def test_representation_roundtrip_fixture():
@@ -182,6 +202,31 @@ def test_cli_transform_pipeline(tmp_path):
     assert code == EXIT_YES
     rep = parse_representation(out)
     assert model.family_check(rep, BALANCED).ok
+
+
+def test_cli_ca_to_unit_mixed_closedness(tmp_path):
+    # proper: a = (4, 1] and c = (3, 1) have heads [0, 1] and [0, 1) at the
+    # cut, which the sweep order, not the labels, must order
+    ca = {
+        "circumference": "6",
+        "arcs": {
+            "a": {"start": "4", "end": "1", "start_closed": False, "end_closed": True},
+            "b": {"start": "2", "end": "3", "start_closed": True, "end_closed": True},
+            "c": {"start": "3", "end": "1", "start_closed": False, "end_closed": False},
+        },
+    }
+    ca_path = tmp_path / "mixed.json"
+    ca_path.write_text(json.dumps(ca))
+    code, out, err = run_cli(["transform", "ca-to-unit", str(ca_path)])
+    assert code == EXIT_YES, err
+    rep = parse_representation(out)
+    assert model.family_check(rep, UNIT).ok
+    assert model.intersection_graph(rep) == model.circular_intersection_graph(
+        parse_representation(json.dumps(ca)))
+    unit_path = tmp_path / "unit.json"
+    unit_path.write_text(out)
+    code, out, _ = run_cli(["verify", "--family", "unit", str(unit_path)])
+    assert (code, out) == (EXIT_YES, "pass\n")
 
 
 def test_cli_verify_unit_rejects_mixed_closedness(tmp_path):

@@ -5,9 +5,11 @@ import pytest
 
 from conftest import (
     circular_graph_pointcheck,
+    meets_pointcheck,
     mixed_star_rep,
     random_circular_rep,
     random_closed_rep,
+    within_pointcheck,
 )
 from tik import model, transforms
 from tik.gadgets import k44e_22_realization, k53, k53_balanced_realization
@@ -38,6 +40,7 @@ from tik.model import (
     open_interval,
     q,
     two_interval,
+    within,
 )
 from tik.recognize import Budget, recognize
 
@@ -140,25 +143,17 @@ def test_circular_intersection_graph_matches_pointcheck():
 # --- the endpoint sweep against pairwise references ---------------------------
 
 
-def _meets(a: Interval, b: Interval) -> bool:
-    """Pairwise reference: two intervals meet iff one of their endpoints, or
-    the midpoint of two consecutive endpoints, lies in both."""
-    pts = sorted({a.lo, a.hi, b.lo, b.hi})
-    cands = pts + [(x + y) / 2 for x, y in zip(pts, pts[1:])]
-    return any(a.contains_point(x) and b.contains_point(x) for x in cands)
-
-
 def _pairwise_graph(rep: Representation) -> Graph:
     labels = rep.labels()
     return Graph.build(labels, [
         (u, v) for i, u in enumerate(labels) for v in labels[i + 1:]
-        if any(_meets(p, r) for p in rep[u].parts() for r in rep[v].parts())
+        if any(meets_pointcheck(p, r) for p in rep[u].parts() for r in rep[v].parts())
     ])
 
 
 def _pairwise_padding(rep: Representation) -> Verdict:
     for v in rep.labels():
-        if any(_meets(rep[v].right, iv)
+        if any(meets_pointcheck(rep[v].right, iv)
                for w, side, iv in rep.ground_set() if (w, side) != (v, 1)):
             return Verdict(False, f"right interval of {v!r} is not pure padding")
     return Verdict(True)
@@ -450,7 +445,7 @@ def test_interval_errors_match_fraction_reference():
 
 
 def _ref_two_interval_error(a, b):
-    if _meets(a, b):
+    if meets_pointcheck(a, b):
         return f"2-interval halves intersect: {a} {b}"
     if a.lo > b.lo:
         return "2-interval not normalized: left.lo > right.lo"
@@ -458,16 +453,19 @@ def _ref_two_interval_error(a, b):
 
 
 def test_interval_pairs_match_fraction_reference():
-    # intersects, TwoInterval's checks and two_interval's order, on pairs
-    # that touch often, mixed denominators and closed points among them
+    # intersects, within, TwoInterval's checks and two_interval's order, on
+    # pairs that touch often, mixed denominators and closed points among them
     rng = random.Random(2102)
-    kinds = {"meet": 0, "disjoint": 0, "touching": 0, "unnormalized": 0}
+    kinds = {"meet": 0, "disjoint": 0, "touching": 0, "unnormalized": 0, "within": 0}
     for _ in range(3000):
         a = _grid_interval(rng)
         b = _grid_interval(rng, a.hi if rng.random() < 0.25 else None)
         a, b = rng.sample((a, b), 2)
-        meets = _meets(a, b)
+        meets = meets_pointcheck(a, b)
         assert intersects(a, b) == intersects(b, a) == meets, (a, b)
+        assert within(a, b) == within_pointcheck(a, b), (a, b)
+        assert within(b, a) == within_pointcheck(b, a), (a, b)
+        kinds["within"] += within(a, b) or within(b, a)
         expected = _ref_two_interval_error(a, b)
         assert _construction_error(lambda: model.TwoInterval(a, b)) == expected, (a, b)
         left, right = sorted((a, b), key=lambda iv: (iv.lo, not iv.lo_closed))

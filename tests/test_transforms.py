@@ -4,9 +4,12 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    circular_graph_pointcheck,
+    meets_pointcheck,
     random_circular_rep,
     random_proper_circular_rep,
     random_xx_rep,
+    within_pointcheck,
 )
 from tik import model, transforms
 from tik.gadgets import k44e_22_realization
@@ -152,6 +155,48 @@ def test_proper_arc_check_matches_pairwise_reference():
     assert min(verdicts.values()) > 300, verdicts
 
 
+def _quarter_points(arc, c):
+    # the arc's points among k/4, 0 <= k < 4c: with half-integer ends these
+    # are every end and a point inside every gap between two ends
+    return frozenset(k for k in range(4 * c) if arc.contains_point(q(k) / 4, c))
+
+
+def test_arc_contains_arc_matches_point_reference():
+    # every arc with half-integer ends on circumference 4, every closedness
+    c = 4
+    ends = [q(k) / 2 for k in range(2 * c)]
+    arcs = [Arc(s, e, sc, ec) for s in ends for e in ends if s != e
+            for sc in (True, False) for ec in (True, False)]
+    points = [_quarter_points(arc, c) for arc in arcs]
+    contained = 0
+    for a, pa in zip(arcs, points):
+        for b, pb in zip(arcs, points):
+            expected = pb <= pa
+            assert transforms._arc_contains_arc(a, b, q(c)) == expected, (a, b)
+            contained += expected
+    assert len(arcs) ** 2 == 50176 and contained > 5000, contained
+
+
+def test_unit_from_proper_converts_every_proper_random_arc_system():
+    # the draws of test_proper_arc_check_matches_pairwise_reference, with
+    # properness decided by point membership
+    rng = random.Random(211)
+    proper = 0
+    for _ in range(1500):
+        ca = _random_arcs(rng, rng.randint(1, 7))
+        c = int(ca.circumference)
+        points = {v: _quarter_points(ca[v], c) for v in ca.labels()}
+        if any(u != w and points[w] <= points[u] for u in points for w in points):
+            with pytest.raises(TransformError, match="contains arc"):
+                unit_from_proper_circular_arc(ca, generic_cut_point(ca))
+            continue
+        rep = unit_from_proper_circular_arc(ca, generic_cut_point(ca))
+        assert model.family_check(rep, UNIT).ok
+        assert intersection_graph(rep) == circular_graph_pointcheck(ca)
+        proper += 1
+    assert proper == 506
+
+
 def test_unit_from_proper_circular_arc_randomized():
     rng = random.Random(67)
     for _ in range(200):
@@ -193,6 +238,39 @@ def test_proper_to_unit_rejects_containment():
         proper_to_unit_interval({
             "a": Interval(q(0), q(10)), "b": Interval(q(2), q(3)),
         })
+
+
+def test_proper_to_unit_mixed_closedness_with_ties():
+    # half-integer ends on a short range, so values tie often, and every
+    # closedness mix; properness and meeting by point membership
+    rng = random.Random(89)
+    seen = {"proper": 0, "contained": 0, "tied": 0}
+    for _ in range(1500):
+        n = rng.randint(2, 7)
+        intervals = {}
+        for i in range(n):
+            lo = q(rng.randint(0, 2 * n)) / 2
+            hi = lo + q(rng.randint(0, 3)) / 2
+            intervals[f"v{i}"] = Interval(
+                lo, hi, *((True, True) if lo == hi else (rng.random() < 0.5, rng.random() < 0.5))
+            )
+        pairs = [(u, w) for u in intervals for w in intervals if u < w]
+        if any(within_pointcheck(intervals[u], intervals[w])
+               or within_pointcheck(intervals[w], intervals[u]) for u, w in pairs):
+            with pytest.raises(TransformError, match="containment"):
+                proper_to_unit_interval(intervals)
+            seen["contained"] += 1
+            continue
+        units = proper_to_unit_interval(intervals)
+        for u, w in pairs:
+            assert meets_pointcheck(units[u], units[w]) == meets_pointcheck(
+                intervals[u], intervals[w]), (intervals, u, w)
+        assert all(iv.length == 1 and 2 * n % iv.lo.denominator == 0
+                   for iv in units.values())
+        seen["proper"] += 1
+        ends = [e for iv in intervals.values() for e in (iv.lo, iv.hi)]
+        seen["tied"] += len(set(ends)) < len(ends)
+    assert min(seen.values()) > 200, seen
 
 
 def test_proper_to_unit_preserves_graph_randomized():
@@ -333,7 +411,10 @@ def test_unit_rep_to_integer_xx_matches_all_pairs_reference(ends):
 
 
 def test_assert_proper_matches_pairwise_containment():
+    # set containment by point membership, closedness included: [0, 1) and
+    # (0, 1] tie on both values and neither contains the other
     rng = random.Random(88)
+    verdicts = {True: 0, False: 0}
     for _ in range(400):
         n = rng.randint(1, 7)
         intervals = {}
@@ -341,19 +422,22 @@ def test_assert_proper_matches_pairwise_containment():
             lo = q(rng.randint(0, 8)) / 2
             hi = lo + q(rng.randint(0, 4)) / 2
             intervals[f"v{i}"] = Interval(
-                lo, hi, *((True, True) if lo == hi else (rng.random() < 0.5,) * 2)
+                lo, hi, *((True, True) if lo == hi else (rng.random() < 0.5, rng.random() < 0.5))
             )
         contained = any(
-            a.lo <= b.lo and b.hi <= a.hi
+            within_pointcheck(b, a)
             for u, a in intervals.items() for w, b in intervals.items() if u != w
         )
         if contained:
             with pytest.raises(TransformError, match="containment"):
                 transforms._assert_proper(intervals)
         else:
+            # in the sweep order a closed start comes before an open one
             assert transforms._assert_proper(intervals) == sorted(
-                intervals, key=lambda v: intervals[v].lo
+                intervals, key=lambda v: (intervals[v].lo, not intervals[v].lo_closed)
             )
+        verdicts[contained] += 1
+    assert min(verdicts.values()) > 100, verdicts
 
 
 def test_stretch_hand_example():

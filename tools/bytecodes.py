@@ -1,7 +1,8 @@
 """Opcode counts of a fixed list of searches, a work measure that does not
 vary from run to run.
 
-Runs each search below, and one intersection graph, under `sys.settrace`
+Runs each search below, one intersection graph and one batch of
+circular-arc transforms under `sys.settrace`
 with `f_trace_opcodes` set on every frame and prints the number of
 bytecode instructions the interpreter executed for it, with its answer
 (a search's node count among it):
@@ -14,11 +15,13 @@ version, so two versions of the search loop compare by them.  To count
 another version, point PYTHONPATH at its `src`.  The counts include
 the work a search hands to other modules (its set-up, certificates) but
 not the time spent inside C functions, so they size interpreter work,
-not wall time.  All fourteen lines take about 30 s traced.
+not wall time.  All fifteen lines take about 30 s traced.
 """
 
 from __future__ import annotations
 
+import hashlib
+import random
 import sys
 
 from tik.gadgets import hamiltonicity_expansion, k44_minus_e, xx_separator
@@ -38,11 +41,20 @@ from tik.model import (
     UNIT,
     UNIT_INTERVAL,
     XX,
+    Arc,
+    CircularArcRep,
     contiguity,
     intersection_graph,
+    q,
 )
 from tik.recognize import Budget, enumerate_realizations, recognize
 from tik.reductions import find_hamiltonian_cycle, ham_cycle_realization
+from tik.transforms import (
+    TransformError,
+    generic_cut_point,
+    proper_circular_arc_check,
+    unit_from_proper_circular_arc,
+)
 
 
 def _recognition(g, family, budget):
@@ -76,9 +88,42 @@ def _prism_witness_graph():
     return call
 
 
+def _proper_arc_units():
+    # 100 closed proper circular-arc models on 4 to 14 arcs, built
+    # untraced: half of one length at distinct half-integer starts, half
+    # of lengths within one of each other, kept when proper.  Each is cut
+    # and unitized; the check runs inside unit_from_proper_circular_arc.
+    rng = random.Random(3)
+    models = []
+    while len(models) < 100:
+        n = rng.randint(4, 14)
+        c = 4 * n
+        starts = [q(s) / 2 for s in rng.sample(range(2 * c), n)]
+        if rng.random() < 0.5:
+            length = q(rng.randint(2, 2 * c - 2)) / 2
+            lengths = [length] * n
+        else:
+            base = rng.randint(4, 2 * c - 4)
+            lengths = [q(base + rng.randint(0, 2)) / 2 for _ in range(n)]
+        ca = CircularArcRep(c, {f"v{i + 1}": Arc(s, (s + length) % c)
+                                for i, (s, length) in enumerate(zip(starts, lengths))})
+        try:
+            proper_circular_arc_check(ca)
+        except TransformError:
+            continue
+        models.append((ca, generic_cut_point(ca)))
+
+    def call():
+        reps = [unit_from_proper_circular_arc(ca, p) for ca, p in models]
+        text = repr([sorted(rep.items.items()) for rep in reps])
+        return f"models={len(reps)} sha256={hashlib.sha256(text.encode()).hexdigest()[:16]}"
+    return call
+
+
 def searches():
-    """(name, call) pairs; each call runs one search (the last, one
-    intersection graph) and describes its answer."""
+    """(name, call) pairs; each call runs one search (the last two, one
+    intersection graph and one batch of transforms) and describes its
+    answer."""
     return (
         ("wheel(7)/unit 10^5", _recognition(wheel(7), UNIT, 10**5)),
         ("wheel(9)/unit 10^5", _recognition(wheel(9), UNIT, 10**5)),
@@ -101,6 +146,7 @@ def searches():
         # non-FIFO opens of a vertex's second slot
         ("path(300)/2interval", _recognition(path(300), TWO_INTERVAL, 10**7)),
         ("prism(30) witness intersection_graph", _prism_witness_graph()),
+        ("proper circular-arc -> unit (100 closed models)", _proper_arc_units()),
     )
 
 
