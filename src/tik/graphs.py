@@ -198,18 +198,6 @@ def domino() -> Graph:
     return Graph.build(vs, es)
 
 
-def named_graph(kind: str, n: int | None = None) -> Graph:
-    if kind == "cycle":
-        return cycle(n)
-    if kind == "path":
-        return path(n)
-    if kind == "wheel":
-        return wheel(n)
-    if kind == "domino":
-        return domino()
-    raise GraphError(f"unknown named graph {kind!r}")
-
-
 def kneser(n: int, k: int) -> Graph:
     """Vertices are the k-subsets of {1..n}; edges join disjoint subsets."""
     if n < 2 * k:
@@ -272,7 +260,8 @@ def k_colorable(g: Graph, k: int) -> Coloring | None:
     Branch order is deterministic: vertices in declaration order, colors
     ascending.  Symmetry is broken by never using more than one fresh color
     at a time (in particular the first vertex is pinned to color 0), which
-    does not affect existence.
+    does not affect existence.  The search keeps its path on an explicit
+    stack, so any size of graph runs in constant Python stack depth.
     """
     if k < 0:
         raise GraphError("k must be >= 0")
@@ -281,30 +270,30 @@ def k_colorable(g: Graph, k: int) -> Coloring | None:
         return Coloring({})
     if k == 0:
         return None
-    adj_idx: list[list[int]] = []
     index = {v: i for i, v in enumerate(vs)}
-    for v in vs:
-        adj_idx.append(sorted(index[w] for w in g.neighbors(v) if index[w] < index[v]))
-
-    colors = [-1] * len(vs)
-
-    def extend(i: int, used: int) -> bool:
-        if i == len(vs):
-            return True
-        limit = min(k, used + 1)
-        forbidden = {colors[j] for j in adj_idx[i]}
-        for c in range(limit):
-            if c in forbidden:
-                continue
-            colors[i] = c
-            if extend(i + 1, max(used, c + 1)):
-                return True
-        colors[i] = -1
-        return False
-
-    if extend(0, 0):
-        return Coloring({v: colors[i] for i, v in enumerate(vs)})
-    return None
+    nbrs = [sum(1 << index[w] for w in g.neighbors(v)) for v in vs]
+    classes = [0] * k  # the colored vertices of each color, as a mask
+    colors: list[int] = []  # the colors of vertices 0, 1, ..., in order
+    used = [0]  # used[i]: the colors in use among the first i vertices
+    c = 0  # the next color to try for vertex len(colors)
+    while len(colors) < len(vs):
+        i = len(colors)
+        limit = min(k, used[i] + 1)
+        while c < limit and classes[c] & nbrs[i]:
+            c += 1
+        if c < limit:
+            colors.append(c)
+            classes[c] |= 1 << i
+            used.append(max(used[i], c + 1))
+            c = 0
+        elif colors:  # vertex i has no color left: try the next for i - 1
+            c = colors.pop()
+            classes[c] ^= 1 << (i - 1)
+            used.pop()
+            c += 1
+        else:
+            return None
+    return Coloring(dict(zip(vs, colors)))
 
 
 def clique_number(g: Graph) -> int:

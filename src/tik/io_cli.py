@@ -58,11 +58,21 @@ def _interval_to_json(iv: Interval) -> dict:
     }
 
 
+def _flag(obj, key, default=None) -> bool:
+    """A closedness flag, which must be a JSON boolean; with a default,
+    it may be absent.  A wrong type raises TypeError, which the callers
+    report with the place it was found."""
+    value = obj[key] if default is None else obj.get(key, default)
+    if type(value) is not bool:
+        raise TypeError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
 def _interval_from_json(obj, where: str) -> Interval:
     try:
         return Interval(
             q(obj["lo"]), q(obj["hi"]),
-            bool(obj["lo_closed"]), bool(obj["hi_closed"]),
+            _flag(obj, "lo_closed"), _flag(obj, "hi_closed"),
         )
     except (KeyError, TypeError, ModelError) as exc:
         raise FormatError(f"bad interval at {where}: {exc}") from None
@@ -109,8 +119,7 @@ def parse_representation(text: str):
             arcs = {
                 v: Arc(
                     q(a["start"]), q(a["end"]),
-                    bool(a.get("start_closed", True)),
-                    bool(a.get("end_closed", True)),
+                    _flag(a, "start_closed", True), _flag(a, "end_closed", True),
                 )
                 for v, a in obj["arcs"].items()
             }
@@ -231,43 +240,46 @@ def _family_from_args(args) -> FamilySelector:
     return FamilySelector(args.family)
 
 
-def _budget_from_args(args) -> recognize.Budget:
-    if args.budget is not None:
-        return recognize.Budget(args.budget)
-    return recognize.default_budget()
+# name -> (builder, the options it needs); the builder takes them in order,
+# after the input graph for a check.  Each table gives its command's
+# argparse choices, in this order, and its dispatch.
+_GENERATORS = {
+    "k53": (gadgets.k53, ()),
+    "k44e": (gadgets.k44_minus_e, ()),
+    "cycle": (graphs.cycle, ("n",)),
+    "path": (graphs.path, ("n",)),
+    "wheel": (graphs.wheel, ("n",)),
+    "domino": (graphs.domino, ()),
+    "kneser": (graphs.kneser, ("n", "k")),
+    "complete-bipartite": (graphs.complete_bipartite, ("m", "n")),
+    "petersen": (graphs.petersen, ()),
+    "unbalanced-chain": (gadgets.unbalanced_chain, ()),
+    "c4-anchored": (gadgets.c4_anchored, ()),
+    "xx-separator": (lambda x: gadgets.xx_separator(x).graph, ("x",)),
+}
+
+_FIXTURES = {
+    "k53": (gadgets.k53_balanced_realization, ()),
+    "k44e": (gadgets.k44e_22_realization, ()),
+    "unbalanced-chain": (gadgets.unbalanced_chain_realization, ()),
+    "xx-separator": (gadgets.xx_separator_realization, ("x",)),
+}
+
+_CHECKS = {
+    "all-k-simplicial": (simplicial.all_k_simplicial, ("k",)),
+    "k1t-free": (simplicial.k1t_free, ("t",)),
+    "k-colorable": (graphs.k_colorable, ("k",)),
+}
 
 
-def _gen_graph(args) -> Graph:
-    kind = args.kind
-    if kind == "k53":
-        return gadgets.k53()
-    if kind == "k44e":
-        return gadgets.k44_minus_e()
-    if kind == "domino":
-        return graphs.domino()
-    if kind == "petersen":
-        return graphs.petersen()
-    if kind == "unbalanced-chain":
-        return gadgets.unbalanced_chain()
-    if kind == "c4-anchored":
-        return gadgets.c4_anchored()
-    if kind in ("cycle", "path", "wheel"):
-        if args.n is None:
-            raise FormatError(f"{kind} needs --n")
-        return graphs.named_graph(kind, args.n)
-    if kind == "kneser":
-        if args.n is None or args.k is None:
-            raise FormatError("kneser needs --n and --k")
-        return graphs.kneser(args.n, args.k)
-    if kind == "complete-bipartite":
-        if args.m is None or args.n is None:
-            raise FormatError("complete-bipartite needs --m and --n")
-        return graphs.complete_bipartite(args.m, args.n)
-    if kind == "xx-separator":
-        if args.x is None:
-            raise FormatError("xx-separator needs --x")
-        return gadgets.xx_separator(args.x).graph
-    raise FormatError(f"unknown generator {kind!r}")
+def _call(table, name, args, *lead):
+    """Run table[name] on `lead` and the options it needs from args."""
+    build, needs = table[name]
+    values = [getattr(args, option) for option in needs]
+    if None in values:
+        flags = " and ".join(f"--{option}" for option in needs)
+        raise FormatError(f"{name} needs {flags}")
+    return build(*lead, *values)
 
 
 def _read_input(path: str) -> str:
@@ -282,7 +294,7 @@ def _read_input(path: str) -> str:
 
 
 def _cmd_gen(args, out, err) -> int:
-    g = _gen_graph(args)
+    g = _call(_GENERATORS, args.kind, args)
     if args.format == "dot":
         out.write(emit_dot(g))
     elif args.format == "json":
@@ -296,19 +308,7 @@ def _cmd_gen(args, out, err) -> int:
 
 
 def _cmd_realize(args, out, err) -> int:
-    kind = args.kind
-    if kind == "k53":
-        rep = gadgets.k53_balanced_realization()
-    elif kind == "k44e":
-        rep = gadgets.k44e_22_realization()
-    elif kind == "unbalanced-chain":
-        rep = gadgets.unbalanced_chain_realization()
-    elif kind == "xx-separator":
-        if args.x is None:
-            raise FormatError("xx-separator needs --x")
-        rep = gadgets.xx_separator_realization(args.x)
-    else:
-        raise FormatError(f"unknown fixture {kind!r}")
+    rep = _call(_FIXTURES, args.kind, args)
     out.write(dump_json(representation_to_json(rep)))
     return EXIT_YES
 
@@ -324,28 +324,26 @@ def _cmd_verify(args, out, err) -> int:
     return EXIT_NO
 
 
+_VERDICT_EXIT = {
+    "member": EXIT_YES, "nonmember": EXIT_NO, "inconclusive": EXIT_INCONCLUSIVE,
+}
+
+
 def _cmd_recognize(args, out, err) -> int:
     g = parse_graph(_read_input(args.input))
     family = _family_from_args(args)
-    budget = _budget_from_args(args)
-    outcome = recognize.recognize(g, family, budget)
-    if outcome.is_member():
-        out.write(f"member nodes={outcome.nodes_used}\n")
-        if args.emit:
-            cert = outcome.certificate
-            payload = (
-                circular_to_json(cert)
-                if isinstance(cert, CircularArcRep)
-                else representation_to_json(cert)
-            )
-            with open(args.emit, "w", encoding="utf-8") as fh:
-                fh.write(dump_json(payload))
-        return EXIT_YES
-    if outcome.is_nonmember():
-        out.write(f"nonmember nodes={outcome.nodes_used}\n")
-        return EXIT_NO
-    out.write(f"inconclusive nodes={outcome.nodes_used}\n")
-    return EXIT_INCONCLUSIVE
+    outcome = recognize.recognize(g, family, recognize.Budget(args.budget))
+    out.write(f"{outcome.kind} nodes={outcome.nodes_used}\n")
+    if outcome.is_member() and args.emit:
+        cert = outcome.certificate
+        payload = (
+            circular_to_json(cert)
+            if isinstance(cert, CircularArcRep)
+            else representation_to_json(cert)
+        )
+        with open(args.emit, "w", encoding="utf-8") as fh:
+            fh.write(dump_json(payload))
+    return _VERDICT_EXIT[outcome.kind]
 
 
 def _cmd_transform(args, out, err) -> int:
@@ -365,10 +363,8 @@ def _cmd_transform(args, out, err) -> int:
         if args.factor is None:
             raise FormatError("dilate needs --factor")
         result = model.affine(rep, q(args.factor), q(args.shift or 0))
-    elif op == "unit-to-xx":
+    else:  # unit-to-xx
         result = transforms.unit_rep_to_integer_xx(rep)
-    else:
-        raise FormatError(f"unknown transform {op!r}")
     out.write(dump_json(representation_to_json(result)))
     return EXIT_YES
 
@@ -391,50 +387,35 @@ def _cmd_reduce(args, out, err) -> int:
                 with open(args.emit, "w", encoding="utf-8") as fh:
                     fh.write(dump_json(representation_to_json(rep)))
         return EXIT_YES
-    if args.op == "coloring-simplicial":
-        if args.k is None:
-            raise FormatError("coloring-simplicial needs --k")
-        out.write(graphs.to_edge_list(
-            reductions.coloring_to_simplicial_instance(g, args.k)
-        ))
-        return EXIT_YES
-    raise FormatError(f"unknown reduction {args.op!r}")
+    # coloring-simplicial
+    if args.k is None:
+        raise FormatError("coloring-simplicial needs --k")
+    out.write(graphs.to_edge_list(
+        reductions.coloring_to_simplicial_instance(g, args.k)
+    ))
+    return EXIT_YES
 
 
 def _cmd_check(args, out, err) -> int:
     g = parse_graph(_read_input(args.input))
-    if args.op == "all-k-simplicial":
-        if args.k is None:
-            raise FormatError("all-k-simplicial needs --k")
-        witness = simplicial.all_k_simplicial(g, args.k)
-        out.write("yes\n" if witness else "no\n")
-        return EXIT_YES if witness else EXIT_NO
-    if args.op == "k1t-free":
-        if args.t is None:
-            raise FormatError("k1t-free needs --t")
-        ok = simplicial.k1t_free(g, args.t)
-        out.write("yes\n" if ok else "no\n")
-        return EXIT_YES if ok else EXIT_NO
-    if args.op == "k-colorable":
-        if args.k is None:
-            raise FormatError("k-colorable needs --k")
-        coloring = graphs.k_colorable(g, args.k)
-        out.write("yes\n" if coloring else "no\n")
-        return EXIT_YES if coloring else EXIT_NO
-    raise FormatError(f"unknown check {args.op!r}")
+    # a witness (a partition or a coloring) or True means yes
+    if _call(_CHECKS, args.op, args, g):
+        out.write("yes\n")
+        return EXIT_YES
+    out.write("no\n")
+    return EXIT_NO
 
 
 def _cmd_render(args, out, err) -> int:
     if args.what == "dot":
         out.write(emit_dot(parse_graph(_read_input(args.input))))
         return EXIT_YES
-    if args.what == "svg":
-        rep = parse_representation(_read_input(args.input))
-        if isinstance(rep, CircularArcRep):
-            raise FormatError("svg rendering expects a 2-interval representation")
-        out.write(emit_svg(rep))
-        return EXIT_YES
-    raise FormatError(f"unknown render target {args.what!r}")
+    # svg
+    rep = parse_representation(_read_input(args.input))
+    if isinstance(rep, CircularArcRep):
+        raise FormatError("svg rendering expects a 2-interval representation")
+    out.write(emit_svg(rep))
+    return EXIT_YES
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -444,11 +425,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="emit a named graph")
-    p.add_argument("kind", choices=[
-        "k53", "k44e", "cycle", "path", "wheel", "domino", "kneser",
-        "complete-bipartite", "petersen", "unbalanced-chain", "c4-anchored",
-        "xx-separator",
-    ])
+    p.add_argument("kind", choices=_GENERATORS)
     p.add_argument("--n", type=int)
     p.add_argument("--m", type=int)
     p.add_argument("--k", type=int)
@@ -456,9 +433,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["edges", "dot", "json"], default="edges")
 
     p = sub.add_parser("realize", help="emit a fixture realization as JSON")
-    p.add_argument("kind", choices=[
-        "k53", "k44e", "unbalanced-chain", "xx-separator",
-    ])
+    p.add_argument("kind", choices=_FIXTURES)
     p.add_argument("--x", type=int)
 
     p = sub.add_parser("verify", help="check a representation against a family")
@@ -469,7 +444,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("recognize", help="budgeted exact membership search")
     p.add_argument("--family", choices=model.FAMILY_KINDS, required=True)
     p.add_argument("--x", type=int)
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget", type=int, default=10**7)
     p.add_argument("--emit", help="write the certificate JSON here")
     p.add_argument("input")
 
@@ -490,7 +465,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
 
     p = sub.add_parser("check", help="exact graph-class checks")
-    p.add_argument("op", choices=["all-k-simplicial", "k1t-free", "k-colorable"])
+    p.add_argument("op", choices=_CHECKS)
     p.add_argument("--k", type=int)
     p.add_argument("--t", type=int)
     p.add_argument("input")

@@ -15,7 +15,6 @@ from operator import attrgetter, itemgetter
 
 from .graphs import Graph
 
-Q = Fraction
 _KEY, _THIRD = attrgetter("_key"), itemgetter(2)  # read in C by the sweeps
 
 
@@ -25,7 +24,7 @@ class ModelError(ValueError):
 
 def q(value) -> Fraction:
     """Coerce ints / 'p/q' strings / Fractions to an exact rational."""
-    if isinstance(value, int):
+    if type(value) is int:  # not a bool, which JSON true/false parse to
         return Fraction(value)
     if isinstance(value, Fraction):
         return value

@@ -33,7 +33,6 @@ and its intersection graph equals the input under labeled equality.
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -53,8 +52,6 @@ from .model import (
 )
 
 OPEN, CLOSE = 0, 1
-
-DEFAULT_BUDGET_ENV = "TIK_BUDGET_DEFAULT"
 
 # a search records refuted subtrees once it has charged this many nodes:
 # shorter searches meet few states twice and pay more for the records than
@@ -86,18 +83,6 @@ class Budget:
             raise RecognizeError(f"budget must be an int, got {self.max_nodes!r}")
         if self.max_nodes < 1:
             raise RecognizeError("budget must allow at least one node")
-
-
-def default_budget() -> Budget:
-    raw = os.environ.get(DEFAULT_BUDGET_ENV, "")
-    if raw:
-        try:
-            return Budget(int(raw))
-        except ValueError:
-            raise RecognizeError(
-                f"{DEFAULT_BUDGET_ENV} must be a positive decimal integer"
-            ) from None
-    return Budget(10**7)
 
 
 @dataclass(frozen=True)

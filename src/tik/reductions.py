@@ -132,23 +132,34 @@ def ham_cycle_realization(inst: HamiltonicityInstance, cycle) -> Representation:
 
 
 def find_hamiltonian_cycle(g: Graph) -> list[str] | None:
-    """Exhaustive search, intended as a test helper for small graphs."""
+    """Exhaustive search, intended as a test helper for small graphs.
+
+    Paths grow from the least label, each step to the least unused
+    neighbour first, on an explicit stack over adjacency masks (bit i is
+    the i-th label in sorted order)."""
     vs = sorted(g.vertices)
     if len(vs) < 3:
         return None
-    start = vs[0]
-
-    def extend(path: list[str], used: set[str]):
-        if len(path) == len(vs):
-            return path if g.has_edge(path[-1], start) else None
-        for w in sorted(g.neighbors(path[-1])):
-            if w not in used:
-                got = extend(path + [w], used | {w})
-                if got:
-                    return got
-        return None
-
-    return extend([start], {start})
+    index = {v: i for i, v in enumerate(vs)}
+    nbrs = [sum(1 << index[w] for w in g.neighbors(v)) for v in vs]
+    everyone = (1 << len(vs)) - 1
+    path, used = [0], 1
+    todo = [nbrs[0] & ~used]  # todo[i]: the untried next steps after path[i]
+    while todo:
+        steps = todo[-1]
+        if not steps:
+            todo.pop()
+            used ^= 1 << path.pop()
+            continue
+        low = steps & -steps
+        todo[-1] = steps ^ low
+        w = low.bit_length() - 1
+        path.append(w)
+        used |= low
+        if used == everyone and nbrs[w] & 1:
+            return [vs[i] for i in path]
+        todo.append(nbrs[w] & ~used)
+    return None
 
 
 # --- coloring <-> all-k-simplicial -------------------------------------------

@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from conftest import brute_force_colorable, random_graph
+from conftest import brute_force_colorable, nonisomorphic_graphs, random_graph
 from tik.graphs import (
+    Coloring,
     Graph,
     GraphError,
     add_universal,
@@ -20,7 +21,6 @@ from tik.graphs import (
     k_colorable,
     kneser,
     line_graph,
-    named_graph,
     path,
     petersen,
     to_edge_list,
@@ -73,13 +73,14 @@ def test_named_graphs():
     assert d.n == 6 and len(d.edges) == 7
     w = wheel(7)
     assert w.n == 8 and len(w.edges) == 14
-    assert named_graph("cycle", 4) == cycle(4)
-    assert len(cycle(4).edges) == 4
+    c4 = cycle(4)
+    assert c4.n == 4 and len(c4.edges) == 4
+    assert all(c4.degree(v) == 2 for v in c4.vertices)
     assert path(1).n == 1
     with pytest.raises(GraphError):
         cycle(2)
     with pytest.raises(GraphError):
-        named_graph("wheel", 2)
+        wheel(2)
 
 
 def test_kneser_counts():
@@ -170,6 +171,52 @@ def test_k_colorable_against_brute_force():
             assert (got is not None) == expected
             if got is not None:
                 assert got.validates(g, k)
+
+
+def recursive_k_colorable(g: Graph, k: int) -> Coloring | None:
+    """The recursive solver that k_colorable's explicit stack replaced,
+    kept as the reference for its branch order."""
+    vs = list(g.vertices)
+    if not vs:
+        return Coloring({})
+    if k == 0:
+        return None
+    index = {v: i for i, v in enumerate(vs)}
+    earlier = [[index[w] for w in g.neighbors(v) if index[w] < index[v]] for v in vs]
+    colors = [-1] * len(vs)
+
+    def extend(i: int, used: int) -> bool:
+        if i == len(vs):
+            return True
+        forbidden = {colors[j] for j in earlier[i]}
+        for c in range(min(k, used + 1)):
+            if c not in forbidden:
+                colors[i] = c
+                if extend(i + 1, max(used, c + 1)):
+                    return True
+        colors[i] = -1
+        return False
+
+    return Coloring(dict(zip(vs, colors))) if extend(0, 0) else None
+
+
+def test_k_colorable_matches_the_recursive_solver():
+    # the same first coloring: vertices in declaration order, colors ascending
+    rng = random.Random(29)
+    graphs = [g for n in range(1, 7) for g in nonisomorphic_graphs(n)]
+    graphs += [random_graph(rng, rng.randint(1, 11), rng.random()) for _ in range(200)]
+    for g in graphs:
+        for k in range(6):
+            got, expected = k_colorable(g, k), recursive_k_colorable(g, k)
+            assert (got is None) == (expected is None), (g, k)
+            assert got is None or got.assignment == expected.assignment, (g, k)
+
+
+def test_k_colorable_deep_path():
+    # 3000 vertices deep: more than the interpreter's recursion limit
+    got = k_colorable(path(3000), 2)
+    assert got is not None and got.validates(path(3000), 2)
+    assert k_colorable(cycle(3001), 2) is None
 
 
 def test_clique_number_examples():

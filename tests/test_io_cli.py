@@ -9,7 +9,7 @@ import pytest
 
 from conftest import mixed_star_rep, random_circular_rep, random_closed_rep, random_graph
 import tik
-from tik import io_cli, model
+from tik import gadgets, graphs, io_cli, model, simplicial
 from tik.gadgets import k53_balanced_realization
 from tik.graphs import complete_bipartite, path, to_edge_list
 from tik.io_cli import (
@@ -107,6 +107,51 @@ def test_parse_representation_errors():
         parse_representation("{}")
 
 
+def test_parse_representation_flags_are_json_booleans():
+    ends = {"lo": "0", "hi": "2", "lo_closed": True, "hi_closed": True}
+    for flag in ("false", 0, None):
+        bad = {"vertices": {"a": {"left": {**ends, "lo_closed": flag}, "right": ends}}}
+        with pytest.raises(FormatError, match="lo_closed must be true or false"):
+            parse_representation(json.dumps(bad))
+    arc = {"start": "0", "end": "2"}
+    for flag in ("true", 1):
+        bad = {"circumference": "8", "arcs": {"a": {**arc, "end_closed": flag}}}
+        with pytest.raises(FormatError, match="end_closed must be true or false"):
+            parse_representation(json.dumps(bad))
+    # absent arc flags are closed
+    ca = parse_representation(json.dumps({"circumference": "8", "arcs": {"a": arc}}))
+    assert ca["a"].start_closed and ca["a"].end_closed
+
+
+def test_parse_representation_ends_are_not_booleans():
+    ends = {"lo": False, "hi": True, "lo_closed": True, "hi_closed": True}
+    right = {**ends, "lo": "5", "hi": "6"}
+    with pytest.raises(FormatError, match="cannot interpret False"):
+        parse_representation(json.dumps({"vertices": {"a": {"left": ends, "right": right}}}))
+
+
+def test_cli_verify_rejects_string_flags(tmp_path):
+    # an open xx(2) realization whose flags are written as strings is not
+    # read as closed: the input is malformed, not a failed check
+    text = dump_json(representation_to_json(gadgets.k44e_22_realization()))
+    assert '"lo_closed": false' in text
+    path = tmp_path / "k44e.json"
+    path.write_text(text.replace("false", '"false"'))
+    code, out, err = run_cli(["verify", "--family", "xx", "--x", "2", str(path)])
+    assert (code, out) == (EXIT_ERROR, "")
+    assert "lo_closed must be true or false, got 'false'" in err
+
+
+def test_cli_verify_rejects_boolean_ends(tmp_path):
+    path = tmp_path / "bool.json"
+    ends = {"lo": False, "hi": True, "lo_closed": True, "hi_closed": True}
+    path.write_text(json.dumps({"vertices": {"a": {
+        "left": ends, "right": {**ends, "lo": "5", "hi": "6"}}}}))
+    code, out, err = run_cli(["verify", "--family", "unit", str(path)])
+    assert (code, out) == (EXIT_ERROR, "")
+    assert "cannot interpret False as a rational" in err
+
+
 def test_emit_dot():
     text = emit_dot(complete_bipartite(2, 3))
     assert text.count("--") == 6
@@ -173,17 +218,93 @@ def test_cli_recognize_budget_inconclusive(tmp_path):
     assert code == EXIT_INCONCLUSIVE
 
 
-def test_cli_budget_env_default(monkeypatch, tmp_path):
-    dom = tmp_path / "domino.edges"
-    from tik.graphs import domino
+def test_cli_recognize_default_budget(tmp_path):
+    # without --budget, a search stops where --budget 10000000 stops it
+    chain = tmp_path / "chain.edges"
+    chain.write_text(to_edge_list(gadgets.unbalanced_chain()))
+    argv = ["recognize", "--family", "balanced", str(chain)]
+    default = run_cli(argv)
+    assert default == (EXIT_INCONCLUSIVE, "inconclusive nodes=10000001\n", "")
+    assert run_cli(argv[:-1] + ["--budget", "10000000", str(chain)]) == default
 
-    dom.write_text(to_edge_list(domino()))
-    monkeypatch.setenv("TIK_BUDGET_DEFAULT", "100")
-    code, _, _ = run_cli(["recognize", "--family", "unit", str(dom)])
-    assert code == EXIT_INCONCLUSIVE
-    monkeypatch.setenv("TIK_BUDGET_DEFAULT", "bogus")
-    code, _, err = run_cli(["recognize", "--family", "unit", str(dom)])
-    assert code == EXIT_ERROR and "TIK_BUDGET_DEFAULT" in err
+
+GEN_CASES = [
+    (["k53"], gadgets.k53()),
+    (["k44e"], gadgets.k44_minus_e()),
+    (["cycle", "--n", "5"], graphs.cycle(5)),
+    (["path", "--n", "4"], graphs.path(4)),
+    (["wheel", "--n", "6"], graphs.wheel(6)),
+    (["domino"], graphs.domino()),
+    (["kneser", "--n", "6", "--k", "2"], graphs.kneser(6, 2)),
+    (["complete-bipartite", "--m", "2", "--n", "4"], graphs.complete_bipartite(2, 4)),
+    (["petersen"], graphs.petersen()),
+    (["unbalanced-chain"], gadgets.unbalanced_chain()),
+    (["c4-anchored"], gadgets.c4_anchored()),
+    (["xx-separator", "--x", "2"], gadgets.xx_separator(2).graph),
+]
+
+
+@pytest.mark.parametrize("argv, g", GEN_CASES, ids=[c[0][0] for c in GEN_CASES])
+def test_cli_gen_matches_the_library(argv, g):
+    assert run_cli(["gen", *argv]) == (EXIT_YES, to_edge_list(g), "")
+    assert run_cli(["gen", *argv, "--format", "dot"]) == (EXIT_YES, emit_dot(g), "")
+
+
+REALIZE_CASES = [
+    (["k53"], gadgets.k53_balanced_realization()),
+    (["k44e"], gadgets.k44e_22_realization()),
+    (["unbalanced-chain"], gadgets.unbalanced_chain_realization()),
+    (["xx-separator", "--x", "3"], gadgets.xx_separator_realization(3)),
+]
+
+
+@pytest.mark.parametrize("argv, rep", REALIZE_CASES, ids=[c[0][0] for c in REALIZE_CASES])
+def test_cli_realize_matches_the_library(argv, rep):
+    expected = dump_json(representation_to_json(rep))
+    assert run_cli(["realize", *argv]) == (EXIT_YES, expected, "")
+
+
+@pytest.mark.parametrize("g", [graphs.cycle(5), graphs.wheel(5), graphs.petersen(),
+                               gadgets.k53()], ids=["C5", "W5", "petersen", "K53"])
+def test_cli_check_matches_the_library(tmp_path, g):
+    path = tmp_path / "g.edges"
+    path.write_text(to_edge_list(g))
+    for k in (1, 2, 3):
+        for argv, yes in (
+            (["all-k-simplicial", "--k", str(k)], simplicial.all_k_simplicial(g, k)),
+            (["k1t-free", "--t", str(k + 1)], simplicial.k1t_free(g, k + 1)),
+            (["k-colorable", "--k", str(k)], graphs.k_colorable(g, k)),
+        ):
+            expected = (EXIT_YES, "yes\n", "") if yes else (EXIT_NO, "no\n", "")
+            assert run_cli(["check", *argv, str(path)]) == expected, argv
+
+
+@pytest.mark.parametrize("argv, flags", [
+    (["gen", "cycle"], "--n"),
+    (["gen", "path"], "--n"),
+    (["gen", "wheel"], "--n"),
+    (["gen", "kneser", "--n", "5"], "--n and --k"),
+    (["gen", "complete-bipartite", "--n", "2"], "--m and --n"),
+    (["gen", "xx-separator"], "--x"),
+    (["realize", "xx-separator"], "--x"),
+    (["check", "all-k-simplicial"], "--k"),
+    (["check", "k1t-free", "--k", "3"], "--t"),
+    (["check", "k-colorable", "--t", "3"], "--k"),
+], ids=lambda v: "-".join(v) if isinstance(v, list) else None)
+def test_cli_names_the_options_it_needs(tmp_path, argv, flags):
+    if argv[0] == "check":
+        path = tmp_path / "p3.edges"
+        path.write_text("a b\nb c\n")
+        argv = argv + [str(path)]
+    assert run_cli(argv) == (EXIT_ERROR, "", f"error: {argv[1]} needs {flags}\n")
+
+
+def test_cli_check_deep_path(tmp_path):
+    # 3000 vertices: deeper than the interpreter's recursion limit
+    path3000 = tmp_path / "path3000.edges"
+    path3000.write_text(to_edge_list(path(3000)))
+    assert run_cli(["check", "k-colorable", "--k", "2", str(path3000)]) == (
+        EXIT_YES, "yes\n", "")
 
 
 def test_cli_transform_pipeline(tmp_path):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import random_graph
+from conftest import nonisomorphic_graphs, random_graph
 from tik import model
 from tik.gadgets import hamiltonicity_expansion
 from tik.graphs import (
@@ -38,6 +38,14 @@ def cube_graph() -> Graph:
     )
 
 
+def prism(k: int) -> Graph:
+    """C_k x K_2: cubic, triangle-free for k >= 4 and Hamiltonian."""
+    a = [f"a{i}" for i in range(k)]
+    b = [f"b{i}" for i in range(k)]
+    return Graph.build(a + b, [(x[i], x[(i + 1) % k]) for x in (a, b)
+                               for i in range(k)] + list(zip(a, b)))
+
+
 def test_hc_instance_counts():
     assert hc_to_balanced_instance(complete_bipartite(3, 3)).graph.n == 79
     assert hc_to_balanced_instance(petersen()).graph.n == 115
@@ -50,6 +58,43 @@ def test_find_hamiltonian_cycle():
     cyc = find_hamiltonian_cycle(k33)
     assert cyc is not None and len(cyc) == 6
     assert find_hamiltonian_cycle(petersen()) is None
+
+
+def recursive_hamiltonian_cycle(g: Graph) -> list[str] | None:
+    """The recursive search that find_hamiltonian_cycle's explicit stack
+    replaced, kept as the reference for its branch order."""
+    vs = sorted(g.vertices)
+    if len(vs) < 3:
+        return None
+
+    def extend(path: list[str], used: set[str]):
+        if len(path) == len(vs):
+            return path if g.has_edge(path[-1], vs[0]) else None
+        for w in sorted(g.neighbors(path[-1])):
+            if w not in used:
+                got = extend(path + [w], used | {w})
+                if got:
+                    return got
+        return None
+
+    return extend([vs[0]], {vs[0]})
+
+
+def test_find_hamiltonian_cycle_matches_the_recursive_search():
+    rng = random.Random(31)
+    graphs = [g for n in range(1, 7) for g in nonisomorphic_graphs(n)]
+    graphs += [random_graph(rng, rng.randint(1, 11), rng.random()) for _ in range(200)]
+    graphs += [cube_graph(), petersen(), complete_bipartite(3, 3), prism(5)]
+    for g in graphs:
+        assert find_hamiltonian_cycle(g) == recursive_hamiltonian_cycle(g), g
+
+
+def test_find_hamiltonian_cycle_deep_prism():
+    # 1200 vertices deep: more than the interpreter's recursion limit
+    g = prism(600)
+    cyc = find_hamiltonian_cycle(g)
+    assert sorted(cyc) == sorted(g.vertices)
+    assert all(g.has_edge(a, b) for a, b in zip(cyc, cyc[1:] + cyc[:1]))
 
 
 def test_ham_cycle_realization_k33():
@@ -85,14 +130,6 @@ def test_ham_cycle_realization_cube():
     assert model.family_check(rep, BALANCED).ok
     assert intersection_graph(rep) == inst.graph
     assert rep["z"].left.length == 163 + 2 * 7
-
-
-def prism(k: int) -> Graph:
-    """C_k x K_2: cubic, triangle-free for k >= 4 and Hamiltonian."""
-    a = [f"a{i}" for i in range(k)]
-    b = [f"b{i}" for i in range(k)]
-    return Graph.build(a + b, [(x[i], x[(i + 1) % k]) for x in (a, b)
-                               for i in range(k)] + list(zip(a, b)))
 
 
 def test_ham_cycle_realization_prism30():
