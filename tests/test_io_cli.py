@@ -123,13 +123,6 @@ def test_parse_representation_flags_are_json_booleans():
     assert ca["a"].start_closed and ca["a"].end_closed
 
 
-def test_parse_representation_ends_are_not_booleans():
-    ends = {"lo": False, "hi": True, "lo_closed": True, "hi_closed": True}
-    right = {**ends, "lo": "5", "hi": "6"}
-    with pytest.raises(FormatError, match="cannot interpret False"):
-        parse_representation(json.dumps({"vertices": {"a": {"left": ends, "right": right}}}))
-
-
 def test_cli_verify_rejects_string_flags(tmp_path):
     # an open xx(2) realization whose flags are written as strings is not
     # read as closed: the input is malformed, not a failed check
