@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graphs import Graph, GraphError, complete_bipartite, is_triangle_free_3regular
-from .model import Interval, Representation, TwoInterval, q, two_interval
+from .model import Interval, Representation, TwoInterval, q, two_interval, xx_two_interval
 
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
@@ -94,13 +94,9 @@ _K44E_POSITIONS = {
 
 
 def k44e_22_realization() -> Representation:
-    items = {}
-    for v, (a, b) in _K44E_POSITIONS.items():
-        items[v] = two_interval(
-            Interval(q(a), q(a + 2), False, False),
-            Interval(q(b), q(b + 2), False, False),
-        )
-    return Representation(items)
+    return Representation(
+        {v: xx_two_interval(a, b, 2) for v, (a, b) in _K44E_POSITIONS.items()}
+    )
 
 
 def _k44e_block_positions(length: int) -> dict[str, tuple[int, int]]:
@@ -121,17 +117,6 @@ def _k44e_block_positions(length: int) -> dict[str, tuple[int, int]]:
         "t3": (4 * m + 1, 7 * m),
         "t4": (3 * m + 1, 8 * m),
     }
-
-
-def _open_pair(a, b, length, offset=0, mirror_span=None):
-    lo1, lo2 = q(a), q(b)
-    m = q(length)
-    if mirror_span is not None:
-        lo1, lo2 = mirror_span - lo2 - m, mirror_span - lo1 - m
-    return two_interval(
-        Interval(lo1 + offset, lo1 + m + offset, False, False),
-        Interval(lo2 + offset, lo2 + m + offset, False, False),
-    )
 
 
 def degree4_anchor_pair(gadget: Graph) -> tuple[str, str]:
@@ -272,31 +257,20 @@ def xx_separator_realization(x: int) -> Representation:
     if x < 2:
         raise GraphError("xx_separator needs x >= 2")
     m = x + 1
-    block = _k44e_block_positions(m)
-    span = q(9 * m)  # block span, used when mirroring
-    t2 = q(10 * m)
-    t3 = q(19 * m - 1)
-    t4 = q(29 * m - 1)
+    t2, t3, t4 = 10 * m, 19 * m - 1, 29 * m - 1  # the offsets of X2, X3, X4
 
-    items: dict[str, object] = {}
-    for v, (a, b) in block.items():
-        items[f"X1:{v}"] = _open_pair(a, b, m)
-        items[f"X2:{v}"] = _open_pair(a, b, m, offset=t2, mirror_span=span)
-        items[f"X3:{v}"] = _open_pair(a, b, m, offset=t3)
-        items[f"X4:{v}"] = _open_pair(a, b, m, offset=t4, mirror_span=span)
-
-    def open_iv(lo):
-        return Interval(q(lo), q(lo) + m, False, False)
-
+    items = {}
+    for v, (a, b) in _k44e_block_positions(m).items():
+        # X2 and X4 mirror the block within its span (0, 9m)
+        for name, offset, mirror in (("X1", 0, False), ("X2", t2, True),
+                                     ("X3", t3, False), ("X4", t4, True)):
+            lo1, lo2 = (8 * m - b, 8 * m - a) if mirror else (a, b)
+            items[f"{name}:{v}"] = xx_two_interval(lo1 + offset, lo2 + offset, m)
     for i in range(1, x + 1):
-        items[f"v{i}"] = two_interval(
-            open_iv(9 * m - i), open_iv(t3 + 10 * m - i)
-        )
-        items[f"v'{i}"] = two_interval(
-            open_iv(10 * m - i), open_iv(t3 + 9 * m - i)
-        )
-    items["a"] = two_interval(open_iv(5 * m + 1), open_iv(9 * m))
-    items["b"] = two_interval(open_iv(t3 + 9 * m), open_iv(t4 + 3 * m - 1))
+        items[f"v{i}"] = xx_two_interval(9 * m - i, t3 + 10 * m - i, m)
+        items[f"v'{i}"] = xx_two_interval(10 * m - i, t3 + 9 * m - i, m)
+    items["a"] = xx_two_interval(5 * m + 1, 9 * m, m)
+    items["b"] = xx_two_interval(t3 + 9 * m, t4 + 3 * m - 1, m)
     return Representation(items)
 
 

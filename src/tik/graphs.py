@@ -270,8 +270,7 @@ def k_colorable(g: Graph, k: int) -> Coloring | None:
         return Coloring({})
     if k == 0:
         return None
-    index = {v: i for i, v in enumerate(vs)}
-    nbrs = [sum(1 << index[w] for w in g.neighbors(v)) for v in vs]
+    nbrs = neighbour_masks(g, vs)
     classes = [0] * k  # the colored vertices of each color, as a mask
     colors: list[int] = []  # the colors of vertices 0, 1, ..., in order
     used = [0]  # used[i]: the colors in use among the first i vertices
@@ -296,12 +295,21 @@ def k_colorable(g: Graph, k: int) -> Coloring | None:
     return Coloring(dict(zip(vs, colors)))
 
 
+def neighbour_masks(g: Graph, order) -> list[int]:
+    """The neighbours of each vertex of `order` (every vertex of g, once
+    each) as a bitmask whose bit i is order[i], listed in that order."""
+    index = {v: i for i, v in enumerate(order)}
+    masks = [0] * len(index)
+    for u, v in g.edges:
+        i, j = index[u], index[v]
+        masks[i] |= 1 << j
+        masks[j] |= 1 << i
+    return masks
+
+
 def clique_number(g: Graph) -> int:
     """Size of a largest clique (0 for the empty graph)."""
-    index = {v: i for i, v in enumerate(g.vertices)}
-    return clique_number_of_masks(
-        [sum(1 << index[w] for w in g.neighbors(v)) for v in g.vertices]
-    )
+    return clique_number_of_masks(neighbour_masks(g, g.vertices))
 
 
 def clique_number_of_masks(nbrs) -> int:

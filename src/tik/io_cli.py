@@ -105,6 +105,13 @@ def circular_to_json(ca: CircularArcRep) -> dict:
     }
 
 
+def rep_to_json(rep) -> dict:
+    """A Representation or a CircularArcRep as the JSON of its kind."""
+    if isinstance(rep, CircularArcRep):
+        return circular_to_json(rep)
+    return representation_to_json(rep)
+
+
 def parse_representation(text: str):
     """Parse a Representation or CircularArcRep from JSON text.  Text that
     names a file is still text, so a file holding a path is not JSON."""
@@ -293,6 +300,20 @@ def _read_input(path: str) -> str:
         raise FormatError(f"no such file: {path}") from None
 
 
+_JSON_KIND = {Representation: "2-interval", CircularArcRep: "circular-arc"}
+
+
+def _read_rep(path: str, kind: type, what: str):
+    """The representation in the file at `path`, which `what` (a command
+    and its op) reads only as `kind`."""
+    rep = parse_representation(_read_input(path))
+    if not isinstance(rep, kind):
+        raise FormatError(
+            f"{what} expects {_JSON_KIND[kind]} JSON, got {_JSON_KIND[type(rep)]} JSON"
+        )
+    return rep
+
+
 def _cmd_gen(args, out, err) -> int:
     g = _call(_GENERATORS, args.kind, args)
     if args.format == "dot":
@@ -309,7 +330,7 @@ def _cmd_gen(args, out, err) -> int:
 
 def _cmd_realize(args, out, err) -> int:
     rep = _call(_FIXTURES, args.kind, args)
-    out.write(dump_json(representation_to_json(rep)))
+    out.write(dump_json(rep_to_json(rep)))
     return EXIT_YES
 
 
@@ -335,23 +356,17 @@ def _cmd_recognize(args, out, err) -> int:
     outcome = recognize.recognize(g, family, recognize.Budget(args.budget))
     out.write(f"{outcome.kind} nodes={outcome.nodes_used}\n")
     if outcome.is_member() and args.emit:
-        cert = outcome.certificate
-        payload = (
-            circular_to_json(cert)
-            if isinstance(cert, CircularArcRep)
-            else representation_to_json(cert)
-        )
         with open(args.emit, "w", encoding="utf-8") as fh:
-            fh.write(dump_json(payload))
+            fh.write(dump_json(rep_to_json(outcome.certificate)))
     return _VERDICT_EXIT[outcome.kind]
 
 
 def _cmd_transform(args, out, err) -> int:
-    rep = parse_representation(_read_input(args.input))
     op = args.op
-    if op in ("ca-to-balanced", "ca-to-unit"):
-        if not isinstance(rep, CircularArcRep):
-            raise FormatError(f"{op} expects a circular-arc JSON input")
+    circular = op.startswith("ca-to-")
+    rep = _read_rep(args.input, CircularArcRep if circular else Representation,
+                    f"transform {op}")
+    if circular:
         cut = q(args.cut) if args.cut is not None else transforms.generic_cut_point(rep)
         if op == "ca-to-balanced":
             result = transforms.balanced_from_circular_arc(rep, cut)
@@ -365,13 +380,15 @@ def _cmd_transform(args, out, err) -> int:
         result = model.affine(rep, q(args.factor), q(args.shift or 0))
     else:  # unit-to-xx
         result = transforms.unit_rep_to_integer_xx(rep)
-    out.write(dump_json(representation_to_json(result)))
+    out.write(dump_json(rep_to_json(result)))
     return EXIT_YES
 
 
 def _cmd_reduce(args, out, err) -> int:
     g = parse_graph(_read_input(args.input))
     if args.op == "hc-balanced":
+        if args.emit and not args.cycle:
+            raise FormatError("--emit needs --cycle")
         inst = reductions.hc_to_balanced_instance(g)
         out.write(graphs.to_edge_list(inst.graph))
         if args.cycle:
@@ -385,7 +402,7 @@ def _cmd_reduce(args, out, err) -> int:
             )
             if args.emit:
                 with open(args.emit, "w", encoding="utf-8") as fh:
-                    fh.write(dump_json(representation_to_json(rep)))
+                    fh.write(dump_json(rep_to_json(rep)))
         return EXIT_YES
     # coloring-simplicial
     if args.k is None:
@@ -411,10 +428,7 @@ def _cmd_render(args, out, err) -> int:
         out.write(emit_dot(parse_graph(_read_input(args.input))))
         return EXIT_YES
     # svg
-    rep = parse_representation(_read_input(args.input))
-    if isinstance(rep, CircularArcRep):
-        raise FormatError("svg rendering expects a 2-interval representation")
-    out.write(emit_svg(rep))
+    out.write(emit_svg(_read_rep(args.input, Representation, "render svg")))
     return EXIT_YES
 
 

@@ -163,6 +163,12 @@ def two_interval(a: Interval, b: Interval) -> TwoInterval:
     return TwoInterval(a, b)
 
 
+def xx_two_interval(a, b, x) -> TwoInterval:
+    """The (x,x) 2-interval: open pieces of length x starting at a and b,
+    in either order."""
+    return two_interval(Interval(a, a + x, False, False), Interval(b, b + x, False, False))
+
+
 class Representation:
     """Map vertex label -> TwoInterval.  Immutable, so its ground set is
     built once."""

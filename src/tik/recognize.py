@@ -39,7 +39,12 @@ from fractions import Fraction
 from itertools import chain
 
 from . import lp, transforms
-from .graphs import Graph, clique_number_of_masks, independence_number_of_masks
+from .graphs import (
+    Graph,
+    clique_number_of_masks,
+    independence_number_of_masks,
+    neighbour_masks,
+)
 from .model import (
     Arc,
     CircularArcRep,
@@ -48,7 +53,7 @@ from .model import (
     Representation,
     TwoInterval,
     q,
-    two_interval,
+    xx_two_interval,
 )
 
 OPEN, CLOSE = 0, 1
@@ -277,11 +282,7 @@ class _Search:
     def __init__(self, g: Graph, counter: _Counter, visitor=None):
         self.labels = sorted(g.vertices)
         self.n = len(self.labels)
-        idx = {v: i for i, v in enumerate(self.labels)}
-        self.adjm = [0] * self.n
-        for u, v in g.edges:
-            self.adjm[idx[u]] |= 1 << idx[v]
-            self.adjm[idx[v]] |= 1 << idx[u]
+        self.adjm = neighbour_masks(g, self.labels)
         self.covered = [0] * self.n  # neighbours each vertex has met so far
         # the covered edges as one mask over edge indices, for the keys:
         # made when the first key is, then kept up to date by _flip_cover
@@ -957,11 +958,7 @@ class _XXSearch(_Search):
         for v in range(self.n):
             key = tuple(self.pos[v])
             if key not in self.pieces:
-                a_l, a_r = key
-                self.pieces[key] = two_interval(
-                    Interval(q(a_l), q(a_l + x), False, False),
-                    Interval(q(a_r), q(a_r + x), False, False),
-                )
+                self.pieces[key] = xx_two_interval(*key, x)
             items[self.labels[v]] = self.pieces[key]
         return Representation(items)
 

@@ -140,8 +140,7 @@ def find_hamiltonian_cycle(g: Graph) -> list[str] | None:
     vs = sorted(g.vertices)
     if len(vs) < 3:
         return None
-    index = {v: i for i, v in enumerate(vs)}
-    nbrs = [sum(1 << index[w] for w in g.neighbors(v)) for v in vs]
+    nbrs = graphs.neighbour_masks(g, vs)
     everyone = (1 << len(vs)) - 1
     path, used = [0], 1
     todo = [nbrs[0] & ~used]  # todo[i]: the untried next steps after path[i]

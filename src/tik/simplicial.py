@@ -63,7 +63,5 @@ def k1t_free(g: Graph, t: int) -> bool:
     (t = 3 is claw-free)."""
     if t < 1:
         raise graphs.GraphError("t must be >= 1")
-    vs = sorted(g.vertices)
-    index = {v: i for i, v in enumerate(vs)}
-    nbrs = [sum(1 << index[w] for w in g.neighbors(v)) for v in vs]
+    nbrs = graphs.neighbour_masks(g, sorted(g.vertices))
     return all(graphs.independence_number_of_masks(nbrs, mask, t) < t for mask in nbrs)

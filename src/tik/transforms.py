@@ -29,6 +29,7 @@ from .model import (
     sweep_keys,
     two_interval,
     within,
+    xx_two_interval,
 )
 
 class TransformError(ValueError):
@@ -319,12 +320,7 @@ def stretch(rep: Representation) -> Representation:
         pending = keep
     items = {}
     for v in rep.labels():
-        a = done[(v, 0)]
-        bpos = done[(v, 1)]
-        items[v] = two_interval(
-            Interval(a, a + x + 1, False, False),
-            Interval(bpos, bpos + x + 1, False, False),
-        )
+        items[v] = xx_two_interval(done[(v, 0)], done[(v, 1)], x + 1)
     out = Representation(items)
     assert family_check(out, XX(x + 1)).ok
     return out
@@ -355,11 +351,7 @@ def unit_rep_to_integer_xx(rep: Representation) -> Representation:
     starts = dict(zip(order, _grid_starts([ground[k] for k in order], 0, span - 1)))
     items = {}
     for v in rep.labels():
-        a, b = starts[(v, 0)], starts[(v, 1)]
-        items[v] = two_interval(
-            Interval(a, a + span, False, False),
-            Interval(b, b + span, False, False),
-        )
+        items[v] = xx_two_interval(starts[(v, 0)], starts[(v, 1)], span)
     out = Representation(items)
     assert family_check(out, XX(span)).ok
     return out

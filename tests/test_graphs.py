@@ -21,6 +21,7 @@ from tik.graphs import (
     k_colorable,
     kneser,
     line_graph,
+    neighbour_masks,
     path,
     petersen,
     to_edge_list,
@@ -246,6 +247,13 @@ def test_clique_number_against_brute_force():
         index = {v: i for i, v in enumerate(g.vertices)}
         co = complement(g)
         nbrs = [sum(1 << index[w] for w in co.neighbors(v)) for v in g.vertices]
+        assert neighbour_masks(co, g.vertices) == nbrs
+        # sorted order, over a copy whose declaration order is not sorted
+        rev = Graph.build(g.vertices[::-1], co.edges)
+        assert neighbour_masks(rev, sorted(rev.vertices)) == nbrs
+        assert neighbour_masks(rev, rev.vertices) == [
+            sum(1 << g.n - 1 - index[w] for w in co.neighbors(v)) for v in rev.vertices
+        ]
         for cap in range(1, g.n + 2):
             got = independence_number_of_masks(nbrs, (1 << g.n) - 1, cap)
             assert got == min(expected, cap), (g, cap)

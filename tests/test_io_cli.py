@@ -318,6 +318,47 @@ def test_cli_transform_pipeline(tmp_path):
     assert model.family_check(rep, BALANCED).ok
 
 
+# a representation of each JSON kind, and an empty one of each
+KIND_INPUTS = {
+    "arcs": '{"circumference": "8", "arcs": {"a": {"start": "0", "end": "3"}}}',
+    "no-arcs": '{"circumference": "8", "arcs": {}}',
+    "pairs": dump_json(representation_to_json(gadgets.k44e_22_realization())),
+    "no-pairs": '{"vertices": {}}',
+}
+
+
+@pytest.mark.parametrize("argv, name", [
+    (argv, name)
+    for argv, names in [
+        (["transform", "ca-to-balanced"], ("pairs", "no-pairs")),
+        (["transform", "ca-to-unit"], ("pairs", "no-pairs")),
+        (["transform", "stretch"], ("arcs", "no-arcs")),
+        (["transform", "dilate", "--factor", "2"], ("arcs", "no-arcs")),
+        (["transform", "unit-to-xx"], ("arcs", "no-arcs")),
+        (["render", "svg"], ("arcs", "no-arcs")),
+    ]
+    for name in names
+], ids=lambda v: "-".join(v) if isinstance(v, list) else v)
+def test_cli_rejects_the_other_json_kind(tmp_path, argv, name):
+    path = tmp_path / "rep.json"
+    path.write_text(KIND_INPUTS[name])
+    kinds = ["2-interval", "circular-arc"]
+    if "pairs" in name:
+        kinds.reverse()
+    assert run_cli(argv + [str(path)]) == (
+        EXIT_ERROR, "", f"error: {argv[0]} {argv[1]} expects {kinds[0]} JSON, "
+                        f"got {kinds[1]} JSON\n")
+
+
+def test_cli_reduce_emit_needs_cycle(tmp_path):
+    k33 = tmp_path / "k33.edges"
+    k33.write_text(to_edge_list(complete_bipartite(3, 3)))
+    emit = tmp_path / "witness.json"
+    argv = ["reduce", "hc-balanced", "--emit", str(emit), str(k33)]
+    assert run_cli(argv) == (EXIT_ERROR, "", "error: --emit needs --cycle\n")
+    assert not emit.exists()
+
+
 def test_cli_ca_to_unit_mixed_closedness(tmp_path):
     # proper: a = (4, 1] and c = (3, 1) have heads [0, 1] and [0, 1) at the
     # cut, which the sweep order, not the labels, must order

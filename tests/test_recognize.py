@@ -28,7 +28,7 @@ from tik.graphs import (
     petersen,
     wheel,
 )
-from tik.io_cli import circular_to_json, dump_json, representation_to_json
+from tik.io_cli import dump_json, rep_to_json
 from tik.model import (
     BALANCED,
     CIRCULAR_ARC,
@@ -749,9 +749,7 @@ def test_coverage_masks_equal_set_rule(monkeypatch):
 
 
 def _cert_json(cert):
-    if isinstance(cert, CircularArcRep):
-        return circular_to_json(cert)
-    return None if cert is None else representation_to_json(cert)
+    return None if cert is None else rep_to_json(cert)
 
 
 def _table_searches():
@@ -1312,7 +1310,7 @@ def test_enumeration_counts_pinned():
 def test_long_word_certificates_pinned(g, family, nodes, digest):
     out = recognize(g, family, BIG)
     assert (out.kind, out.nodes_used) == ("member", nodes)
-    text = dump_json(representation_to_json(out.certificate))
+    text = dump_json(rep_to_json(out.certificate))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
     assert_member_sound(out, g, family)
 

@@ -1,11 +1,11 @@
 """Opcode counts of a fixed list of searches, a work measure that does not
 vary from run to run.
 
-Runs each search below, one intersection graph and one batch of
-circular-arc transforms under `sys.settrace`
-with `f_trace_opcodes` set on every frame and prints the number of
-bytecode instructions the interpreter executed for it, with its answer
-(a search's node count among it):
+Runs each search below, one intersection graph, the neighbour-mask
+solvers outside the search and one batch of circular-arc transforms
+under `sys.settrace` with `f_trace_opcodes` set on every frame and
+prints the number of bytecode instructions the interpreter executed for
+it, with its answer (a search's node count among it):
 
     PYTHONPATH=src python3 tools/bytecodes.py
 
@@ -15,7 +15,7 @@ version, so two versions of the search loop compare by them.  To count
 another version, point PYTHONPATH at its `src`.  The counts include
 the work a search hands to other modules (its set-up, certificates) but
 not the time spent inside C functions, so they size interpreter work,
-not wall time.  All fifteen lines take about 30 s traced.
+not wall time.  All sixteen lines take about 30 s traced.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ from tik.model import (
 )
 from tik.recognize import Budget, enumerate_realizations, recognize
 from tik.reductions import find_hamiltonian_cycle, ham_cycle_realization
+from tik.simplicial import all_k_simplicial, k1t_free
 from tik.transforms import (
     TransformError,
     generic_cut_point,
@@ -71,20 +72,40 @@ def _enumeration(g, family, budget, visitor=lambda rep: None):
     return call
 
 
-def _prism_witness_graph():
-    # the balanced realization of prism(30)'s Hamiltonicity expansion, 565
-    # vertices, is built untraced; only its intersection graph is counted
+def _prism_witness():
+    # prism(30) and the balanced realization of its Hamiltonicity
+    # expansion, 565 vertices
     k = 30
     a = [f"a{i}" for i in range(k)]
     b = [f"b{i}" for i in range(k)]
     prism = Graph.build(a + b, [(x[i], x[(i + 1) % k]) for x in (a, b)
                                 for i in range(k)] + list(zip(a, b)))
-    rep = ham_cycle_realization(hamiltonicity_expansion(prism),
-                                find_hamiltonian_cycle(prism))
+    return prism, ham_cycle_realization(hamiltonicity_expansion(prism),
+                                        find_hamiltonian_cycle(prism))
+
+
+def _prism_witness_graph():
+    # the realization is built untraced; only its intersection graph is counted
+    _, rep = _prism_witness()
 
     def call():
         g = intersection_graph(rep)
         return f"vertices={g.n} edges={len(g.edges)}"
+    return call
+
+
+def _mask_solvers():
+    # the neighbour-mask solvers outside the search: the two simplicial
+    # checks on the prism(30) witness's intersection graph and the cycle
+    # search on prism(30), all built untraced
+    prism, rep = _prism_witness()
+    g = intersection_graph(rep)
+
+    def call():
+        simplicial = all_k_simplicial(g, 4) is not None
+        cycle = " ".join(find_hamiltonian_cycle(prism))
+        return (f"all-4-simplicial={simplicial} K1,5-free={k1t_free(g, 5)} "
+                f"cycle sha256={hashlib.sha256(cycle.encode()).hexdigest()[:16]}")
     return call
 
 
@@ -121,9 +142,9 @@ def _proper_arc_units():
 
 
 def searches():
-    """(name, call) pairs; each call runs one search (the last two, one
-    intersection graph and one batch of transforms) and describes its
-    answer."""
+    """(name, call) pairs; each call runs one search (the last three, one
+    intersection graph, the mask solvers outside the search and one batch
+    of transforms) and describes its answer."""
     return (
         ("wheel(7)/unit 10^5", _recognition(wheel(7), UNIT, 10**5)),
         ("wheel(9)/unit 10^5", _recognition(wheel(9), UNIT, 10**5)),
@@ -146,6 +167,7 @@ def searches():
         # non-FIFO opens of a vertex's second slot
         ("path(300)/2interval", _recognition(path(300), TWO_INTERVAL, 10**7)),
         ("prism(30) witness intersection_graph", _prism_witness_graph()),
+        ("prism(30) witness masks: 4-simplicial, K1,5, HC", _mask_solvers()),
         ("proper circular-arc -> unit (100 closed models)", _proper_arc_units()),
     )
 

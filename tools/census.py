@@ -47,11 +47,10 @@ import corpus  # noqa: E402
 from conftest import nonisomorphic_graphs  # noqa: E402
 from tik.gadgets import k44_minus_e, xx_separator  # noqa: E402
 from tik.graphs import complete_bipartite, cycle, domino, path, wheel  # noqa: E402
-from tik.io_cli import circular_to_json, representation_to_json  # noqa: E402
+from tik.io_cli import rep_to_json  # noqa: E402
 from tik.model import (  # noqa: E402
     BALANCED,
     CIRCULAR_ARC,
-    CircularArcRep,
     INTERVAL_CLASS,
     TWO_INTERVAL,
     UNIT,
@@ -94,9 +93,7 @@ def _long_ladder_cases():
 
 
 def _cert_json(cert):
-    if isinstance(cert, CircularArcRep):
-        return circular_to_json(cert)
-    return None if cert is None else representation_to_json(cert)
+    return None if cert is None else rep_to_json(cert)
 
 
 def _line(row) -> bytes:

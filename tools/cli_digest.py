@@ -40,6 +40,7 @@ INPUTS = {
         '"v3": {"start": "4", "end": "7", "end_closed": false},'
         '"v4": {"start": "6", "end": "1", "start_closed": false}}}'
     ),
+    "no-arcs.json": '{"circumference": "8", "arcs": {}}',
     "nested.json": '{"circumference": "8", "arcs": {"a": {"start": "0", "end": "9"}}}',
     "list.json": "[1, 2]",
     "broken.json": "{nope",
@@ -119,15 +120,19 @@ SCRIPT = [
     "transform ca-to-balanced k53.json",
     "transform stretch sep2.json",
     "transform stretch arcs.json",
+    "transform stretch no-arcs.json",
     "transform dilate --factor 2 --shift 1/2 k53.json",
     "transform dilate --factor 0 k53.json",
     "transform dilate k53.json",
+    "transform dilate --factor 2 arcs.json",
     "transform unit-to-xx domino-unit.json",
     "transform unit-to-xx k53.json",
+    "transform unit-to-xx arcs.json",
     "transform bogus k53.json",
     "reduce hc-balanced k33.edges",
     "reduce hc-balanced --cycle s1,t1,s2,t2,s3,t3 --emit witness.json k33.edges",
     "reduce hc-balanced --cycle s1,s2,t1,t2,s3,t3 k33.edges",
+    "reduce hc-balanced --emit no-cycle.json k33.edges",
     "reduce hc-balanced c5.edges",
     "reduce coloring-simplicial --k 2 c5.edges",
     "reduce coloring-simplicial --k 0 c5.edges",
