@@ -385,6 +385,8 @@ def _cmd_transform(args, out, err) -> int:
 
 
 def _cmd_reduce(args, out, err) -> int:
+    if args.op != "hc-balanced" and (args.emit or args.cycle):
+        raise FormatError(f"{args.op} takes no --emit or --cycle")
     g = parse_graph(_read_input(args.input))
     if args.op == "hc-balanced":
         if args.emit and not args.cycle:

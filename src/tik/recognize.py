@@ -213,9 +213,8 @@ def order_feasible(word, pairing):
         if rhs < 0:
             row = [-a for a in row]
             rhs = -rhs
-        if any(row):
-            a_eq.append(row)
-            b_eq.append(rhs)
+        a_eq.append(row)
+        b_eq.append(rhs)
 
     # positional: tikbench/spans.py unpacks these five arguments
     status, h, _ = lp.solve_lp([0] * n_gaps, [], [], a_eq, b_eq)
@@ -407,19 +406,17 @@ class _OrderSearch(_Search):
         self.begun = 0  # vertices with a slot opened
 
     def _close_ok(self, v):
-        # every uncovered edge (v, w) must still be able to meet once v's
-        # open interval closed: a v with a slot left can meet any w not yet
-        # closed, a v closed for good nothing.  Tested before the close is
-        # applied; an open needs no test, as it keeps every vertex passing
-        # (design notes: "Bitset kernels")
-        bit = 1 << v
-        unopened = self.unopened
-        left = unopened & bit  # v has a slot left
-        possible = unopened | (self.live ^ bit) if left else 0
-        if self.adjm[v] & ~self.covered[v] & ~possible:
+        # a close that ends v for good needs every edge at v covered.  One
+        # that leaves v a slot needs no coverage test: a neighbour that can
+        # no longer meet v has closed for good, which needed the edge
+        # covered.  Tested before the close is applied; an open needs no
+        # test, as it keeps every vertex passing (design notes: "Bitset
+        # kernels")
+        left = self.unopened >> v & 1  # v has a slot left
+        if not left and self.adjm[v] & ~self.covered[v]:
             return False
         # after the close, v's intervals not yet closed are its slot left
-        return not self.fifo or self._capacity_ok(v, 1 if left else 0)
+        return not self.fifo or self._capacity_ok(v, left)
 
     def _capacity_ok(self, u, alive):
         # equal lengths: one interval meets at most two pairwise-disjoint
@@ -713,17 +710,20 @@ class _XXSearch(_Search):
         yield True
 
     def _edges_alive(self, touched, p):
-        # every uncovered edge must still be coverable: future copies start
-        # at >= p, and a second copy no earlier than first + x.  The parent
-        # node passed this test, so only the vertices of mask `touched` are
-        # checked, against all their uncovered edges (design notes:
-        # "Incremental liveness in the placement engine")
-        x = self.x
+        # capacity: uncovered pairwise-nonadjacent neighbours have pairwise
+        # disjoint intervals, and each copy of u meets at most `cap` of
+        # those; only unplaced copies and placed copies still live at p
+        # (within reach of future positions) can serve them, so a fully
+        # placed u whose copies have both left the window can serve none.
+        # The parent node passed this test, and only a copy leaving the
+        # window lowers a vertex's count, so only the vertices of mask
+        # `touched` are checked (design notes: "Incremental liveness in the
+        # placement engine")
         pos = self.pos
         adjm = self.adjm
         covered = self.covered
-        placed, placed2 = self.placed, self.placed2
-        cap = 1 if x == 1 else 2  # disjoint length-x intervals one copy can meet
+        cap = 1 if self.x == 1 else 2  # disjoint length-x intervals one copy can meet
+        lo = p - self.x
         while touched:
             low = touched & -touched
             touched ^= low
@@ -731,41 +731,11 @@ class _XXSearch(_Search):
             need = adjm[u] & ~covered[u]
             if not need:
                 continue
-            if placed2 & low:
-                # u's last copy must reach a copy of w still to come, which
-                # starts at >= p, and at >= first + x when w has one down
-                if need & placed2:
-                    return False
-                reach = pos[u][1] + x
-                if reach <= p:
-                    return False
-                rest = need
-                while rest:
-                    w_low = rest & -rest
-                    w = w_low.bit_length() - 1
-                    if placed & w_low and reach <= pos[w][0] + x:
-                        return False
-                    rest ^= w_low
-            elif need & placed2:
-                # w's last copy must reach u's next one
-                e_u = max(p, pos[u][0] + x) if placed & low else p
-                rest = need & placed2
-                while rest:
-                    w_low = rest & -rest
-                    if pos[w_low.bit_length() - 1][1] + x <= e_u:
-                        return False
-                    rest ^= w_low
-            # capacity: uncovered pairwise-nonadjacent neighbors have pairwise
-            # disjoint intervals, and each copy of u meets at most `cap` of
-            # those; only unplaced copies and placed copies still within
-            # reach of future positions can serve them
-            if need.bit_count() > cap:
-                first, second = pos[u]
-                lo = p - x
-                alive = (first is None or first > lo) + (second is None or second > lo)
-                bound = cap * alive
-                if need.bit_count() > bound and self._independence(need) > bound:
-                    return False
+            first, second = pos[u]
+            alive = (first is None or first > lo) + (second is None or second > lo)
+            bound = cap * alive
+            if need.bit_count() > bound and self._independence(need) > bound:
+                return False
         return True
 
     def _key(self):
@@ -884,10 +854,9 @@ class _XXSearch(_Search):
                     self.window = window | bit
                     self._flip_cover(v, newly)
                     self.slack = slack + k - room
-                    if depth == 0:
-                        touched = everyone  # the root was never checked
-                    else:  # v, newly, and the copies expired since the parent
-                        touched = bit | newly | expired
+                    # the root was never checked; below it, only the
+                    # copies expired since the parent can fail
+                    touched = expired if depth else everyone
                     if self._edges_alive(touched, p):
                         yield True
                     self.slack = slack

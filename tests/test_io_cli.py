@@ -359,6 +359,22 @@ def test_cli_reduce_emit_needs_cycle(tmp_path):
     assert not emit.exists()
 
 
+@pytest.mark.parametrize("extra", [
+    ["--emit", "x.json"], ["--cycle", "v1,v2"],
+    ["--emit", "x.json", "--cycle", "v1,v2"],
+], ids=["emit", "cycle", "both"])
+def test_cli_reduce_coloring_rejects_hc_options(tmp_path, extra):
+    # --emit and --cycle belong to hc-balanced alone; another op must not
+    # ignore them and write nothing
+    c5 = tmp_path / "c5.edges"
+    c5.write_text(to_edge_list(graphs.cycle(5)))
+    extra = [str(tmp_path / a) if a == "x.json" else a for a in extra]
+    argv = ["reduce", "coloring-simplicial", "--k", "2", *extra, str(c5)]
+    assert run_cli(argv) == (
+        EXIT_ERROR, "", "error: coloring-simplicial takes no --emit or --cycle\n")
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_cli_ca_to_unit_mixed_closedness(tmp_path):
     # proper: a = (4, 1] and c = (3, 1) have heads [0, 1] and [0, 1) at the
     # cut, which the sweep order, not the labels, must order

@@ -276,6 +276,29 @@ def test_order_feasible_accepts_words_of_balanced_reps():
                     == values[(right, CLOSE)] - values[(right, OPEN)])
 
 
+def test_balanced_leaves_rejected_by_the_lp(monkeypatch):
+    # the one leaf check that can reject a leaf: balanced words whose
+    # length equalities have no solution.  This graph's search reaches
+    # seven leaves and order_feasible rejects the first six
+    from tik import recognize as engine
+
+    g = from_edge_list("v1 v3\nv1 v4\nv1 v6\nv1 v7\nv1 v8\nv1 v9\nv2 v3\n"
+                       "v2 v4\nv2 v5\nv2 v9\nv3 v6\nv4 v5\nv4 v7\nv4 v9\n"
+                       "v5 v6\nv5 v8\nv5 v9\nv6 v9\nv8 v9\n")
+    answers = []
+
+    def spy(word, pairing):
+        values = order_feasible(word, pairing)
+        answers.append(values is not None)
+        return values
+
+    monkeypatch.setattr(engine, "order_feasible", spy)
+    outcome = recognize(g, BALANCED, BIG)
+    assert_member_sound(outcome, g, BALANCED)
+    assert outcome.nodes_used == 5967
+    assert answers == [False] * 6 + [True]
+
+
 # --- recognize: basics -----------------------------------------------------------
 
 

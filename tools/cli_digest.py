@@ -135,6 +135,7 @@ SCRIPT = [
     "reduce hc-balanced --emit no-cycle.json k33.edges",
     "reduce hc-balanced c5.edges",
     "reduce coloring-simplicial --k 2 c5.edges",
+    "reduce coloring-simplicial --k 2 --emit x.json --cycle v1,v2 c5.edges",
     "reduce coloring-simplicial --k 0 c5.edges",
     "reduce coloring-simplicial c5.edges",
 ] + [
