@@ -19,12 +19,12 @@ open or placed vertices) as int bitmasks, so a candidate costs a few
 integer operations, and charge the candidates they can rule out in bulk,
 in the order and with the stop node that one tick per candidate would
 give.  The loop does what every node does alike: it tests for a leaf,
-and it remembers the states whose subtree was walked without accepting
-a leaf and charges such a subtree in one step when its state comes back
-(balanced excepted).  A placement enumeration remembers the subtrees
-that accepted leaves too, and replays their leaves when the state comes
-back.  So verdicts, node counts, certificates and the order of visits
-are those of the full walk.
+and it remembers the states whose subtree was walked without reaching
+a leaf and charges such a subtree in one step when its state comes
+back.  A placement enumeration remembers the subtrees that reached
+leaves too, and replays their leaves when the state comes back.  So
+verdicts, node counts, certificates and the order of visits are those
+of the full walk.
 
 NonMember is returned only when the search space was provably exhausted
 within budget.  Every Member certificate re-verifies: family_check passes
@@ -65,7 +65,7 @@ RECORD_AFTER = 1000
 
 # an enumeration logs at most this many leaves for its replays (14 bytes
 # a leaf for K5 as xx(2) at 10^7 nodes); past it, it records only the
-# subtrees that accepted no leaf, as a recognition search does (design
+# subtrees that reached no leaf, as a recognition search does (design
 # notes: "Refuted states")
 LEAF_LOG_MAX = 10**6
 
@@ -261,11 +261,10 @@ class _Search:
     Refuted states: `table` maps a node's depth + 1 (its height on
     `_run`'s stack) and its key, the int `_key()` packs from the state
     its subtree is a function of, to the nodes that subtree charged when
-    it finished without accepting a leaf; `_run` looks nodes up and
-    records them (design notes: "Refuted states").  The table is None
-    where a leaf's verdict reads more than the key (balanced).  Where
-    leaves are logged (`stamps` is not None: placement enumerations), the
-    table maps every finished node, accepted leaves or not, to the int
+    it finished without reaching a leaf; `_run` looks nodes up and
+    records them (design notes: "Refuted states").  Where leaves are
+    logged (`stamps` is not None: placement enumerations), the table
+    maps every finished node, leaves reached or not, to the int
     `_entry` packs, and a node that comes back is replayed by `_replay`.
 
     CPython 3.11 keeps an instance's attributes in a compact shared-key
@@ -274,7 +273,7 @@ class _Search:
     some searches need lives in class defaults."""
 
     # the first LEAF_LOG_MAX leaves visited, in order, where the engine
-    # replays subtrees that accepted leaves (placement enumerations): the
+    # replays subtrees that reached leaves (placement enumerations): the
     # nodes charged at each, and its positions, 2n per leaf
     stamps = leaves = None
 
@@ -392,8 +391,6 @@ class _OrderSearch(_Search):
         self.moves = 2 * slots
         self.slack += self.room * slots
         self.cutmask = 0  # the cut arcs
-        if family.kind == "balanced":
-            self.table = None  # its leaf LP reads the whole word
         # the open order (FIFO) or the live mask ends a key; at most omega
         # intervals are open at once, each as its vertex index + 1
         self.vertex_bits = self.n.bit_length()
@@ -442,8 +439,7 @@ class _OrderSearch(_Search):
                 self.open_list.append((w, 0))
                 self.word.append(((w, 0), OPEN))
             self.live = self.begun = self.cutmask
-            if self.table:
-                self.table.clear()  # a key does not say which arcs are cut
+            self.table.clear()  # a key does not say which arcs are cut
             yield True
             self.cutmask = self.live = self.begun = 0
             self.open_list.clear()
@@ -699,7 +695,7 @@ class _XXSearch(_Search):
         # a key's fixed-width fields: the covered edges, placed and placed2
         self.fixed_bits = len(g.edges) + 2 * self.n
         self.dist_bits = (x - 1).bit_length()
-        # an enumeration also records the subtrees that accepted leaves,
+        # an enumeration also records the subtrees that reached leaves,
         # and replays them from its log of leaves (design notes: "Refuted
         # states").  A position is at most (2n - 1)x
         if visitor is not None:
@@ -979,14 +975,13 @@ def _run(search):
     Each generator yields once per move, with the move applied, and
     resumes, to undo it, once the child is finished.  The loop does what
     every node does alike: a child `moves` deep is a leaf, whose
-    realization `_leaf` returns; the loop keeps the first and the node
-    count of the last, for the record rule, and a search without a
-    visitor stops at its first.  A child in the refuted-state table is
-    charged in one step, or replayed leaf by leaf in a search that logs
-    its leaves; any other is entered as a `_dfs` generator, and recorded
-    in the table when it finishes if the record rules allow: once the log
-    of leaves is full, a subtree that accepted a leaf is not recorded,
-    as its leaves may not all be logged (design notes: "Refuted
+    realization, or None, `_leaf` returns; the loop keeps the first
+    realization and the node count at the last leaf reached, and a search
+    without a visitor stops at its first.  A child in the refuted-state
+    table is charged in one step, or replayed leaf by leaf in a search
+    that logs its leaves; any other is entered as a `_dfs` generator, and
+    recorded when it finishes iff it reached no leaf or, while the log of
+    leaves has room, the search logs its leaves (design notes: "Refuted
     states")."""
     counter, table = search.counter, search.table
     dfs, key = search._dfs, search._key
@@ -994,7 +989,7 @@ def _run(search):
     leaf = search.moves + 1
     # a search that logs its leaves records every node it finishes while
     # its log has room, and replays a subtree that comes back; any other
-    # records the nodes that accepted no leaf, and charges such a subtree
+    # records the nodes that reached no leaf, and charges such a subtree
     # in one step
     replays = search.stamps is not None
     hit = search._replay if replays else counter.charge
@@ -1006,9 +1001,9 @@ def _run(search):
     entered = [(0, None)]
     last = 0
     found = None
-    # nodes charged when the last realization was accepted, or replayed:
-    # a subtree entered at `start` nodes accepted one iff this exceeds start
-    accepted = -1
+    # nodes charged when the last leaf was reached, or replayed: a subtree
+    # entered at `start` nodes reached one iff this exceeds start
+    reached = -1
     try:
         while stack:
             if next(stack[-1], False):
@@ -1017,13 +1012,12 @@ def _run(search):
                 # indexes the table
                 height = len(stack)
                 if height == leaf:
+                    reached = last
                     rep = search._leaf()
-                    if rep is not None:
-                        if found is None:
-                            found = rep
-                            if stop:
-                                break
-                        accepted = last
+                    if rep is not None and found is None:
+                        found = rep
+                        if stop:
+                            break
                     continue
                 k = None
                 if table and height in table:
@@ -1031,18 +1025,18 @@ def _run(search):
                     known = table[height].get(k)
                     if known is not None:
                         if hit(known):  # walked before; a replay visited leaves
-                            accepted = last
+                            reached = last
                         continue
                 stack.append(dfs())
                 entered.append((last, k))
                 continue
             stack.pop()
             start, k = entered.pop()
-            # a node that yielded a child, accepted no leaf unless the search
+            # a node that yielded a child, reached no leaf unless the search
             # replays and logged all its leaves, and is not the root; it has
             # undone its moves, so key() reads its own state
             if (last > start and counter.nodes > RECORD_AFTER and len(stack) > 1
-                    and table is not None and (accepted < start or (
+                    and (reached < start or (
                         replays and len(search.stamps) < LEAF_LOG_MAX))):
                 table.setdefault(len(stack), {})[key() if k is None else k] = (
                     search._entry(start) if replays else counter.nodes - start)

@@ -276,15 +276,26 @@ def test_order_feasible_accepts_words_of_balanced_reps():
                     == values[(right, CLOSE)] - values[(right, OPEN)])
 
 
+# balanced members whose searches reach leaves that order_feasible, the
+# one leaf check that can reject a leaf, rejects: six of seven leaves on
+# nine vertices, four of five on ten.  The first of those four is the leaf
+# where the same search as 2interval stops, at 9,223 nodes; as balanced it
+# goes on to 9,269
+LP_REJECTS_9 = from_edge_list("v1 v3\nv1 v4\nv1 v6\nv1 v7\nv1 v8\nv1 v9\n"
+                              "v2 v3\nv2 v4\nv2 v5\nv2 v9\nv3 v6\nv4 v5\n"
+                              "v4 v7\nv4 v9\nv5 v6\nv5 v8\nv5 v9\nv6 v9\n"
+                              "v8 v9\n")
+LP_REJECTS_10 = from_edge_list("v1 v10\nv1 v2\nv1 v8\nv2 v10\nv5 v10\n"
+                               "v6 v10\nv7 v10\nv8 v10\nv2 v4\nv3 v4\n"
+                               "v3 v5\nv3 v7\nv4 v5\nv4 v6\nv5 v8\nv6 v8\n"
+                               "v6 v9\n")
+
+
 def test_balanced_leaves_rejected_by_the_lp(monkeypatch):
-    # the one leaf check that can reject a leaf: balanced words whose
-    # length equalities have no solution.  This graph's search reaches
-    # seven leaves and order_feasible rejects the first six
+    # balanced words whose length equalities have no solution: every leaf
+    # but the last is rejected, and the certificate re-verifies
     from tik import recognize as engine
 
-    g = from_edge_list("v1 v3\nv1 v4\nv1 v6\nv1 v7\nv1 v8\nv1 v9\nv2 v3\n"
-                       "v2 v4\nv2 v5\nv2 v9\nv3 v6\nv4 v5\nv4 v7\nv4 v9\n"
-                       "v5 v6\nv5 v8\nv5 v9\nv6 v9\nv8 v9\n")
     answers = []
 
     def spy(word, pairing):
@@ -293,10 +304,13 @@ def test_balanced_leaves_rejected_by_the_lp(monkeypatch):
         return values
 
     monkeypatch.setattr(engine, "order_feasible", spy)
-    outcome = recognize(g, BALANCED, BIG)
-    assert_member_sound(outcome, g, BALANCED)
-    assert outcome.nodes_used == 5967
-    assert answers == [False] * 6 + [True]
+    for g, nodes, leaves in ((LP_REJECTS_9, 5_967, 7), (LP_REJECTS_10, 9_269, 5)):
+        answers.clear()
+        outcome = recognize(g, BALANCED, BIG)
+        assert_member_sound(outcome, g, BALANCED)
+        assert outcome.nodes_used == nodes
+        assert answers == [False] * (leaves - 1) + [True]
+    assert recognize(LP_REJECTS_10, TWO_INTERVAL, BIG).nodes_used == 9_223
 
 
 # --- recognize: basics -----------------------------------------------------------
@@ -729,15 +743,11 @@ def test_coverage_masks_equal_set_rule(monkeypatch):
     # edges, which only shrinks the independent sets the capacity rule
     # counts, and keeps the opener's intervals not yet closed, so the set
     # rule must pass at the opener once the open is applied.  The
-    # refuted-state table is off, so every subtree is walked and every
-    # state is seen
+    # refuted-state table records nothing, so every subtree is walked and
+    # every state is seen
     verdicts = {("close", True): 0, ("close", False): 0, ("open", True): 0}
 
     class Checked(engine._OrderSearch):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            self.table = None
-
         def _close_ok(self, v):
             got = super()._close_ok(v)
             # apply the close: v's last event so far is the open of the
@@ -757,6 +767,7 @@ def test_coverage_masks_equal_set_rule(monkeypatch):
                 yield moved
 
     monkeypatch.setattr(engine, "_OrderSearch", Checked)
+    monkeypatch.setattr(engine, "RECORD_AFTER", float("inf"))
     families = (TWO_INTERVAL, BALANCED, UNIT, INTERVAL_CLASS, UNIT_INTERVAL, CIRCULAR_ARC)
     for n in range(1, 6):
         for g in nonisomorphic_graphs(n):
@@ -780,9 +791,11 @@ def _table_searches():
     # family, on six as unit (where a key without the begun mask first goes
     # wrong) and on six and seven as circular-arc (a table kept across the
     # cuts through one vertex first goes wrong on seven), the enumerations,
-    # whose recorded subtrees that accepted leaves are replayed, and budget
-    # ladders that cut the searches inside charges and replays the table
-    # makes; each call returns what a caller can see of the search
+    # whose recorded subtrees that reached leaves are replayed, balanced
+    # searches whose leaves the LP rejects (a subtree that reached one must
+    # not be recorded), and budget ladders that cut the searches inside
+    # charges and replays the table makes; each call returns what a caller
+    # can see of the search
     from conftest import nonisomorphic_graphs
 
     def recognition(g, family, budget):
@@ -818,6 +831,8 @@ def _table_searches():
     for g in nonisomorphic_graphs(5):
         yield (g, XX(2), "enumeration"), enumeration(g, XX(2), Budget(10**4))
     yield (k44_minus_e(), XX(2), "enumeration"), enumeration(k44_minus_e(), XX(2))
+    for g in (LP_REJECTS_9, LP_REJECTS_10):
+        yield (g, BALANCED), recognition(g, BALANCED, BIG)
     for g, family, top, step in ((wheel(9), UNIT, 20_000, 97),
                                  (xx_separator(2).graph, XX(2), 40_000, 499)):
         for b in range(1, top, step):
@@ -826,8 +841,8 @@ def _table_searches():
 
 def test_refuted_table_equals_full_search(monkeypatch):
     # the table charges a subtree it has seen refuted in one step, and an
-    # enumeration replays one that accepted leaves; a run with the table
-    # off walks every subtree and is the reference, so each search must
+    # enumeration replays one that reached leaves; a run that records
+    # nothing walks every subtree and is the reference, so each search must
     # answer alike, node counts, certificates, enumeration order and the
     # stop node of every budget included.  The table records from the
     # first node here, so these short searches use it too: any subset of
@@ -835,51 +850,41 @@ def test_refuted_table_equals_full_search(monkeypatch):
     # off in turn, so only one pair of answers is held at a time
     from tik import recognize as engine
 
+    off = float("inf")  # RECORD_AFTER that records nothing, so hits nothing
+    default = engine.RECORD_AFTER
     entered = {True: 0, False: 0}  # _dfs nodes, table on and off
-    order_search, xx_search = engine._OrderSearch, engine._XXSearch
 
-    def engines(table):
-        class Engine:
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                if not table:
-                    self.table = None
+    class Engine:
+        def _dfs(self):
+            entered[engine.RECORD_AFTER != off] += 1
+            return super()._dfs()
 
-            def _dfs(self):
-                entered[table] += 1
-                return super()._dfs()
+    class Order(Engine, engine._OrderSearch):
+        pass
 
-        class Order(Engine, order_search):
-            pass
+    class Placement(Engine, engine._XXSearch):
+        pass
 
-        class Placement(Engine, xx_search):
-            pass
-
-        return Order, Placement
-
-    def use(table):
-        order, placement = engines(table)
-        monkeypatch.setattr(engine, "_OrderSearch", order)
-        monkeypatch.setattr(engine, "_XXSearch", placement)
-
-    with monkeypatch.context() as m:
-        m.setattr(engine, "RECORD_AFTER", 0)
-        for label, call in _table_searches():
-            answers = {}
-            for table in (True, False):
-                use(table)
-                answers[table] = call()
-            assert answers[True] == answers[False], label
+    monkeypatch.setattr(engine, "_OrderSearch", Order)
+    monkeypatch.setattr(engine, "_XXSearch", Placement)
+    for label, call in _table_searches():
+        answers = []
+        for record_after in (0, off):
+            monkeypatch.setattr(engine, "RECORD_AFTER", record_after)
+            answers.append(call())
+        assert answers[0] == answers[1], label
     # at the default settings the table must save work: the order engine
-    # on a refuted-heavy search, the placement engine on the C2 audit,
+    # on refuted-heavy searches, as unit and as balanced (1,653 nodes
+    # entered instead of 3,001), the placement engine on the C2 audit,
     # whose replays enter 6,944 nodes instead of 41,598
     for g, family, budget, run, factor in (
             (wheel(9), UNIT, Budget(10**5), recognize, 1),
+            (xx_separator(2).graph, BALANCED, Budget(10**5), recognize, 1),
             (k44_minus_e(), XX(2), BIG,
              lambda *args: enumerate_realizations(*args, lambda rep: None), 4)):
-        for table in (True, False):
-            use(table)
-            entered[table] = 0
+        for record_after in (default, off):
+            monkeypatch.setattr(engine, "RECORD_AFTER", record_after)
+            entered[record_after != off] = 0
             run(g, family, budget)
         assert entered[True] * factor < entered[False], (family, entered)
 
@@ -889,9 +894,11 @@ def test_record_policy_table_sizes(monkeypatch):
     # answers and node counts cannot see which ones are; the table sizes
     # these searches end with at the default settings pin the record rules
     # (design notes: "Refuted states").  Not counting leaf and table-hit
-    # children as yielded gives 2,575 and 4,711 entries in the second and
-    # last search.  The C2 audit, an enumeration, records the subtrees
-    # that accepted leaves too: 417 refuted and 5,943 to replay
+    # children as yielded gives 2,575, 58 and 4,711 entries in the second
+    # and the last two searches.  Balanced records the subtrees that
+    # reached no leaf, as every recognition does.  The C2 audit, an
+    # enumeration, records the subtrees that reached leaves too: 417
+    # refuted and 5,943 to replay
     from tik import recognize as engine
 
     searches = []
@@ -905,9 +912,10 @@ def test_record_policy_table_sizes(monkeypatch):
     recognize(wheel(7), UNIT, Budget(10**5))
     recognize(wheel(9), UNIT, Budget(10**5))
     recognize(xx_separator(2).graph, XX(2), Budget(10**4))
+    recognize(xx_separator(2).graph, BALANCED, Budget(10**4))
     enumerate_realizations(k44_minus_e(), XX(2), BIG, lambda rep: None)
     sizes = [sum(map(len, search.table.values())) for search in searches]
-    assert sizes == [142, 2_587, 28, 6_360]
+    assert sizes == [142, 2_587, 28, 60, 6_360]
 
 
 def test_leaf_log_cap_keeps_enumerations_exact(monkeypatch):

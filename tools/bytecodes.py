@@ -15,7 +15,7 @@ version, so two versions of the search loop compare by them.  To count
 another version, point PYTHONPATH at its `src`.  The counts include
 the work a search hands to other modules (its set-up, certificates) but
 not the time spent inside C functions, so they size interpreter work,
-not wall time.  All sixteen lines take about 30 s traced.
+not wall time.  All seventeen lines take about 30 s traced.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from tik.graphs import (
     wheel,
 )
 from tik.model import (
+    BALANCED,
     CIRCULAR_ARC,
     INTERVAL_CLASS,
     TWO_INTERVAL,
@@ -150,6 +151,8 @@ def searches():
         ("wheel(9)/unit 10^5", _recognition(wheel(9), UNIT, 10**5)),
         ("xx_separator(2)/xx(2) 10^4",
          _recognition(xx_separator(2).graph, XX(2), 10**4)),
+        ("xx_separator(2)/balanced 10^5",
+         _recognition(xx_separator(2).graph, BALANCED, 10**5)),
         ("K4,4/circular-arc", _recognition(complete_bipartite(4, 4), CIRCULAR_ARC, 10**7)),
         ("petersen/circular-arc", _recognition(petersen(), CIRCULAR_ARC, 10**7)),
         # about half of its entered nodes have a cut arc's suffix pinned;

@@ -22,8 +22,9 @@ wheel(7)/unit, path(60)/interval and K2,3/circular-arc, and of the
 which a search charges the nodes it drops.  A third sha256 covers the
 answers at the budgets 1, 998, ..., 99,701 (1 to 10^5 in steps of 997)
 of longer searches that meet the same state again: wheel(7)/unit,
-wheel(9)/unit, xx_separator(2)/xx(2), tikbench's fixed/2interval/n12/0,
-and the xx(2) enumeration of K4,4 - e (its count included).  To compare
+wheel(9)/unit, xx_separator(2)/xx(2), tikbench's fixed/2interval/n12/0
+as 2interval and as balanced, and the xx(2) enumeration of K4,4 - e
+(its count included).  To compare
 with another version, point PYTHONPATH at its `src`.
 
 Seven vertices means 1,252 graphs; generating them alone takes about 20 s.
@@ -89,6 +90,7 @@ def _long_ladder_cases():
     return ((wheel(7), UNIT, False), (wheel(9), UNIT, False),
             (xx_separator(2).graph, XX(2), False),
             (_fixed_2interval_n12(), TWO_INTERVAL, False),
+            (_fixed_2interval_n12(), BALANCED, False),
             (k44_minus_e(), XX(2), True))
 
 
