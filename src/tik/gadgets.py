@@ -58,9 +58,9 @@ def k53_balanced_realization() -> Representation:
     return Representation(k53_block("", 0))
 
 
-# the layout's quadruples as Fractions, built once: k53_block only moves them
-_K53_QUADS = {v: tuple(map(q, quad)) for v, quad in _K53_LAYOUT.items()}
-_K53_SPAN = q(79)
+# the layout in quarters, as ints: k53_block moves them in ints and makes
+# one Fraction per end
+_K53_QUARTERS = {v: tuple(int(4 * e) for e in quad) for v, quad in _K53_LAYOUT.items()}
 
 
 def k53_block(prefix: str, offset, scale=1, mirror: bool = False,
@@ -70,16 +70,18 @@ def k53_block(prefix: str, offset, scale=1, mirror: bool = False,
     the block's left edge), scaled and shifted.  With left_overhang, s2's
     first interval is slid out past the left edge, giving the block
     s-owned extremities on both sides."""
-    offset, scale = q(offset), q(scale)
+    offset_num, offset_den = q(offset).as_integer_ratio()
+    scale_num, scale_den = q(scale).as_integer_ratio()
+    # an end e quarters in becomes scale·e/4 + offset, over one denominator
+    times, plus = scale_num * offset_den, 4 * offset_num * scale_den
+    den = 4 * offset_den * scale_den
     items = {}
-    for v, quad in _K53_QUADS.items():
+    for v, quad in _K53_QUARTERS.items():
         if v == "s2" and left_overhang:
-            quad = (-HALF, Fraction(13, 2)) + quad[2:]
+            quad = (-2, 26) + quad[2:]
         if mirror:
-            quad = tuple(_K53_SPAN - e for e in reversed(quad))
-        if scale != 1:  # most blocks are unscaled
-            quad = tuple(scale * e for e in quad)
-        a, b, c, d = (e + offset for e in quad)
+            quad = tuple(4 * 79 - e for e in reversed(quad))
+        a, b, c, d = (Fraction(times * e + plus, den) for e in quad)
         items[f"{prefix}:{v}" if prefix else v] = TwoInterval(Interval(a, b), Interval(c, d))
     return items
 
@@ -322,12 +324,16 @@ def hamiltonicity_expansion(g: Graph) -> HamiltonicityInstance:
     vertices = list(g.vertices)
     edges = list(g.edges)
 
-    m_anchor = {}
+    # the K_{5,3} copies are written out label by label, not built as graphs
     base = k53()
+
+    def add_block(prefix: str) -> None:
+        vertices.extend(f"{prefix}:{v}" for v in base.vertices)
+        edges.extend((f"{prefix}:{a}", f"{prefix}:{b}") for a, b in base.edges)
+
+    m_anchor = {}
     for u in order:
-        block = _prefixed(f"M({u})", base)
-        vertices.extend(block.vertices)
-        edges.extend(block.edges)
+        add_block(f"M({u})")
         m_anchor[u] = f"M({u}):s1"
         edges.append((u, m_anchor[u]))
 
@@ -339,9 +345,7 @@ def hamiltonicity_expansion(g: Graph) -> HamiltonicityInstance:
         edges.append(("z", f"M({v0}):{w}"))
 
     for name in ("H1", "H2", "H3"):
-        block = _prefixed(name, base)
-        vertices.extend(block.vertices)
-        edges.extend(block.edges)
+        add_block(name)
     # H1 hosts z at its right extremity (s1) and inside the hole covered
     # by s3; its left extremity (s2) hooks onto H2's extremal vertex s1
     edges.append(("z", "H1:s1"))

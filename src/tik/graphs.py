@@ -51,7 +51,7 @@ class Graph:
     def build(vertices, edges) -> "Graph":
         """Normalize arbitrary vertex/edge iterables into a Graph."""
         vs = tuple(vertices)
-        es = frozenset(tuple(sorted((u, v))) for u, v in edges)
+        es = frozenset((u, v) if u < v else (v, u) for u, v in edges)
         return Graph(vs, es)
 
     def __eq__(self, other):

@@ -8,6 +8,7 @@ and identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import re
 import sys
@@ -510,7 +511,9 @@ def cli_main(argv=None, out=None, err=None) -> int:
     err = err if err is not None else sys.stderr
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        # argparse writes help to sys.stdout and usage errors to sys.stderr
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_ERROR if exc.code not in (0, None) else EXIT_YES
     try:

@@ -30,7 +30,9 @@ UNBOUNDED = "unbounded"
 
 def _integer_row(values):
     """`values` (ints or Fractions) times the lcm of their denominators:
-    (integer list, scale)."""
+    (integer list, scale).  A row of ints is its own scaling."""
+    if all(type(v) is int for v in values):
+        return list(values), 1
     values = [Fraction(v) for v in values]
     scale = lcm(*(v.denominator for v in values)) if values else 1
     return [v.numerator * (scale // v.denominator) for v in values], scale

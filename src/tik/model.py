@@ -43,7 +43,7 @@ def q_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Interval:
     """Interval with per-endpoint closedness.  Degenerate points ([p,p],
     both ends closed) are representable but rejected by every family
@@ -56,17 +56,23 @@ class Interval:
     lo_closed: bool = True
     hi_closed: bool = True
 
-    def __post_init__(self):
-        lo, hi = q(self.lo), q(self.hi)
-        d, hi_den = lo.denominator, hi.denominator
-        lo_key, hi_key = lo.numerator, hi.numerator
+    def __init__(self, lo, hi, lo_closed=True, hi_closed=True):
+        # one pass: coerce the ends (a Fraction as it is), build the key,
+        # and write fields and key at once (the class is frozen)
+        if type(lo) is not Fraction:
+            lo = q(lo)
+        if type(hi) is not Fraction:
+            hi = q(hi)
+        lo_key, d = lo.as_integer_ratio()
+        hi_key, hi_den = hi.as_integer_ratio()
         if d != hi_den:
-            d = math.lcm(d, hi_den)
-            lo_key *= d // lo.denominator
+            lo_den, d = d, math.lcm(d, hi_den)
+            lo_key *= d // lo_den
             hi_key *= d // hi_den
-        lo_key = 4 * lo_key + (1 if self.lo_closed else 3)
-        hi_key = 4 * hi_key + (2 if self.hi_closed else 0)
-        self.__dict__.update(lo=lo, hi=hi, _key=(lo_key, hi_key, d))  # frozen
+        lo_key = 4 * lo_key + (1 if lo_closed else 3)
+        hi_key = 4 * hi_key + (2 if hi_closed else 0)
+        self.__dict__.update(lo=lo, hi=hi, lo_closed=lo_closed, hi_closed=hi_closed,
+                             _key=(lo_key, hi_key, d))
         if lo_key > hi_key:  # lo > hi, or lo = hi with an open end
             if lo > hi:
                 raise ModelError(f"interval with lo > hi: {self}")
@@ -414,9 +420,11 @@ def family_check(rep, family: FamilySelector) -> Verdict:
         return PASS
 
     if family.kind == "balanced":
+        # lengths compared on the keys: hi - lo in units of the shared 1/d
         for v in rep.labels():
             ti = rep[v]
-            if ti.left.length != ti.right.length:
+            a_lo, a_hi, b_lo, b_hi = _pair_keys(ti.left, ti.right)
+            if (a_hi >> 2) - (a_lo >> 2) != (b_hi >> 2) - (b_lo >> 2):
                 return _fail(
                     f"{v!r} unbalanced: |left| = {q_str(ti.left.length)}, "
                     f"|right| = {q_str(ti.right.length)}"
@@ -426,7 +434,8 @@ def family_check(rep, family: FamilySelector) -> Verdict:
     if family.kind in ("unit", "unit-interval"):
         ground = rep.ground_set()
         for v, side, iv in ground:
-            if iv.length != 1:
+            lo, hi, d = iv._key
+            if (hi >> 2) - (lo >> 2) != d:
                 return _fail(f"{v!r} has interval of length {q_str(iv.length)} != 1")
         # one closedness throughout: equal lengths then keep an interval's
         # intersecting predecessors a suffix (see the design notes)
@@ -442,9 +451,10 @@ def family_check(rep, family: FamilySelector) -> Verdict:
         for v, side, iv in rep.ground_set():
             if iv.lo_closed or iv.hi_closed:
                 return _fail(f"{v!r} has a non-open interval")
-            if iv._key[2] != 1:
+            lo, hi, d = iv._key
+            if d != 1:
                 return _fail(f"{v!r} has a non-integer endpoint")
-            if iv.length != x:
+            if (hi >> 2) - (lo >> 2) != x:
                 return _fail(f"{v!r} has interval of length {q_str(iv.length)} != {x}")
         return PASS
 

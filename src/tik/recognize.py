@@ -33,6 +33,7 @@ and its intersection graph equals the input under labeled equality.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -220,12 +221,14 @@ def order_feasible(word, pairing):
     status, h, _ = lp.solve_lp([0] * n_gaps, [], [], a_eq, b_eq)
     if status != lp.OPTIMAL:
         return None
-    values = {}
-    acc = Fraction(0)
-    for i, event in enumerate(word):
-        if i > 0:
-            acc += 1 + h[i - 1]
-        values[event] = acc
+    # prefix sums of the gaps 1 + h in ints over the lcm of h's
+    # denominators, one Fraction per event
+    den = math.lcm(*(x.denominator for x in h))
+    values = {word[0]: Fraction(0)}
+    acc = 0
+    for event, x in zip(word[1:], h):
+        acc += den + x.numerator * (den // x.denominator)
+        values[event] = Fraction(acc, den)
     return values
 
 

@@ -1,11 +1,13 @@
 import itertools
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from tik import model
 from tik.gadgets import (
+    _K53_LAYOUT,
     HamiltonicityInstance,
     c4_anchored,
     degree4_anchor_pair,
@@ -14,6 +16,7 @@ from tik.gadgets import (
     k44e_22_realization,
     k53,
     k53_balanced_realization,
+    k53_block,
     unbalanced_chain,
     unbalanced_chain_realization,
     xx_separator,
@@ -89,11 +92,48 @@ def test_unbalanced_chain_graph():
         assert relabeled == base
 
 
+def _reference_k53_block(prefix, offset, scale, mirror, left_overhang):
+    # the layout moved in Fractions: overhang, then mirror in the span 79,
+    # then scale, then shift
+    offset, scale = model.q(offset), model.q(scale)
+    items = {}
+    for v, quad in _K53_LAYOUT.items():
+        quad = tuple(map(model.q, quad))
+        if v == "s2" and left_overhang:
+            quad = (Fraction(-1, 2), Fraction(13, 2)) + quad[2:]
+        if mirror:
+            quad = tuple(79 - e for e in reversed(quad))
+        a, b, c, d = (scale * e + offset for e in quad)
+        items[f"{prefix}:{v}" if prefix else v] = model.TwoInterval(
+            model.Interval(a, b), model.Interval(c, d))
+    return items
+
+
+@pytest.mark.parametrize("mirror", [False, True])
+@pytest.mark.parametrize("left_overhang", [False, True])
+def test_k53_block_matches_fraction_reference(mirror, left_overhang):
+    # scales 1, the dilation 165 + 2n of the Hamiltonicity witness and a
+    # Fraction; integer, half, quarter, negative and other offsets, as the
+    # int, Fraction or string callers pass
+    scales = [1, 165 + 2 * 7, Fraction(7, 3), "5/2"]
+    offsets = [0, 100, -78, Fraction(1, 2), Fraction(-3, 2), Fraction(13, 4),
+               Fraction(-7, 4), Fraction(5, 6), "-1/3", Fraction(-1, 2) * 179 - 78]
+    for scale, offset in itertools.product(scales, offsets):
+        got = k53_block("B", offset, scale=scale, mirror=mirror, left_overhang=left_overhang)
+        expected = _reference_k53_block("B", offset, scale, mirror, left_overhang)
+        assert got == expected, (scale, offset)
+        assert [str(ti) for ti in got.values()] == [str(ti) for ti in expected.values()]
+        assert all(type(e) is Fraction for ti in got.values() for iv in ti.parts()
+                   for e in (iv.lo, iv.hi))
+    assert k53_block("", 0) == k53_balanced_realization().items
+
+
 def test_unbalanced_chain_fixture_realization():
     g = unbalanced_chain()
     rep = unbalanced_chain_realization()
     assert model.family_check(rep, TWO_INTERVAL).ok
-    assert not model.family_check(rep, BALANCED).ok
+    assert model.family_check(rep, BALANCED).reason == (
+        "'I1' unbalanced: |left| = 89/4, |right| = 91/4")
     assert intersection_graph(rep) == g
 
 

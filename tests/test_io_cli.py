@@ -536,6 +536,23 @@ def test_cli_usage_errors():
     assert code == EXIT_ERROR and "kneser" in err
 
 
+@pytest.mark.parametrize("argv, code, stream, text", [
+    (["recognize", "--family", "nope", "x"], EXIT_ERROR, "err", "invalid choice: 'nope'"),
+    (["bogus"], EXIT_ERROR, "err", "usage: tik"),
+    (["verify", "x"], EXIT_ERROR, "err", "the following arguments are required: --family"),
+    (["--help"], EXIT_YES, "out", "exact 2-interval graph toolkit"),
+    (["recognize", "--help"], EXIT_YES, "out", "usage: tik recognize"),
+], ids=["bad-choice", "bad-command", "missing-option", "help", "command-help"])
+def test_cli_parser_messages_use_the_given_streams(capsys, argv, code, stream, text):
+    # argparse's usage errors land in err and its help in out, the streams
+    # cli_main was given, and nothing in the process's own streams
+    got, out, err = run_cli(argv)
+    assert got == code
+    assert text in {"out": out, "err": err}[stream]
+    assert {"out": err, "err": out}[stream] == ""
+    assert capsys.readouterr() == ("", "")
+
+
 @pytest.mark.parametrize("argv", [
     ["recognize", "--family", "unit"],
     ["verify", "--family", "balanced"],

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from tik.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
+from tik.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, _integer_row, solve_lp
 
 
 def _feasible(x, a_ub, b_ub, a_eq, b_eq):
@@ -80,6 +80,34 @@ def test_rational_rows_are_scaled():
     a_ub = [[F(-2, 3), -2, F(-1, 3)], [0, 2, F(1, 2)]]
     out = _solve_checked(c, a_ub, [1, 2], [], [])
     assert out == (OPTIMAL, [F(0), F(0), F(4)], F(0))
+
+
+def test_integer_rows_stay_ints():
+    # a row of ints is its own scaling, returned as a fresh list; a row
+    # with a Fraction in it, even an integral one, goes through Fractions
+    row = [3, -1, 0, 2]
+    scaled, scale = _integer_row(row)
+    assert (scaled, scale) == (row, 1) and scaled is not row
+    assert all(type(v) is int for v in scaled)
+    assert _integer_row([F(3), -1, 0, 2]) == (row, 1)
+    assert _integer_row([F(1, 2), 3, F(-2, 3)]) == ([3, 18, -4], 6)
+    assert _integer_row([]) == ([], 1)
+    # the same LPs written in ints and in integral Fractions: equal answers
+    def as_fractions(values):
+        return [as_fractions(v) if type(v) is list else F(v) for v in values]
+
+    rng = random.Random(12)
+    seen = set()
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        a_eq = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(1, 3))]
+        problem = ([rng.randint(-1, 1) for _ in range(n)],
+                   [[int(i == j) for j in range(n)] for i in range(n)], [4] * n,
+                   a_eq, [rng.randint(0, 3) for _ in a_eq])
+        answer = solve_lp(*problem)
+        assert solve_lp(*map(as_fractions, problem)) == answer
+        seen.add(answer[0])
+    assert seen == {OPTIMAL, INFEASIBLE}
 
 
 def test_empty_constraint_blocks():

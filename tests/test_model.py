@@ -1,7 +1,9 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     circular_graph_pointcheck,
@@ -505,6 +507,103 @@ def test_sweeps_match_fraction_reference():
         holes += len(got.holes)
         assert intersection_graph(rep) == _pairwise_graph(rep), rep.items
     assert holes >= 100
+
+
+def _reference_interval(lo, hi, lo_closed, hi_closed):
+    # the two-pass construction: coerce both ends, then build the key from
+    # the Fractions' numerators and denominators
+    try:
+        lo, hi = q(lo), q(hi)
+    except ModelError as exc:
+        return str(exc)
+    d = math.lcm(lo.denominator, hi.denominator)
+    lo_key = 4 * lo.numerator * (d // lo.denominator) + (1 if lo_closed else 3)
+    hi_key = 4 * hi.numerator * (d // hi.denominator) + (2 if hi_closed else 0)
+    if lo_key > hi_key:
+        if lo > hi:
+            left, right = "[" if lo_closed else "(", "]" if hi_closed else ")"
+            return f"interval with lo > hi: {left}{model.q_str(lo)}, {model.q_str(hi)}{right}"
+        return "degenerate interval must be closed at both ends"
+    return (lo, hi, lo_closed, hi_closed), (lo_key, hi_key, d)
+
+
+# an end as an int, a "p/q" string (unreduced, signs on either part, or
+# malformed) or a Fraction, and now and then a bool, a float or None
+_ENDS = st.one_of(
+    st.integers(-30, 30),
+    st.builds(lambda n, d: f"{n}/{d}", st.integers(-30, 30), st.integers(-6, 6)),
+    st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12)),
+    st.sampled_from([True, False, 1.5, None, "x", "1/"]),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=1500)
+@given(_ENDS, _ENDS, st.booleans(), st.booleans())
+def test_interval_matches_two_pass_reference(lo, hi, lo_closed, hi_closed):
+    expected = _reference_interval(lo, hi, lo_closed, hi_closed)
+    try:
+        iv = Interval(lo, hi, lo_closed, hi_closed)
+    except ModelError as exc:
+        assert str(exc) == expected
+        return
+    fields, key = expected
+    assert (iv.lo, iv.hi, iv.lo_closed, iv.hi_closed) == fields
+    assert type(iv.lo) is Fraction and type(iv.hi) is Fraction
+    assert iv._key == key
+    assert list(vars(iv)) == ["lo", "hi", "lo_closed", "hi_closed", "_key"]
+    assert iv == Interval(*fields) and hash(iv) == hash(fields)
+
+
+def _length_reference(rep, family):
+    # family_check's balanced, unit and xx rules with every length a
+    # Fraction hi - lo: the reason of the first failure, or None
+    if family.kind == "balanced":
+        for v in rep.labels():
+            left, right = rep[v].left.length, rep[v].right.length
+            if left != right:
+                return (f"{v!r} unbalanced: |left| = {model.q_str(left)}, "
+                        f"|right| = {model.q_str(right)}")
+        return None
+    want = 1 if family.kind == "unit" else family.x
+    for v, _, iv in rep.ground_set():
+        if family.kind == "xx":
+            if iv.lo_closed or iv.hi_closed:
+                return f"{v!r} has a non-open interval"
+            if iv.lo.denominator != 1 or iv.hi.denominator != 1:
+                return f"{v!r} has a non-integer endpoint"
+        if iv.length != want:
+            return f"{v!r} has interval of length {model.q_str(iv.length)} != {want}"
+    return None
+
+
+def test_family_check_lengths_match_fraction_reference():
+    # balanced, unit and xx verdicts and reasons on representations that
+    # mostly pass: one length throughout, at integer positions or on the
+    # grid, broken now and then by a piece one step too long
+    rng = random.Random(2104)
+    grid_steps = [Fraction(1, d) for d in (1, 2, 3, 4, 6)]
+    verdicts = {}
+    for _ in range(1500):
+        length = rng.choice([1, 1, 2, 3, Fraction(3, 2), Fraction(5, 3)])
+        integral = type(length) is int and rng.random() < 0.6
+        steps = [1, 2] if integral else grid_steps
+        closed = rng.random() < 0.4
+        items, at = {}, rng.randint(-3, 3) if integral else rng.choice(_GRID)
+        for i in range(rng.randint(1, 5)):
+            pieces = []
+            for _ in range(2):
+                size = length + (rng.choice(steps) if rng.random() < 0.08 else 0)
+                pieces.append(Interval(q(at), q(at + size), closed, closed))
+                at += size + rng.choice(steps)
+            items[f"v{i}"] = two_interval(*pieces)
+        rep = Representation(items)
+        families = [BALANCED, UNIT] + ([XX(length)] if type(length) is int else [])
+        for family in families:
+            got = family_check(rep, family)
+            expected = _length_reference(rep, family)
+            assert got == Verdict(expected is None, expected), (family, rep.items)
+            verdicts[family.kind, got.ok] = verdicts.get((family.kind, got.ok), 0) + 1
+    assert len(verdicts) == 6 and min(verdicts.values()) >= 50, verdicts
 
 
 def test_interval_key_is_no_field():

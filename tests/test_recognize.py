@@ -249,10 +249,9 @@ def test_order_feasible_rejects_bad_pairing(pair, message):
         order_feasible(word, {"v": pair})
 
 
-def test_order_feasible_accepts_words_of_balanced_reps():
-    # every word read off a balanced representation with distinct
-    # endpoints is feasible; the returned values keep the order strict
-    # and the lengths balanced
+def _words_of_balanced_reps():
+    # 300 words read off random balanced representations with distinct
+    # endpoints, with their pairings
     rng = random.Random(5)
     for _ in range(300):
         n = rng.randint(1, 6)
@@ -266,8 +265,14 @@ def test_order_feasible_accepts_words_of_balanced_reps():
                 ends[((v, 1), OPEN)], ends[((v, 1), CLOSE)] = b, b + length
             if len(set(ends.values())) == len(ends):
                 break
-        word = sorted(ends, key=ends.get)
-        pairing = {v: ((v, 0), (v, 1)) for v in range(n)}
+        yield sorted(ends, key=ends.get), {v: ((v, 0), (v, 1)) for v in range(n)}
+
+
+def test_order_feasible_accepts_words_of_balanced_reps():
+    # every word read off a balanced representation with distinct
+    # endpoints is feasible; the returned values keep the order strict
+    # and the lengths balanced
+    for word, pairing in _words_of_balanced_reps():
         values = order_feasible(word, pairing)
         assert values is not None, word
         assert all(values[a] < values[b] for a, b in zip(word, word[1:]))
@@ -311,6 +316,72 @@ def test_balanced_leaves_rejected_by_the_lp(monkeypatch):
         assert outcome.nodes_used == nodes
         assert answers == [False] * (leaves - 1) + [True]
     assert recognize(LP_REJECTS_10, TWO_INTERVAL, BIG).nodes_used == 9_223
+
+
+def _fraction_prefix_sums(word, h):
+    # each event's value as a running Fraction sum of the gaps 1 + h
+    values, acc = {}, Fraction(0)
+    for i, event in enumerate(word):
+        if i > 0:
+            acc += 1 + h[i - 1]
+        values[event] = acc
+    return values
+
+
+# a word whose LP answer has gaps of 1/2 (one in 20,000 random words of
+# two to five vertices): "v.s" is interval s of vertex v, opened where it
+# is first named and closed where it is named again
+HALVES_WORD = "0.0 3.0 3.1 2.0 1.0 0.0 0.1 2.1 3.0 2.0 1.1 3.1 0.1 2.1 1.0 1.1"
+
+
+def _parse_word(text):
+    word, opened = [], set()
+    for token in text.split():
+        iid = tuple(map(int, token.split(".")))
+        word.append((iid, CLOSE if iid in opened else OPEN))
+        opened.add(iid)
+    return word, {v: ((v, 0), (v, 1)) for v, _ in opened}
+
+
+def test_order_feasible_prefix_sums_match_fraction_sums(monkeypatch):
+    # the integer prefix sums give the dict a Fraction sum over the LP's
+    # gaps gives, on the 300 words above, a word with gaps of 1/2 and every
+    # leaf word of the two balanced searches whose LP rejects leaves
+    from tik import lp
+    from tik import recognize as engine
+
+    leaves = [_parse_word(HALVES_WORD)]
+
+    def keep(word, pairing):
+        leaves.append((list(word), pairing))
+        return order_feasible(word, pairing)
+
+    monkeypatch.setattr(engine, "order_feasible", keep)
+    for g in (LP_REJECTS_9, LP_REJECTS_10):
+        recognize(g, BALANCED, BIG)
+    monkeypatch.undo()
+
+    solved, solve = [], lp.solve_lp
+
+    def spy(*args):
+        solved.append(solve(*args))
+        return solved[-1]
+
+    monkeypatch.setattr(lp, "solve_lp", spy)
+    fractional = rejected = 0
+    for word, pairing in list(_words_of_balanced_reps()) + leaves:
+        solved.clear()
+        values = order_feasible(word, pairing)
+        (status, h, _), = solved
+        if status != lp.OPTIMAL:
+            assert values is None
+            rejected += 1
+            continue
+        assert values == _fraction_prefix_sums(word, h), word
+        assert list(values) == word
+        assert all(type(x) is Fraction for x in values.values())
+        fractional += any(x.denominator > 1 for x in h)
+    assert (rejected, fractional) == (10, 1)
 
 
 # --- recognize: basics -----------------------------------------------------------
