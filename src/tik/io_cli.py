@@ -365,6 +365,10 @@ def _cmd_recognize(args, out, err) -> int:
 def _cmd_transform(args, out, err) -> int:
     op = args.op
     circular = op.startswith("ca-to-")
+    if not circular and args.cut is not None:
+        raise FormatError(f"{op} takes no --cut")
+    if op != "dilate" and (args.factor is not None or args.shift is not None):
+        raise FormatError(f"{op} takes no --factor or --shift")
     rep = _read_rep(args.input, CircularArcRep if circular else Representation,
                     f"transform {op}")
     if circular:
@@ -469,6 +473,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("op", choices=[
         "ca-to-balanced", "ca-to-unit", "stretch", "dilate", "unit-to-xx",
     ])
+    # a value like -1/2 is an argument, not an option
+    p._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
     p.add_argument("--cut", help="cut point for the circular transforms")
     p.add_argument("--factor", help="dilation factor p/q")
     p.add_argument("--shift", help="dilation shift p/q")

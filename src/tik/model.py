@@ -17,6 +17,8 @@ from .graphs import Graph
 
 _KEY, _THIRD = attrgetter("_key"), itemgetter(2)  # read in C by the sweeps
 
+OPEN, CLOSE = 0, 1  # the kinds of an event word's events
+
 
 class ModelError(ValueError):
     pass
@@ -304,6 +306,18 @@ def sweep_keys(ivs) -> tuple[int, list[tuple[int, int, int]]]:
     return den, [(_rescale(lo, den // d), _rescale(hi, den // d), den) for lo, hi, d in keys]
 
 
+def event_word(intervals: dict) -> list[tuple]:
+    """The event word of {id: Interval}: every start as (id, OPEN) and end
+    as (id, CLOSE), in the sweep order of `_overlaps`, ties (two starts or
+    two ends at one key) broken by id."""
+    _, keys = sweep_keys(intervals.values())
+    events = []
+    for iid, (lo, hi, _) in zip(intervals, keys):
+        events += (lo, iid, OPEN), (hi, iid, CLOSE)
+    events.sort()
+    return [(iid, kind) for _, iid, kind in events]
+
+
 def _overlaps(pieces) -> list[tuple]:
     """Every pair of keys whose intervals share a point, from one sweep over
     ``pieces``, a list of (key, Interval).
@@ -525,23 +539,22 @@ def affine(rep: Representation, scale, shift) -> Representation:
 
 def normalize(rep: Representation) -> Representation:
     """Rewrite a closed representation so all 4n endpoints are distinct
-    integers in [0, 4n), preserving the intersection graph.
+    integers in [0, 4n), preserving the intersection graph: each end
+    becomes its position in the event word.
 
-    Sorting endpoint events by (value, lo-before-hi) encodes closed-interval
-    intersection exactly: after the rewrite, [a,b] and [c,d] intersect iff
-    they did before, and degenerate points become proper intervals.
+    For closed intervals the sweep order puts a start before an end at one
+    value, which encodes closed-interval intersection exactly: after the
+    rewrite, [a,b] and [c,d] intersect iff they did before, and degenerate
+    points become proper intervals.
     """
-    events = []
+    ground = {}
     for v, side, iv in rep.ground_set():
         if not (iv.lo_closed and iv.hi_closed):
             raise ModelError("normalize is defined for the all-closed model only")
-        events.append((iv.lo, 0, v, side))
-        events.append((iv.hi, 1, v, side))
-    events.sort()
-    pos = {(v, side, which): i
-           for i, (_, which, v, side) in enumerate(events)}
+        ground[v, side] = iv
+    pos = {event: i for i, event in enumerate(event_word(ground))}
     return Representation({
-        v: two_interval(*(Interval(q(pos[v, side, 0]), q(pos[v, side, 1]))
+        v: two_interval(*(Interval(pos[(v, side), OPEN], pos[(v, side), CLOSE])
                           for side in (0, 1)))
         for v in rep.labels()
     })

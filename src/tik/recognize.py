@@ -47,6 +47,8 @@ from .graphs import (
     neighbour_masks,
 )
 from .model import (
+    CLOSE,
+    OPEN,
     Arc,
     CircularArcRep,
     FamilySelector,
@@ -56,8 +58,6 @@ from .model import (
     q,
     xx_two_interval,
 )
-
-OPEN, CLOSE = 0, 1
 
 # a search records refuted subtrees once it has charged this many nodes:
 # shorter searches meet few states twice and pay more for the records than
@@ -585,7 +585,11 @@ class _OrderSearch(_Search):
                     for (iid, kind), at in values.items() if kind == OPEN}
             return self._pieces(ends, 1)
         if self.fifo:
-            return self._pieces(*_fifo_unit_ends(self.word))
+            # the unitization of the word's position intervals, in units
+            # of 1/d (design notes: "Unitization by difference constraints")
+            d = len(self.word)
+            order, starts = transforms.fifo_starts(self.word, 1, d)
+            return self._pieces({iid: (a, a + d) for iid, a in zip(order, starts)}, d)
         ends = _position_ends(self.word)
         if self.family.kind != "circular-arc":
             return self._pieces(ends, 1)
@@ -638,33 +642,6 @@ def _position_ends(word):
         else:
             ends[iid][1] = i
     return ends
-
-
-def _fifo_unit_ends(word):
-    """Unit intervals with the intersection pattern of a FIFO word's
-    position intervals, as ({interval id: (lo, hi)}, d) with integer ends
-    in units of 1/d: what proper_to_unit_interval gives for the closed
-    intervals at the events' positions, without the Fractions.  Interval
-    k, the k-th to open, meets exactly the predecessors still open when
-    it opens, f(k) = the closes before it, ..., k - 1 (design notes:
-    "Unitization by difference constraints").
-    RecognizeError if a close is not of the oldest open interval."""
-    order = []  # interval ids in open order
-    fs = []
-    closes = 0
-    for iid, kind in word:
-        if kind == OPEN:
-            fs.append(closes)
-            order.append(iid)
-        elif closes < len(order) and order[closes] == iid:
-            closes += 1
-        else:
-            raise RecognizeError(
-                f"close of {iid!r} is not of the oldest open interval"
-            )
-    d = 2 * len(order)
-    starts = transforms._least_starts(fs, 1, d)
-    return {iid: (a, a + d) for iid, a in zip(order, starts)}, d
 
 
 # --- integer-placement engine for (x,x) --------------------------------------

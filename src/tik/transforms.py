@@ -3,9 +3,9 @@ preserves the intersection graph exactly.
 
 * circular-arc -> balanced 2-interval (cut the circle, split uncut arcs
   in half, pad the cut pairs outward to equal lengths),
-* proper circular-arc -> unit 2-interval (cut, re-properize the cut
-  pieces, add disjoint padding intervals, then unitize the proper ground
-  set),
+* proper circular-arc -> unit 2-interval (cut, order the cut pieces'
+  events first in, first out, add disjoint padding intervals, then
+  unitize the event word),
 * open integer length-x -> length-(x+1) (left-to-right sweep),
 * unit -> open integer length-2n (dilate and re-solve on the grid).
 """
@@ -16,6 +16,8 @@ from fractions import Fraction
 
 from .model import (
     BALANCED,
+    CLOSE,
+    OPEN,
     UNIT,
     XX,
     Arc,
@@ -23,8 +25,8 @@ from .model import (
     Interval,
     Representation,
     TwoInterval,
+    event_word,
     family_check,
-    intersects,
     q,
     sweep_keys,
     two_interval,
@@ -119,20 +121,6 @@ def balanced_from_circular_arc(ca: CircularArcRep, p) -> Representation:
     return rep
 
 
-def _assert_proper(intervals: dict) -> list:
-    """The keys in proper order, or TransformError on a containment.  After
-    sorting by the sweep keys of (lo, hi), no interval contains another iff
-    lo and hi both strictly rise; a first failure is a containment between
-    neighbors."""
-    _, keys = sweep_keys(intervals.values())
-    ranked = sorted(zip(keys, intervals))
-    for ((a_lo, a_hi, _), u), ((b_lo, b_hi, _), w) in zip(ranked, ranked[1:]):
-        if not (a_lo < b_lo and a_hi < b_hi):
-            u, w = sorted((u, w))
-            raise TransformError(f"containment between {u!r} and {w!r}")
-    return [v for _, v in ranked]
-
-
 def proper_circular_arc_check(ca: CircularArcRep) -> None:
     """Raise TransformError if some arc contains another.
 
@@ -165,51 +153,31 @@ def _arc_contains_arc(a: Arc, b: Arc, c: Fraction) -> bool:
 
 
 def unit_from_proper_circular_arc(ca: CircularArcRep, p) -> Representation:
-    """Cut a proper circular-arc representation at p, restore properness by
-    extending the cut pieces outward (minimum overlap order plus a 1/(4n)
-    slack step), pad single intervals with far-away partners, and unitize
-    the resulting proper interval system."""
+    """Cut a proper circular-arc representation at p, pad single intervals
+    with far-away partners, and unitize the pieces' event word.
+
+    The cut pieces tie at the cut: every head starts at 0 and every tail
+    ends at C.  The word opens the heads in the order they close and
+    closes the tails in the order they open, which keeps the pieces proper
+    (as stretching the heads left and the tails right would); the other
+    events keep the sweep order, and each padding partner opens and closes
+    after them all."""
     proper_circular_arc_check(ca)
     through, whole = _cut_positions(ca, q(p))
-    n = len(ca)
-    if n == 0:
-        return Representation({})
-    step = Fraction(1, 4 * n)
-    c = ca.circumference
-
-    ground: dict[tuple[str, int], Interval] = {}
-    # heads all start at the segment's left end: extend outward (left), the
-    # piece with the earliest interior end in the sweep order reaching
-    # furthest out so that no head contains another
-    _, keys = sweep_keys([head for head, _ in through.values()])
-    his = dict(zip(through, (hi for _, hi, _ in keys)))
-    heads = sorted(through, key=his.get)
-    for idx, v in enumerate(heads):
-        head = through[v][0]
-        reach = len(heads) - idx
-        ground[(v, 0)] = Interval(
-            head.lo - reach * step, head.hi, head.lo_closed, head.hi_closed
-        )
-    _, keys = sweep_keys([tail for _, tail in through.values()])
-    los = dict(zip(through, (lo for lo, _, _ in keys)))
-    tails = sorted(through, key=los.get)
-    for rank, v in enumerate(tails, start=1):
-        tail = through[v][1]
-        ground[(v, 1)] = Interval(
-            tail.lo, tail.hi + rank * step, tail.lo_closed, tail.hi_closed
-        )
-    for v, iv in whole.items():
-        ground[(v, 0)] = iv
-    # disjoint padding partners for the uncut arcs
-    far = c + n + 1
-    for i, v in enumerate(sorted(whole)):
-        ground[(v, 1)] = Interval(far + 2 * i, far + 2 * i + 1)
-
-    units = proper_to_unit_interval(ground)
-    items = {}
-    for v in ca.labels():
-        items[v] = two_interval(units[(v, 0)], units[(v, 1)])
-    rep = Representation(items)
+    pieces = {(v, side): iv for v, halves in through.items()
+              for side, iv in enumerate(halves)}
+    pieces.update(((v, 0), iv) for v, iv in whole.items())
+    # the heads' opens come first in the sweep order, the tails' closes last
+    cut = len(through)
+    inner = event_word(pieces)[cut:2 * len(pieces) - cut]
+    word = [(iid, OPEN) for iid, kind in inner if kind == CLOSE and iid[0] in through]
+    word += inner
+    word += [(iid, CLOSE) for iid, kind in inner if kind == OPEN and iid[0] in through]
+    for v in sorted(whole):
+        word += ((v, 1), OPEN), ((v, 1), CLOSE)
+    units = _unitize(word)
+    rep = Representation({v: two_interval(units[(v, 0)], units[(v, 1)])
+                          for v in ca.labels()})
     assert family_check(rep, UNIT).ok
     return rep
 
@@ -220,32 +188,54 @@ def unit_from_proper_circular_arc(ca: CircularArcRep, p) -> Representation:
 def proper_to_unit_interval(intervals: dict) -> dict:
     """Unit realization of a proper (containment-free) interval system with
     the same intersection pattern; endpoints are multiples of 1/(2n) for n
-    input intervals: the grid placement with step 1 and reach 2n, scaled
-    down by 2n."""
-    order = _assert_proper(intervals)
-    n = len(order)
-    starts = _grid_starts([intervals[v] for v in order], 1, 2 * n)
-    return {v: Interval(Fraction(a, 2 * n), Fraction(a, 2 * n) + 1)
-            for v, a in zip(order, starts)}
+    input intervals.
+
+    The system is proper iff its 2n sweep keys are distinct and its event
+    word is FIFO (design notes: "Unitization by difference constraints"):
+    two starts or two ends at one key put one interval within the other,
+    and `fifo_starts` refuses every other containment."""
+    _, keys = sweep_keys(intervals.values())
+    first = {}  # key -> the first id with an end there
+    for v, (lo, hi, _) in zip(intervals, keys):
+        for end in lo, hi:
+            u = first.setdefault(end, v)
+            if u != v:
+                raise TransformError(f"containment: {u!r} and {v!r} tie at an end")
+    return _unitize(event_word(intervals))
 
 
-def _grid_starts(ivs: list[Interval], step: int, reach: int) -> list[int]:
-    """Least integer starts, the first 0, for intervals in proper order (or
-    a unit ground set of one closedness, sorted by start): each start at
-    least `step` past the one before, intersecting pairs at most `reach`
-    apart and the other pairs more than `reach` apart.
+def _unitize(word) -> dict:
+    # the closed unit intervals of a FIFO word of length m: the grid
+    # placement with step 1 and reach m, scaled down by m
+    m = len(word)
+    order, starts = fifo_starts(word, 1, m)
+    return {v: Interval(Fraction(a, m), Fraction(a + m, m)) for v, a in zip(order, starts)}
 
-    Interval k's intersecting predecessors form a suffix f(k), ..., k - 1,
-    and f never falls, so one two-pointer sweep finds every f(k); the
-    starts are then `_least_starts(f, step, reach)`.
-    """
+
+def fifo_starts(word, step: int, reach: int) -> tuple[list, list[int]]:
+    """The ids of a FIFO event word in open order, and their least integer
+    starts, the first 0: each start at least `step` past the one before,
+    intersecting pairs at most `reach` apart and the other pairs more than
+    `reach` apart.
+
+    The k-th interval to open meets exactly its predecessors still open
+    then, f(k), ..., k - 1, where f(k) counts the closes before its open;
+    the starts are `_least_starts(f, step, reach)`.  TransformError if a
+    close is not of the oldest open interval."""
+    order = []  # interval ids in open order
     fs = []
-    f = 0
-    for k in range(len(ivs)):
-        while f < k and not intersects(ivs[f], ivs[k]):
-            f += 1
-        fs.append(f)
-    return _least_starts(fs, step, reach)
+    closes = 0
+    for iid, kind in word:
+        if kind == OPEN:
+            fs.append(closes)
+            order.append(iid)
+        elif closes < len(order) and order[closes] == iid:
+            closes += 1
+        elif closes < len(order):  # opened after the oldest, it closes first
+            raise TransformError(f"containment: {iid!r} within {order[closes]!r}")
+        else:
+            raise TransformError(f"close of {iid!r}, which is not open")
+    return order, _least_starts(fs, step, reach)
 
 
 def _least_starts(fs: list[int], step: int, reach: int) -> list[int]:
@@ -333,11 +323,11 @@ def unit_rep_to_integer_xx(rep: Representation) -> Representation:
     """Open-interval realization with integer endpoints and length 2n from
     a unit realization (n vertices).
 
-    The unit verifier requires one closedness, so the ground set sorted by
-    start is in proper order up to repeated intervals, and it is re-placed
-    on the grid with step 0 and reach 2n - 1: intersecting pairs within
-    2n - 1, disjoint pairs at least 2n apart (open intervals of length 2n
-    at distance exactly 2n just touch).
+    The unit verifier requires one closedness, so two intervals that tie
+    at a start are equal and tie at the end too, and the ground set's
+    event word is FIFO.  It is re-placed on the grid with step 0 and reach
+    2n - 1: intersecting pairs within 2n - 1, disjoint pairs at least 2n
+    apart (open intervals of length 2n at distance exactly 2n just touch).
     """
     verdict = family_check(rep, UNIT)
     if not verdict.ok:
@@ -346,9 +336,8 @@ def unit_rep_to_integer_xx(rep: Representation) -> Representation:
     if n == 0:
         return rep
     ground = {(v, s): iv for v, s, iv in rep.ground_set()}
-    order = sorted(ground, key=lambda k: (ground[k].lo, ground[k].hi, k))
     span = 2 * n
-    starts = dict(zip(order, _grid_starts([ground[k] for k in order], 0, span - 1)))
+    starts = dict(zip(*fifo_starts(event_word(ground), 0, span - 1)))
     items = {}
     for v in rep.labels():
         items[v] = xx_two_interval(starts[(v, 0)], starts[(v, 1)], span)

@@ -27,7 +27,7 @@ from tik.io_cli import (
     parse_representation,
     representation_to_json,
 )
-from tik.model import BALANCED, UNIT
+from tik.model import BALANCED, UNIT, q
 
 
 def run_cli(argv):
@@ -373,6 +373,38 @@ def test_cli_reduce_coloring_rejects_hc_options(tmp_path, extra):
     assert run_cli(argv) == (
         EXIT_ERROR, "", "error: coloring-simplicial takes no --emit or --cycle\n")
     assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("op, extra, taken", [
+    ("stretch", ["--factor", "2"], "--factor or --shift"),
+    ("unit-to-xx", ["--shift", "1"], "--factor or --shift"),
+    ("ca-to-balanced", ["--shift", "1/2"], "--factor or --shift"),
+    ("ca-to-unit", ["--cut", "1/2", "--factor", "2"], "--factor or --shift"),
+    ("dilate", ["--factor", "2", "--cut", "1"], "--cut"),
+    ("stretch", ["--cut", "1"], "--cut"),
+    ("unit-to-xx", ["--cut", "1"], "--cut"),
+], ids=["stretch-factor", "unit-to-xx-shift", "ca-to-balanced-shift",
+        "ca-to-unit-factor", "dilate-cut", "stretch-cut", "unit-to-xx-cut"])
+def test_cli_transform_rejects_options_of_other_ops(tmp_path, op, extra, taken):
+    # --cut belongs to the ca-to-* ops and --factor / --shift to dilate;
+    # another op must not ignore them
+    path = tmp_path / "rep.json"
+    path.write_text(KIND_INPUTS["pairs"])
+    assert run_cli(["transform", op, *extra, str(path)]) == (
+        EXIT_ERROR, "", f"error: {op} takes no {taken}\n")
+
+
+def test_cli_dilate_reads_negative_rationals(tmp_path):
+    # -1/2 is a value, not an option
+    path = tmp_path / "rep.json"
+    path.write_text(KIND_INPUTS["pairs"])
+    code, out, err = run_cli(
+        ["transform", "dilate", "--factor", "2", "--shift", "-1/2", str(path)])
+    assert (code, err) == (EXIT_YES, "")
+    rep = parse_representation(KIND_INPUTS["pairs"])
+    assert parse_representation(out) == model.affine(rep, 2, q("-1/2"))
+    assert run_cli(["transform", "dilate", "--factor", "-1/2", str(path)]) == (
+        EXIT_ERROR, "", "error: affine scale must be positive\n")
 
 
 def test_cli_ca_to_unit_mixed_closedness(tmp_path):

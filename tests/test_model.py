@@ -680,6 +680,42 @@ def test_normalize_preserves_graph_randomized():
         assert ends == [q(i) for i in range(4 * len(rep))]
 
 
+def _normalize_reference(rep):
+    # the event sort normalize used before it read the event word: by
+    # value, a start before an end, then label and side
+    events = []
+    for v, side, iv in rep.ground_set():
+        events += (iv.lo, 0, v, side), (iv.hi, 1, v, side)
+    events.sort()
+    pos = {(v, side, which): i for i, (_, which, v, side) in enumerate(events)}
+    return Representation({
+        v: two_interval(*(Interval(q(pos[v, side, 0]), q(pos[v, side, 1]))
+                          for side in (0, 1)))
+        for v in rep.labels()
+    })
+
+
+def test_normalize_matches_event_sort_reference_with_ties():
+    # half-integer ends on a short range: ends tie across vertices and
+    # within one, and degenerate points are common
+    rng = random.Random(43)
+    ties = 0
+    for _ in range(1500):
+        n = rng.randint(1, 6)
+        items = {}
+        for i in range(n):
+            a, b, c, d = sorted(q(rng.randint(0, 2 * n)) / 2 for _ in range(4))
+            if b == c:
+                continue
+            items[f"v{rng.randint(0, 9)}"] = two_interval(Interval(a, b), Interval(c, d))
+        rep = Representation(items)
+        out = normalize(rep)
+        assert out == _normalize_reference(rep), rep.items
+        ends = [e for _, _, iv in rep.ground_set() for e in (iv.lo, iv.hi)]
+        ties += len(set(ends)) < len(ends)
+    assert ties > 1000, ties
+
+
 def test_normalize_rejects_open_model():
     rep = Representation({"a": two_interval(open_interval(0, 2), open_interval(3, 5))})
     with pytest.raises(ModelError):

@@ -48,7 +48,6 @@ from tik.recognize import (
     Budget,
     RecognizeError,
     _Counter,
-    _fifo_unit_ends,
     _OrderSearch,
     check_word,
     enumerate_realizations,
@@ -74,7 +73,7 @@ def test_check_word_rejects_malformed():
 def word_intervals(word):
     # the closed intervals {id: Interval} of a word, with endpoints at the
     # events' positions: proper_to_unit_interval of these is the reference
-    # for the unit engines' integer unitization, _fifo_unit_ends
+    # for the unit engines' integer unitization of the word itself
     ends = {}
     for i, (iid, _) in enumerate(word):
         ends.setdefault(iid, []).append(i)
@@ -87,7 +86,7 @@ def _unitized(word):
     return transforms.proper_to_unit_interval(word_intervals(word))
 
 
-def test_order_feasible_unit_staggered():
+def test_fifo_unitization_staggered():
     word = [("i1", OPEN), ("i2", OPEN), ("i1", CLOSE), ("i2", CLOSE)]
     units = _unitized(word)
     assert units["i1"].length == units["i2"].length == 1
@@ -95,7 +94,7 @@ def test_order_feasible_unit_staggered():
     assert model.intersects(units["i1"], units["i2"])
 
 
-def test_order_feasible_unit_containment_impossible():
+def test_fifo_unitization_refuses_containment():
     # the unit engines never build this word (FIFO close rule); the
     # unitization refuses it
     word = [("i1", OPEN), ("i2", OPEN), ("i2", CLOSE), ("i1", CLOSE)]
@@ -103,7 +102,7 @@ def test_order_feasible_unit_containment_impossible():
         _unitized(word)
 
 
-def test_order_feasible_unit_disjoint():
+def test_fifo_unitization_disjoint():
     word = [("i1", OPEN), ("i1", CLOSE), ("i2", OPEN), ("i2", CLOSE)]
     units = _unitized(word)
     assert units["i1"].length == units["i2"].length == 1
@@ -172,9 +171,12 @@ def test_integer_leaves_equal_the_fraction_construction():
     for k in range(1, 9):
         for word in _fifo_words(k):
             total += 1
-            ends, d = _fifo_unit_ends(word)
-            units = {iid: model.Interval(Fraction(lo, d), Fraction(hi, d))
-                     for iid, (lo, hi) in ends.items()}
+            # the position intervals give the word back as their event word
+            assert model.event_word(word_intervals(word)) == word
+            d = 2 * k
+            order, starts = transforms.fifo_starts(word, 1, d)
+            units = {iid: model.Interval(Fraction(a, d), Fraction(a + d, d))
+                     for iid, a in zip(order, starts)}
             assert units == transforms.proper_to_unit_interval(word_intervals(word)), word
             slotted = [((iid, 0), kind) for iid, kind in word]
             positions = word_intervals(slotted)
@@ -186,10 +188,10 @@ def test_integer_leaves_equal_the_fraction_construction():
 
 def test_integer_fifo_check_rejects_containment():
     word = [("i1", OPEN), ("i2", OPEN), ("i2", CLOSE), ("i1", CLOSE)]
-    with pytest.raises(RecognizeError, match="oldest open interval"):
-        _fifo_unit_ends(word)
-    with pytest.raises(RecognizeError, match="oldest open interval"):
-        _fifo_unit_ends([("i1", CLOSE)])
+    with pytest.raises(transforms.TransformError, match="'i2' within 'i1'"):
+        transforms.fifo_starts(word, 1, 4)
+    with pytest.raises(transforms.TransformError, match="not open"):
+        transforms.fifo_starts([("i1", CLOSE)], 1, 2)
 
 
 def test_unit_certificate_touching_endpoints_survive():

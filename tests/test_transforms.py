@@ -197,6 +197,55 @@ def test_unit_from_proper_converts_every_proper_random_arc_system():
     assert proper == 506
 
 
+def _outward_stretch_reference(ca, p):
+    """The cut-piece construction the event word replaced: stretch the
+    heads left and the tails right in steps of 1/(4n), the head that closes
+    first and the tail that opens first least, so that the pieces are
+    proper; pad the uncut arcs far to the right and unitize the ground
+    set."""
+    through, whole = transforms._cut_positions(ca, q(p))
+    n = len(ca)
+    if n == 0:
+        return Representation({})
+    step = Fraction(1, 4 * n)
+    ground = {}
+    # the sweep order of ends and starts: an open end before a closed one,
+    # a closed start before an open one
+    heads = sorted(through, key=lambda v: (through[v][0].hi, through[v][0].hi_closed))
+    for idx, v in enumerate(heads):
+        head = through[v][0]
+        ground[(v, 0)] = Interval(head.lo - (len(heads) - idx) * step, head.hi,
+                                  head.lo_closed, head.hi_closed)
+    tails = sorted(through, key=lambda v: (through[v][1].lo, not through[v][1].lo_closed))
+    for rank, v in enumerate(tails, start=1):
+        tail = through[v][1]
+        ground[(v, 1)] = Interval(tail.lo, tail.hi + rank * step,
+                                  tail.lo_closed, tail.hi_closed)
+    ground.update(((v, 0), iv) for v, iv in whole.items())
+    far = ca.circumference + n + 1
+    for i, v in enumerate(sorted(whole)):
+        ground[(v, 1)] = Interval(far + 2 * i, far + 2 * i + 1)
+    units = proper_to_unit_interval(ground)
+    return Representation({v: two_interval(units[(v, 0)], units[(v, 1)])
+                           for v in ca.labels()})
+
+
+def test_unit_from_proper_equals_outward_stretch_reference():
+    # the 506 proper draws of the converts-every-proper test above
+    rng = random.Random(211)
+    proper = 0
+    for _ in range(1500):
+        ca = _random_arcs(rng, rng.randint(1, 7))
+        p = generic_cut_point(ca)
+        try:
+            rep = unit_from_proper_circular_arc(ca, p)
+        except TransformError:
+            continue
+        assert rep == _outward_stretch_reference(ca, p), ca.arcs
+        proper += 1
+    assert proper == 506
+
+
 def test_unit_from_proper_circular_arc_randomized():
     rng = random.Random(67)
     for _ in range(200):
@@ -379,11 +428,13 @@ def test_grid_starts_match_all_pairs_reference_on_proper_systems():
         n = rng.randint(1, 12)
         intervals = _random_proper(rng, n)
         assert proper_to_unit_interval(intervals) == _reference_unit_interval(intervals)
-        ivs = [intervals[v] for v in transforms._assert_proper(intervals)]
+        # the ends rise strictly, so the proper order is the order by value
+        order = sorted(intervals, key=lambda v: intervals[v].lo)
+        ivs = [intervals[v] for v in order]
+        word = model.event_word(intervals)
         for step, reach in ((1, 2 * n), (0, 2 * n - 1)):
-            assert transforms._grid_starts(ivs, step, reach) == _all_pairs_starts(
-                ivs, step, reach, reach + 1
-            )
+            assert transforms.fifo_starts(word, step, reach) == (
+                order, _all_pairs_starts(ivs, step, reach, reach + 1))
 
 
 def _random_unit_rep(rng, n, ends):
@@ -430,10 +481,12 @@ def test_assert_proper_matches_pairwise_containment():
         )
         if contained:
             with pytest.raises(TransformError, match="containment"):
-                transforms._assert_proper(intervals)
+                proper_to_unit_interval(intervals)
         else:
-            # in the sweep order a closed start comes before an open one
-            assert transforms._assert_proper(intervals) == sorted(
+            # the unit intervals rise in the sweep order, where a closed
+            # start comes before an open one
+            units = proper_to_unit_interval(intervals)
+            assert sorted(units, key=lambda v: units[v].lo) == sorted(
                 intervals, key=lambda v: (intervals[v].lo, not intervals[v].lo_closed)
             )
         verdicts[contained] += 1

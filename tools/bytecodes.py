@@ -2,8 +2,8 @@
 vary from run to run.
 
 Runs each search below, one intersection graph, the neighbour-mask
-solvers outside the search and one batch of circular-arc transforms
-under `sys.settrace` with `f_trace_opcodes` set on every frame and
+solvers outside the search and two batches of transforms (proper
+circular-arc -> unit, unit -> open integer (2n,2n)) under `sys.settrace` with `f_trace_opcodes` set on every frame and
 prints the number of bytecode instructions the interpreter executed for
 it, with its answer (a search's node count among it):
 
@@ -15,7 +15,7 @@ version, so two versions of the search loop compare by them.  To count
 another version, point PYTHONPATH at its `src`.  The counts include
 the work a search hands to other modules (its set-up, certificates) but
 not the time spent inside C functions, so they size interpreter work,
-not wall time.  All seventeen lines take about 30 s traced.
+not wall time.  All eighteen lines take about 30 s traced.
 """
 
 from __future__ import annotations
@@ -56,6 +56,7 @@ from tik.transforms import (
     generic_cut_point,
     proper_circular_arc_check,
     unit_from_proper_circular_arc,
+    unit_rep_to_integer_xx,
 )
 
 
@@ -110,11 +111,10 @@ def _mask_solvers():
     return call
 
 
-def _proper_arc_units():
-    # 100 closed proper circular-arc models on 4 to 14 arcs, built
-    # untraced: half of one length at distinct half-integer starts, half
-    # of lengths within one of each other, kept when proper.  Each is cut
-    # and unitized; the check runs inside unit_from_proper_circular_arc.
+def _proper_arc_models():
+    # 100 closed proper circular-arc models on 4 to 14 arcs with their cut
+    # points: half of one length at distinct half-integer starts, half of
+    # lengths within one of each other, kept when proper
     rng = random.Random(3)
     models = []
     while len(models) < 100:
@@ -134,6 +134,13 @@ def _proper_arc_units():
         except TransformError:
             continue
         models.append((ca, generic_cut_point(ca)))
+    return models
+
+
+def _proper_arc_units():
+    # each model, built untraced, is cut and unitized; the check runs
+    # inside unit_from_proper_circular_arc
+    models = _proper_arc_models()
 
     def call():
         reps = [unit_from_proper_circular_arc(ca, p) for ca, p in models]
@@ -142,10 +149,22 @@ def _proper_arc_units():
     return call
 
 
+def _unit_integer_xx():
+    # the 100 unit representations of the line above, built untraced,
+    # each re-placed as open integer (2n,2n)
+    reps = [unit_from_proper_circular_arc(ca, p) for ca, p in _proper_arc_models()]
+
+    def call():
+        outs = [unit_rep_to_integer_xx(rep) for rep in reps]
+        text = repr([sorted(out.items.items()) for out in outs])
+        return f"reps={len(outs)} sha256={hashlib.sha256(text.encode()).hexdigest()[:16]}"
+    return call
+
+
 def searches():
-    """(name, call) pairs; each call runs one search (the last three, one
-    intersection graph, the mask solvers outside the search and one batch
-    of transforms) and describes its answer."""
+    """(name, call) pairs; each call runs one search (the last four, one
+    intersection graph, the mask solvers outside the search and two
+    batches of transforms) and describes its answer."""
     return (
         ("wheel(7)/unit 10^5", _recognition(wheel(7), UNIT, 10**5)),
         ("wheel(9)/unit 10^5", _recognition(wheel(9), UNIT, 10**5)),
@@ -172,6 +191,7 @@ def searches():
         ("prism(30) witness intersection_graph", _prism_witness_graph()),
         ("prism(30) witness masks: 4-simplicial, K1,5, HC", _mask_solvers()),
         ("proper circular-arc -> unit (100 closed models)", _proper_arc_units()),
+        ("unit -> (2n,2n) (100 unit models)", _unit_integer_xx()),
     )
 
 

@@ -129,6 +129,12 @@ SCRIPT = [
     "transform unit-to-xx k53.json",
     "transform unit-to-xx arcs.json",
     "transform bogus k53.json",
+    "transform stretch --factor 2 sep2.json",
+    "transform unit-to-xx --shift 1 domino-unit.json",
+    "transform ca-to-unit --factor 2 arcs.json",
+    "transform dilate --factor 2 --cut 1 k53.json",
+    "transform dilate --factor 2 --shift -1/2 k53.json",
+    "transform dilate --factor -1/2 k53.json",
     "reduce hc-balanced k33.edges",
     "reduce hc-balanced --cycle s1,t1,s2,t2,s3,t3 --emit witness.json k33.edges",
     "reduce hc-balanced --cycle s1,s2,t1,t2,s3,t3 k33.edges",
