@@ -6,8 +6,9 @@ preserves the intersection graph exactly.
 * proper circular-arc -> unit 2-interval (cut, order the cut pieces'
   events first in, first out, add disjoint padding intervals, then
   unitize the event word),
-* open integer length-x -> length-(x+1) (left-to-right sweep),
-* unit -> open integer length-2n (dilate and re-solve on the grid).
+* open integer length-x -> length-(x+1) and unit -> open integer
+  length-2n, both the grid placement of the ground set's event word
+  (at reach x and 2n - 1).
 """
 
 from __future__ import annotations
@@ -268,55 +269,40 @@ def _least_starts(fs: list[int], step: int, reach: int) -> list[int]:
     raise TransformError("interval system admits no grid placement")
 
 
-# --- stretch: (x,x) -> (x+1,x+1) ------------------------------------------------
+# --- open integer (x,x) outputs: one grid placement ---------------------------
 
 
-def _infer_x(rep: Representation) -> int:
+def _grid_xx(rep: Representation, reach: int) -> Representation:
+    """Open integer (reach+1, reach+1) realization of a representation
+    whose ground set's event word is FIFO: the word's grid placement with
+    step 0 and `reach`, intersecting pairs at most `reach` apart and
+    disjoint pairs at least reach + 1 apart (open intervals of length
+    reach + 1 at that distance just touch)."""
+    ground = {(v, s): iv for v, s, iv in rep.ground_set()}
+    starts = dict(zip(*fifo_starts(event_word(ground), 0, reach)))
+    out = Representation({v: xx_two_interval(starts[v, 0], starts[v, 1], reach + 1)
+                          for v in rep.labels()})
+    assert family_check(out, XX(reach + 1)).ok
+    return out
+
+
+def stretch(rep: Representation) -> Representation:
+    """Open integer (x+1, x+1) realization of an open integer (x,x) one,
+    x the length of its first ground interval: the grid placement of its
+    event word at reach x.  The input itself places the word at reach
+    x - 1, so reach x is feasible too (design notes: "Unitization by
+    difference constraints").  The output starts at 0 and depends only on
+    the word, so a translated input gives the same output."""
     if len(rep) == 0:
-        return 0
-    lengths = {iv.length for _, _, iv in rep.ground_set()}
-    if len(lengths) != 1:
-        raise TransformError("ground set is not of uniform length")
-    x = lengths.pop()
+        return rep
+    _, _, first = rep.ground_set()[0]
+    x = first.length
     if x.denominator != 1 or x < 1:
         raise TransformError("ground set length is not a positive integer")
     verdict = family_check(rep, XX(int(x)))
     if not verdict.ok:
         raise TransformError(f"input is not an open integer rep: {verdict.reason}")
-    return int(x)
-
-
-def stretch(rep: Representation) -> Representation:
-    """Grow every ground interval from length x to x+1 by the sweep: take
-    the leftmost pending interval [a, b], stretch every pending interval
-    starting before b in place, translate the rest right by one, repeat."""
-    if len(rep) == 0:
-        return rep
-    x = _infer_x(rep)
-    pending = []  # (left endpoint, key)
-    for v, side, iv in rep.ground_set():
-        pending.append([iv.lo, (v, side)])
-    pending.sort(key=lambda t: (t[0], t[1]))
-    done: dict[tuple[str, int], Fraction] = {}
-    while pending:
-        b = pending[0][0] + x
-        keep = []
-        for entry in pending:
-            if entry[0] < b:
-                done[entry[1]] = entry[0]
-            else:
-                entry[0] += 1
-                keep.append(entry)
-        pending = keep
-    items = {}
-    for v in rep.labels():
-        items[v] = xx_two_interval(done[(v, 0)], done[(v, 1)], x + 1)
-    out = Representation(items)
-    assert family_check(out, XX(x + 1)).ok
-    return out
-
-
-# --- unit -> open integer (2n,2n) -----------------------------------------------
+    return _grid_xx(rep, int(x))
 
 
 def unit_rep_to_integer_xx(rep: Representation) -> Representation:
@@ -325,22 +311,11 @@ def unit_rep_to_integer_xx(rep: Representation) -> Representation:
 
     The unit verifier requires one closedness, so two intervals that tie
     at a start are equal and tie at the end too, and the ground set's
-    event word is FIFO.  It is re-placed on the grid with step 0 and reach
-    2n - 1: intersecting pairs within 2n - 1, disjoint pairs at least 2n
-    apart (open intervals of length 2n at distance exactly 2n just touch).
+    event word is FIFO.  It is re-placed on the grid at reach 2n - 1.
     """
     verdict = family_check(rep, UNIT)
     if not verdict.ok:
         raise TransformError(f"input is not a unit representation: {verdict.reason}")
-    n = len(rep)
-    if n == 0:
+    if len(rep) == 0:
         return rep
-    ground = {(v, s): iv for v, s, iv in rep.ground_set()}
-    span = 2 * n
-    starts = dict(zip(*fifo_starts(event_word(ground), 0, span - 1)))
-    items = {}
-    for v in rep.labels():
-        items[v] = xx_two_interval(starts[(v, 0)], starts[(v, 1)], span)
-    out = Representation(items)
-    assert family_check(out, XX(span)).ok
-    return out
+    return _grid_xx(rep, 2 * len(rep) - 1)

@@ -501,7 +501,7 @@ def test_stretch_hand_example():
     })
     out = stretch(rep)
     assert str(out["a"].left) == "(0, 3)"
-    assert str(out["a"].right) == "(5, 8)"
+    assert str(out["a"].right) == "(3, 6)"
 
 
 def test_stretch_empty():
@@ -537,6 +537,73 @@ def test_stretch_randomized_and_composes():
         out2 = stretch(out)
         assert model.family_check(out2, XX(x + 2)).ok
         assert intersection_graph(out2) == g
+
+
+def _sweep_stretch_reference(rep, x):
+    """The left-to-right sweep `stretch` ran before the grid placement:
+    take the leftmost pending interval [a, b], stretch every pending
+    interval starting before b in place, translate the rest right by one,
+    repeat.  It keeps the input's offsets."""
+    pending = sorted([iv.lo, (v, side)] for v, side, iv in rep.ground_set())
+    done = {}
+    while pending:
+        b = pending[0][0] + x
+        keep = []
+        for entry in pending:
+            if entry[0] < b:
+                done[entry[1]] = entry[0]
+            else:
+                entry[0] += 1
+                keep.append(entry)
+        pending = keep
+    return Representation({v: model.xx_two_interval(done[v, 0], done[v, 1], x + 1)
+                           for v in rep.labels()})
+
+
+def test_stretch_agrees_with_sweep_reference():
+    rng = random.Random(29)
+    for _ in range(600):
+        n = rng.randint(1, 12)
+        x = rng.randint(1, 5)
+        rep = random_xx_rep(rng, n, x)
+        out, ref = stretch(rep), _sweep_stretch_reference(rep, x)
+        assert model.family_check(out, XX(x + 1)).ok
+        assert model.family_check(ref, XX(x + 1)).ok
+        assert intersection_graph(out) == intersection_graph(ref) == intersection_graph(rep)
+
+
+def test_stretch_ignores_translation():
+    # the output is the least placement of the input's event word
+    rng = random.Random(31)
+    for _ in range(300):
+        rep = random_xx_rep(rng, rng.randint(1, 10), rng.randint(1, 5))
+        out = stretch(rep)
+        assert min(iv.lo for _, _, iv in out.ground_set()) == 0
+        for t in (7, rng.randint(-50, 50)):
+            assert stretch(model.affine(rep, 1, t)) == out
+
+
+def test_grid_placement_of_xx_word_feasible_from_reach_x_minus_1():
+    """An open integer (x,x) rep places its own event word at reach x - 1,
+    so every larger reach is feasible too (design notes: "Unitization by
+    difference constraints"); at reach x the placement is `stretch`'s."""
+    rng = random.Random(37)
+    for _ in range(300):
+        n = rng.randint(1, 10)
+        x = rng.randint(1, 5)
+        rep = random_xx_rep(rng, n, x)
+        g = intersection_graph(rep)
+        word = model.event_word({(v, s): iv for v, s, iv in rep.ground_set()})
+        for reach in range(x - 1, x + 4):
+            starts = dict(zip(*transforms.fifo_starts(word, 0, reach)))
+            out = Representation({
+                v: model.xx_two_interval(starts[v, 0], starts[v, 1], reach + 1)
+                for v in rep.labels()
+            })
+            assert model.family_check(out, XX(reach + 1)).ok
+            assert intersection_graph(out) == g
+            if reach == x:
+                assert out == stretch(rep)
 
 
 def test_unit_rep_to_integer_xx_domino():

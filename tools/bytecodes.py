@@ -2,8 +2,9 @@
 vary from run to run.
 
 Runs each search below, one intersection graph, the neighbour-mask
-solvers outside the search and two batches of transforms (proper
-circular-arc -> unit, unit -> open integer (2n,2n)) under `sys.settrace` with `f_trace_opcodes` set on every frame and
+solvers outside the search and three batches of transforms (proper
+circular-arc -> unit, unit -> open integer (2n,2n), (x,x) -> (x+1,x+1))
+under `sys.settrace` with `f_trace_opcodes` set on every frame and
 prints the number of bytecode instructions the interpreter executed for
 it, with its answer (a search's node count among it):
 
@@ -15,7 +16,7 @@ version, so two versions of the search loop compare by them.  To count
 another version, point PYTHONPATH at its `src`.  The counts include
 the work a search hands to other modules (its set-up, certificates) but
 not the time spent inside C functions, so they size interpreter work,
-not wall time.  All eighteen lines take about 30 s traced.
+not wall time.  All nineteen lines take about 30 s traced.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ from tik.transforms import (
     TransformError,
     generic_cut_point,
     proper_circular_arc_check,
+    stretch,
     unit_from_proper_circular_arc,
     unit_rep_to_integer_xx,
 )
@@ -161,9 +163,22 @@ def _unit_integer_xx():
     return call
 
 
+def _integer_xx_stretch():
+    # the 100 (2n,2n) outputs of the line above, built untraced, each
+    # stretched to (2n+1,2n+1)
+    reps = [unit_rep_to_integer_xx(unit_from_proper_circular_arc(ca, p))
+            for ca, p in _proper_arc_models()]
+
+    def call():
+        outs = [stretch(rep) for rep in reps]
+        text = repr([sorted(out.items.items()) for out in outs])
+        return f"reps={len(outs)} sha256={hashlib.sha256(text.encode()).hexdigest()[:16]}"
+    return call
+
+
 def searches():
-    """(name, call) pairs; each call runs one search (the last four, one
-    intersection graph, the mask solvers outside the search and two
+    """(name, call) pairs; each call runs one search (the last five, one
+    intersection graph, the mask solvers outside the search and three
     batches of transforms) and describes its answer."""
     return (
         ("wheel(7)/unit 10^5", _recognition(wheel(7), UNIT, 10**5)),
@@ -192,6 +207,7 @@ def searches():
         ("prism(30) witness masks: 4-simplicial, K1,5, HC", _mask_solvers()),
         ("proper circular-arc -> unit (100 closed models)", _proper_arc_units()),
         ("unit -> (2n,2n) (100 unit models)", _unit_integer_xx()),
+        ("(x,x) -> (x+1,x+1) (100 (2n,2n) models)", _integer_xx_stretch()),
     )
 
 

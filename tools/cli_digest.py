@@ -119,6 +119,9 @@ SCRIPT = [
     "transform ca-to-unit c5-arcs.json",
     "transform ca-to-balanced k53.json",
     "transform stretch sep2.json",
+    "transform dilate --factor 1 --shift 7 sep2.json > sep2-shifted.json",
+    "transform stretch sep2-shifted.json",
+    "transform stretch k53.json",
     "transform stretch arcs.json",
     "transform stretch no-arcs.json",
     "transform dilate --factor 2 --shift 1/2 k53.json",
