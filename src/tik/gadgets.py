@@ -30,10 +30,11 @@ def k44_minus_e() -> Graph:
     return Graph.build(g.vertices, edges)
 
 
-def _prefixed(prefix: str, block: Graph) -> Graph:
-    """The block with every label v written prefix:v, in the same order."""
-    return Graph.build([f"{prefix}:{v}" for v in block.vertices],
-                       [(f"{prefix}:{u}", f"{prefix}:{w}") for u, w in block.edges])
+def _add_block(prefix: str, block: Graph, vertices: list, edges: list) -> None:
+    """Append a copy of the block to the lists, every label v written
+    prefix:v, in the block's order."""
+    vertices.extend(f"{prefix}:{v}" for v in block.vertices)
+    edges.extend((f"{prefix}:{u}", f"{prefix}:{w}") for u, w in block.edges)
 
 
 # The balanced K_{5,3} layout: the six length-11 intervals of t1..t3 form a
@@ -155,9 +156,7 @@ def unbalanced_chain() -> Graph:
     edges = []
     base = k53()
     for i in range(1, 8):
-        block = _prefixed(f"B{i}", base)
-        vertices.extend(block.vertices)
-        edges.extend(block.edges)
+        _add_block(f"B{i}", base, vertices, edges)
     vertices.extend(["I1", "I2", "I3"])
     for j, iv in _CHAIN_JUNCTIONS.items():
         edges.append((iv, f"B{j}:s1"))
@@ -210,12 +209,9 @@ def xx_separator(x: int) -> XxSeparatorInstance:
         if tuple(sorted((u, w))) not in matching
     ]
 
-    blocks = {}
+    base = k44_minus_e()
     for j in range(1, 5):
-        blk = _prefixed(f"X{j}", k44_minus_e())
-        blocks[j] = blk
-        vertices.extend(blk.vertices)
-        edges.extend(blk.edges)
+        _add_block(f"X{j}", base, vertices, edges)
 
     # degree-3 extremity roles per block; X2 and X4 appear mirrored in the
     # companion realization, which swaps which extremity faces left
@@ -230,8 +226,9 @@ def xx_separator(x: int) -> XxSeparatorInstance:
         edges.append((u, v_left[2]))
         edges.append((u, v_right[3]))
 
-    anchor1 = degree4_anchor_pair(blocks[1])
-    anchor4 = degree4_anchor_pair(blocks[4])
+    anchor = degree4_anchor_pair(base)
+    anchor1 = tuple(f"X1:{w}" for w in anchor)
+    anchor4 = tuple(f"X4:{w}" for w in anchor)
     vertices.extend(["a", "b"])
     for u in vs_plain + vs_prime:
         edges.append(("a", u))
@@ -242,7 +239,8 @@ def xx_separator(x: int) -> XxSeparatorInstance:
     roles = {
         "v": vs_plain,
         "v_prime": vs_prime,
-        "blocks": {j: sorted(blocks[j].vertices) for j in blocks},
+        "blocks": {j: [f"X{j}:{v}" for v in sorted(base.vertices)]
+                   for j in range(1, 5)},
         "v_left": v_left,
         "v_right": v_right,
         "a": "a",
@@ -284,12 +282,11 @@ def c4_anchored() -> Graph:
     private K_{4,4}-e block."""
     vertices = [f"v{i}" for i in range(1, 5)]
     edges = [("v1", "v2"), ("v2", "v3"), ("v3", "v4"), ("v1", "v4")]
+    base = k44_minus_e()
+    anchor = degree4_anchor_pair(base)
     for i in range(1, 5):
-        blk = _prefixed(f"X{i}", k44_minus_e())
-        vertices.extend(blk.vertices)
-        edges.extend(blk.edges)
-        for w in degree4_anchor_pair(blk):
-            edges.append((f"v{i}", w))
+        _add_block(f"X{i}", base, vertices, edges)
+        edges.extend((f"v{i}", f"X{i}:{w}") for w in anchor)
     return Graph.build(vertices, edges)
 
 
@@ -324,16 +321,10 @@ def hamiltonicity_expansion(g: Graph) -> HamiltonicityInstance:
     vertices = list(g.vertices)
     edges = list(g.edges)
 
-    # the K_{5,3} copies are written out label by label, not built as graphs
     base = k53()
-
-    def add_block(prefix: str) -> None:
-        vertices.extend(f"{prefix}:{v}" for v in base.vertices)
-        edges.extend((f"{prefix}:{a}", f"{prefix}:{b}") for a, b in base.edges)
-
     m_anchor = {}
     for u in order:
-        add_block(f"M({u})")
+        _add_block(f"M({u})", base, vertices, edges)
         m_anchor[u] = f"M({u}):s1"
         edges.append((u, m_anchor[u]))
 
@@ -345,7 +336,7 @@ def hamiltonicity_expansion(g: Graph) -> HamiltonicityInstance:
         edges.append(("z", f"M({v0}):{w}"))
 
     for name in ("H1", "H2", "H3"):
-        add_block(name)
+        _add_block(name, base, vertices, edges)
     # H1 hosts z at its right extremity (s1) and inside the hole covered
     # by s3; its left extremity (s2) hooks onto H2's extremal vertex s1
     edges.append(("z", "H1:s1"))

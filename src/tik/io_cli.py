@@ -355,10 +355,11 @@ def _cmd_recognize(args, out, err) -> int:
     g = parse_graph(_read_input(args.input))
     family = _family_from_args(args)
     outcome = recognize.recognize(g, family, recognize.Budget(args.budget))
-    out.write(f"{outcome.kind} nodes={outcome.nodes_used}\n")
+    # the certificate is written first: a command that fails writes no result
     if outcome.is_member() and args.emit:
         with open(args.emit, "w", encoding="utf-8") as fh:
             fh.write(dump_json(rep_to_json(outcome.certificate)))
+    out.write(f"{outcome.kind} nodes={outcome.nodes_used}\n")
     return _VERDICT_EXIT[outcome.kind]
 
 
@@ -397,7 +398,8 @@ def _cmd_reduce(args, out, err) -> int:
         if args.emit and not args.cycle:
             raise FormatError("--emit needs --cycle")
         inst = reductions.hc_to_balanced_instance(g)
-        out.write(graphs.to_edge_list(inst.graph))
+        # the witness is built and written first: a command that fails
+        # writes no result
         if args.cycle:
             cycle = args.cycle.split(",")
             rep = reductions.ham_cycle_realization(inst, cycle)
@@ -410,6 +412,7 @@ def _cmd_reduce(args, out, err) -> int:
             if args.emit:
                 with open(args.emit, "w", encoding="utf-8") as fh:
                     fh.write(dump_json(rep_to_json(rep)))
+        out.write(graphs.to_edge_list(inst.graph))
         return EXIT_YES
     # coloring-simplicial
     if args.k is None:

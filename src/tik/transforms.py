@@ -31,7 +31,6 @@ from .model import (
     q,
     sweep_keys,
     two_interval,
-    within,
     xx_two_interval,
 )
 
@@ -43,36 +42,29 @@ class TransformError(ValueError):
 
 
 def _cut_positions(ca: CircularArcRep, p: Fraction):
-    """Unroll the circle at cut point p: through-arcs become two line
-    pieces anchored at the segment ends, others become one interior
+    """Cut the circle at p: each arc, turned by -p, is cut by
+    `Arc.segments` at the wrap point, which closes the cut ends.  An arc
+    through p gives a head [0, end] and a tail [start, C], the others one
     interval.  Returns (through, whole) keyed by label."""
     c = ca.circumference
     p = q(p)
     if not (0 <= p < c):
         raise TransformError("cut point must lie in [0, circumference)")
+    through: dict[str, tuple[Interval, Interval]] = {}
+    whole: dict[str, Interval] = {}
     for v in ca.labels():
         arc = ca[v]
         if p == arc.start or p == arc.end:
             raise TransformError(
                 f"cut point touches an endpoint of {v!r}; pick a generic point"
             )
-
-    def unroll(x: Fraction) -> Fraction:
-        return (x - p) % c
-
-    through: dict[str, tuple[Interval, Interval]] = {}
-    whole: dict[str, Interval] = {}
-    for v in ca.labels():
-        arc = ca[v]
-        if arc.contains_point(p, c):
-            # clockwise from start: tail [phi(start), C], head [0, phi(end)]
-            head = Interval(q(0), unroll(arc.end), True, arc.end_closed)
-            tail = Interval(unroll(arc.start), c, arc.start_closed, True)
+        pieces = Arc((arc.start - p) % c, (arc.end - p) % c,
+                     arc.start_closed, arc.end_closed).segments(c)
+        if len(pieces) == 2:
+            tail, head = pieces
             through[v] = (head, tail)
         else:
-            whole[v] = Interval(
-                unroll(arc.start), unroll(arc.end), arc.start_closed, arc.end_closed
-            )
+            whole[v] = pieces[0]
     return through, whole
 
 
@@ -123,57 +115,38 @@ def balanced_from_circular_arc(ca: CircularArcRep, p) -> Representation:
 
 
 def proper_circular_arc_check(ca: CircularArcRep) -> None:
-    """Raise TransformError if some arc contains another.
-
-    The arcs are sorted by start, a closed start before an open one at the
-    same point, and at one start the farther end first.  If u contains w,
-    the arc a whose start follows u's starts inside u, no later than w: so
-    either a lies inside u, or a runs past u's end and contains w, one step
-    nearer to w.  Hence some arc contains the arc after it in cyclic order,
-    and only those n pairs are tested."""
-    c = ca.circumference
-    arcs = ca.arcs
-
-    def order(v):
-        a = arcs[v]
-        return (a.start, not a.start_closed, -((a.end - a.start) % c),
-                not a.end_closed, v)
-
-    ring = sorted(arcs, key=order)
-    for u, w in zip(ring, ring[1:] + ring[:1]):
-        if u != w and _arc_contains_arc(arcs[u], arcs[w], c):
-            raise TransformError(f"arc {u!r} contains arc {w!r}")
-
-
-def _arc_contains_arc(a: Arc, b: Arc, c: Fraction) -> bool:
-    """b ⊆ a: each piece of b lies within one piece of a.  A piece is an
-    interval and a's pieces are disjoint on [0, C], so a piece inside
-    their union lies inside one of them."""
-    segs_a = a.segments(c)
-    return all(any(within(seg, sa) for sa in segs_a) for seg in b.segments(c))
+    """Raise TransformError if some arc contains another: the word check
+    of `unit_from_proper_circular_arc` at a generic cut point, since
+    properness does not depend on the cut (design notes: "Cut pieces")."""
+    unit_from_proper_circular_arc(ca, generic_cut_point(ca))
 
 
 def unit_from_proper_circular_arc(ca: CircularArcRep, p) -> Representation:
     """Cut a proper circular-arc representation at p, pad single intervals
-    with far-away partners, and unitize the pieces' event word.
+    with far-away partners, and unitize the pieces' event word;
+    TransformError if some arc contains another.
 
     The cut pieces tie at the cut: every head starts at 0 and every tail
-    ends at C.  The word opens the heads in the order they close and
-    closes the tails in the order they open, which keeps the pieces proper
+    ends at C.  The word opens the heads in the order their tails open
+    and closes the tails in that order too, which keeps the pieces proper
     (as stretching the heads left and the tails right would); the other
     events keep the sweep order, and each padding partner opens and closes
-    after them all."""
-    proper_circular_arc_check(ca)
+    after them all.  The arcs are proper iff the pieces' other ends are
+    untied and the word is FIFO (design notes: "Cut pieces")."""
     through, whole = _cut_positions(ca, q(p))
     pieces = {(v, side): iv for v, halves in through.items()
               for side, iv in enumerate(halves)}
     pieces.update(((v, 0), iv) for v, iv in whole.items())
+    _, keys = sweep_keys(pieces.values())
+    # a cut arc's piece has its cut end at index `side`: the heads' starts
+    # at 0 and the tails' ends at C tie by construction
+    _untied(((v, side), key[i]) for (v, side), key in zip(pieces, keys)
+            for i in (0, 1) if v not in through or i != side)
     # the heads' opens come first in the sweep order, the tails' closes last
     cut = len(through)
     inner = event_word(pieces)[cut:2 * len(pieces) - cut]
-    word = [(iid, OPEN) for iid, kind in inner if kind == CLOSE and iid[0] in through]
-    word += inner
-    word += [(iid, CLOSE) for iid, kind in inner if kind == OPEN and iid[0] in through]
+    tails = [iid for iid, _ in inner if iid[1]]  # the tails' opens, in order
+    word = [((v, 0), OPEN) for v, _ in tails] + inner + [(iid, CLOSE) for iid in tails]
     for v in sorted(whole):
         word += ((v, 1), OPEN), ((v, 1), CLOSE)
     units = _unitize(word)
@@ -196,13 +169,19 @@ def proper_to_unit_interval(intervals: dict) -> dict:
     two starts or two ends at one key put one interval within the other,
     and `fifo_starts` refuses every other containment."""
     _, keys = sweep_keys(intervals.values())
-    first = {}  # key -> the first id with an end there
-    for v, (lo, hi, _) in zip(intervals, keys):
-        for end in lo, hi:
-            u = first.setdefault(end, v)
-            if u != v:
-                raise TransformError(f"containment: {u!r} and {v!r} tie at an end")
+    _untied((v, key[i]) for v, key in zip(intervals, keys) for i in (0, 1))
     return _unitize(event_word(intervals))
+
+
+def _untied(ends) -> None:
+    # TransformError if two of the (id, sweep key) pairs `ends` share a
+    # key: two starts or two ends at one key put one interval within the
+    # other (a start and an end never share a key)
+    first = {}  # key -> the first id with an end there
+    for v, key in ends:
+        u = first.setdefault(key, v)
+        if u != v:
+            raise TransformError(f"containment: {u!r} and {v!r} tie at an end")
 
 
 def _unitize(word) -> dict:

@@ -359,6 +359,26 @@ def test_cli_reduce_emit_needs_cycle(tmp_path):
     assert not emit.exists()
 
 
+def test_cli_reduce_bad_cycle_writes_no_instance(tmp_path):
+    # the witness is built before the instance is written, so a command
+    # that exits 3 has written nothing to stdout
+    k33 = tmp_path / "k33.edges"
+    k33.write_text(to_edge_list(complete_bipartite(3, 3)))
+    argv = ["reduce", "hc-balanced", "--cycle", "s1,s2,t1,t2,s3,t3", str(k33)]
+    assert run_cli(argv) == (
+        EXIT_ERROR, "", "error: cycle step 's1' -> 's2' is not an edge\n")
+
+
+def test_cli_recognize_emit_failure_writes_no_verdict(tmp_path):
+    # --emit into a directory fails; the verdict line must not go out first
+    p3 = tmp_path / "p3.edges"
+    p3.write_text("a b\nb c\n")
+    argv = ["recognize", "--family", "unit", "--emit", str(tmp_path), str(p3)]
+    code, out, err = run_cli(argv)
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err.startswith("error: ") and "Is a directory" in err
+
+
 @pytest.mark.parametrize("extra", [
     ["--emit", "x.json"], ["--cycle", "v1,v2"],
     ["--emit", "x.json", "--cycle", "v1,v2"],

@@ -103,19 +103,41 @@ def test_unit_from_proper_rejects_nested():
     ca = CircularArcRep(q(10), {
         "big": Arc(q(0), q(6)), "small": Arc(q(1), q(3)),
     })
-    with pytest.raises(TransformError, match="contains"):
+    with pytest.raises(TransformError, match="containment"):
         unit_from_proper_circular_arc(ca, q(8))
     with pytest.raises(TransformError):
         proper_circular_arc_check(ca)
 
 
+def test_unit_from_proper_rejects_cut_arc_inside_cut_arc():
+    # both big and small run through the cut at 9, small inside big; the
+    # heads close in the order small, big, while the tails open big, small,
+    # so opening the heads in their close order would pass as FIFO
+    ca = CircularArcRep(q(10), {
+        "big": Arc(q(7), q(3)), "small": Arc(q(8), q(2)), "far": Arc(q(4), q(6)),
+    })
+    with pytest.raises(TransformError,
+                       match=r"containment: \('small', 0\) within \('big', 0\)"):
+        unit_from_proper_circular_arc(ca, q(9))
+    with pytest.raises(TransformError, match="containment"):
+        proper_circular_arc_check(ca)
+
+
+def _arc_contains_arc(a: Arc, b: Arc, c: Fraction) -> bool:
+    """b ⊆ a: each piece of b lies within one piece of a.  A piece is an
+    interval and a's pieces are disjoint on [0, C], so a piece inside
+    their union lies inside one of them."""
+    segs_a = a.segments(c)
+    return all(any(model.within(seg, sa) for sa in segs_a) for seg in b.segments(c))
+
+
 def _pairwise_arc_check(ca):
-    # the all-pairs containment test: the reference for the sorted
-    # neighbour test in proper_circular_arc_check
+    # the all-pairs containment test: the reference for the word check in
+    # proper_circular_arc_check
     c = ca.circumference
     for u in ca.labels():
         for w in ca.labels():
-            if u != w and transforms._arc_contains_arc(ca[u], ca[w], c):
+            if u != w and _arc_contains_arc(ca[u], ca[w], c):
                 raise TransformError(f"arc {u!r} contains arc {w!r}")
 
 
@@ -149,7 +171,7 @@ def test_proper_arc_check_matches_pairwise_reference():
         if proper:
             proper_circular_arc_check(ca)
         else:
-            with pytest.raises(TransformError, match="contains arc"):
+            with pytest.raises(TransformError, match="containment"):
                 proper_circular_arc_check(ca)
         verdicts[proper] += 1
     assert min(verdicts.values()) > 300, verdicts
@@ -172,7 +194,7 @@ def test_arc_contains_arc_matches_point_reference():
     for a, pa in zip(arcs, points):
         for b, pb in zip(arcs, points):
             expected = pb <= pa
-            assert transforms._arc_contains_arc(a, b, q(c)) == expected, (a, b)
+            assert _arc_contains_arc(a, b, q(c)) == expected, (a, b)
             contained += expected
     assert len(arcs) ** 2 == 50176 and contained > 5000, contained
 
@@ -187,7 +209,7 @@ def test_unit_from_proper_converts_every_proper_random_arc_system():
         c = int(ca.circumference)
         points = {v: _quarter_points(ca[v], c) for v in ca.labels()}
         if any(u != w and points[w] <= points[u] for u in points for w in points):
-            with pytest.raises(TransformError, match="contains arc"):
+            with pytest.raises(TransformError, match="containment"):
                 unit_from_proper_circular_arc(ca, generic_cut_point(ca))
             continue
         rep = unit_from_proper_circular_arc(ca, generic_cut_point(ca))
@@ -195,6 +217,31 @@ def test_unit_from_proper_converts_every_proper_random_arc_system():
         assert intersection_graph(rep) == circular_graph_pointcheck(ca)
         proper += 1
     assert proper == 506
+
+
+def test_unit_from_proper_accepts_iff_proper_at_every_cut():
+    # the draws above, cut at every point k/8 that is no endpoint:
+    # properness does not depend on the cut, and the word decides it
+    rng = random.Random(211)
+    accepted = rejected = 0
+    for _ in range(1500):
+        ca = _random_arcs(rng, rng.randint(1, 7))
+        c = int(ca.circumference)
+        points = {v: _quarter_points(ca[v], c) for v in ca.labels()}
+        proper = not any(u != w and points[w] <= points[u] for u in points for w in points)
+        ends = {e for arc in ca.arcs.values() for e in (arc.start, arc.end)}
+        for p in (q(k) / 8 for k in range(8 * c)):
+            if p in ends:
+                continue
+            try:
+                unit_from_proper_circular_arc(ca, p)
+                accepted += 1
+            except TransformError as exc:
+                assert not proper, (ca.arcs, p, exc)
+                rejected += 1
+                continue
+            assert proper, (ca.arcs, p)
+    assert (accepted, rejected) == (14439, 26071)
 
 
 def _outward_stretch_reference(ca, p):

@@ -41,6 +41,15 @@ INPUTS = {
         '"v4": {"start": "6", "end": "1", "start_closed": false}}}'
     ),
     "no-arcs.json": '{"circumference": "8", "arcs": {}}',
+    "nested-arcs.json": (
+        '{"circumference": "10", "arcs": {'
+        '"big": {"start": "0", "end": "6"}, "small": {"start": "1", "end": "3"}}}'
+    ),
+    "cut-nest.json": (
+        '{"circumference": "10", "arcs": {'
+        '"big": {"start": "7", "end": "3"}, "small": {"start": "8", "end": "2"},'
+        '"far": {"start": "4", "end": "6"}}}'
+    ),
     "nested.json": '{"circumference": "8", "arcs": {"a": {"start": "0", "end": "9"}}}',
     "list.json": "[1, 2]",
     "broken.json": "{nope",
@@ -90,6 +99,7 @@ SCRIPT = [
     "recognize --family unit --emit domino-unit.json domino.edges",
     "recognize --family circular-arc --emit c5-arcs.json c5.edges",
     "recognize --family xx --x 2 --emit k23-xx2.json k23.edges",
+    "recognize --family unit --emit . p3.edges",
     "recognize --family balanced --budget 100000 k53.edges",
     "recognize --family unit --budget 100 domino.edges",
     "recognize --family balanced chain.edges",
@@ -117,6 +127,8 @@ SCRIPT = [
     "transform ca-to-balanced --cut 1/2 arcs.json",
     "transform ca-to-unit arcs.json",
     "transform ca-to-unit c5-arcs.json",
+    "transform ca-to-unit nested-arcs.json",
+    "transform ca-to-unit --cut 9 cut-nest.json",
     "transform ca-to-balanced k53.json",
     "transform stretch sep2.json",
     "transform dilate --factor 1 --shift 7 sep2.json > sep2-shifted.json",
