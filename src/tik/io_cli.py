@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import re
 import sys
@@ -248,9 +249,11 @@ def _family_from_args(args) -> FamilySelector:
     return FamilySelector(args.family)
 
 
-# name -> (builder, the options it needs); the builder takes them in order,
-# after the input graph for a check.  Each table gives its command's
-# argparse choices, in this order, and its dispatch.
+# name -> (builder, the options it needs, then any it may take); the
+# builder takes the needed ones in order, after the input for a check, a
+# transform or a reduction, and the others by name when given.  Each table
+# gives its command's argparse choices, in this order, and its dispatch,
+# and `_bind` holds each op to the options the table lists for it.
 _GENERATORS = {
     "k53": (gadgets.k53, ()),
     "k44e": (gadgets.k44_minus_e, ()),
@@ -279,15 +282,55 @@ _CHECKS = {
     "k-colorable": (graphs.k_colorable, ("k",)),
 }
 
+_TRANSFORMS = {
+    "ca-to-balanced": (transforms.balanced_from_circular_arc, (), "cut"),
+    "ca-to-unit": (transforms.unit_from_proper_circular_arc, (), "cut"),
+    "stretch": (transforms.stretch, ()),
+    "dilate": (model.affine, ("factor",), "shift"),
+    "unit-to-xx": (transforms.unit_rep_to_integer_xx, ()),
+}
 
-def _call(table, name, args, *lead):
-    """Run table[name] on `lead` and the options it needs from args."""
-    build, needs = table[name]
+
+def _hc_balanced(g, err, emit=None, cycle=None) -> Graph:
+    """The hc-balanced instance of g.  With a cycle, its witness is built
+    first, its span noted on err and, with emit, written there: a command
+    that fails writes no result."""
+    inst = reductions.hc_to_balanced_instance(g)
+    if cycle:
+        rep = reductions.ham_cycle_realization(inst, cycle.split(","))
+        claimed = 13273 + 241 * inst.n
+        err.write(
+            f"realization span {q_str(rep.span().length)} "
+            f"(reference aggregate {claimed})\n"
+        )
+        if emit:
+            with open(emit, "w", encoding="utf-8") as fh:
+                fh.write(dump_json(rep_to_json(rep)))
+    return inst.graph
+
+
+_REDUCTIONS = {
+    "hc-balanced": (_hc_balanced, (), "emit", "cycle"),
+    "coloring-simplicial": (
+        lambda g, err, k: reductions.coloring_to_simplicial_instance(g, k), ("k",)),
+}
+
+
+def _bind(table, name, args):
+    """table[name]'s builder with the options of args bound: FormatError,
+    before any input is read, if an option it needs is missing or it was
+    given one that only the table's other ops take."""
+    build, needs, *takes = table[name]
     values = [getattr(args, option) for option in needs]
     if None in values:
-        flags = " and ".join(f"--{option}" for option in needs)
-        raise FormatError(f"{name} needs {flags}")
-    return build(*lead, *values)
+        raise FormatError(f"{name} needs " + " and ".join(f"--{o}" for o in needs))
+    others = dict.fromkeys(o for _, n, *t in table.values() for o in (*n, *t))
+    stray = [o for o in others
+             if o not in needs and o not in takes and getattr(args, o) is not None]
+    if stray:
+        raise FormatError(f"{name} takes no " + " or ".join(f"--{o}" for o in stray))
+    given = {o: getattr(args, o) for o in takes if getattr(args, o) is not None}
+    return lambda *lead: build(*lead, *values, **given)
 
 
 def _read_input(path: str) -> str:
@@ -316,7 +359,7 @@ def _read_rep(path: str, kind: type, what: str):
 
 
 def _cmd_gen(args, out, err) -> int:
-    g = _call(_GENERATORS, args.kind, args)
+    g = _bind(_GENERATORS, args.kind, args)()
     if args.format == "dot":
         out.write(emit_dot(g))
     elif args.format == "json":
@@ -330,7 +373,7 @@ def _cmd_gen(args, out, err) -> int:
 
 
 def _cmd_realize(args, out, err) -> int:
-    rep = _call(_FIXTURES, args.kind, args)
+    rep = _bind(_FIXTURES, args.kind, args)()
     out.write(dump_json(rep_to_json(rep)))
     return EXIT_YES
 
@@ -364,69 +407,27 @@ def _cmd_recognize(args, out, err) -> int:
 
 
 def _cmd_transform(args, out, err) -> int:
-    op = args.op
-    circular = op.startswith("ca-to-")
-    if not circular and args.cut is not None:
-        raise FormatError(f"{op} takes no --cut")
-    if op != "dilate" and (args.factor is not None or args.shift is not None):
-        raise FormatError(f"{op} takes no --factor or --shift")
-    rep = _read_rep(args.input, CircularArcRep if circular else Representation,
-                    f"transform {op}")
-    if circular:
-        cut = q(args.cut) if args.cut is not None else transforms.generic_cut_point(rep)
-        if op == "ca-to-balanced":
-            result = transforms.balanced_from_circular_arc(rep, cut)
-        else:
-            result = transforms.unit_from_proper_circular_arc(rep, cut)
-    elif op == "stretch":
-        result = transforms.stretch(rep)
-    elif op == "dilate":
-        if args.factor is None:
-            raise FormatError("dilate needs --factor")
-        result = model.affine(rep, q(args.factor), q(args.shift or 0))
-    else:  # unit-to-xx
-        result = transforms.unit_rep_to_integer_xx(rep)
-    out.write(dump_json(rep_to_json(result)))
+    transform = _bind(_TRANSFORMS, args.op, args)
+    kind = CircularArcRep if args.op.startswith("ca-to-") else Representation
+    rep = _read_rep(args.input, kind, f"transform {args.op}")
+    out.write(dump_json(rep_to_json(transform(rep))))
     return EXIT_YES
 
 
 def _cmd_reduce(args, out, err) -> int:
-    if args.op != "hc-balanced" and (args.emit or args.cycle):
-        raise FormatError(f"{args.op} takes no --emit or --cycle")
+    reduce = _bind(_REDUCTIONS, args.op, args)
+    if args.emit and not args.cycle:
+        raise FormatError("--emit needs --cycle")
     g = parse_graph(_read_input(args.input))
-    if args.op == "hc-balanced":
-        if args.emit and not args.cycle:
-            raise FormatError("--emit needs --cycle")
-        inst = reductions.hc_to_balanced_instance(g)
-        # the witness is built and written first: a command that fails
-        # writes no result
-        if args.cycle:
-            cycle = args.cycle.split(",")
-            rep = reductions.ham_cycle_realization(inst, cycle)
-            span = rep.span()
-            claimed = 13273 + 241 * inst.n
-            err.write(
-                f"realization span {q_str(span.length)} "
-                f"(reference aggregate {claimed})\n"
-            )
-            if args.emit:
-                with open(args.emit, "w", encoding="utf-8") as fh:
-                    fh.write(dump_json(rep_to_json(rep)))
-        out.write(graphs.to_edge_list(inst.graph))
-        return EXIT_YES
-    # coloring-simplicial
-    if args.k is None:
-        raise FormatError("coloring-simplicial needs --k")
-    out.write(graphs.to_edge_list(
-        reductions.coloring_to_simplicial_instance(g, args.k)
-    ))
+    out.write(graphs.to_edge_list(reduce(g, err)))
     return EXIT_YES
 
 
 def _cmd_check(args, out, err) -> int:
+    check = _bind(_CHECKS, args.op, args)
     g = parse_graph(_read_input(args.input))
     # a witness (a partition or a coloring) or True means yes
-    if _call(_CHECKS, args.op, args, g):
+    if check(g):
         out.write("yes\n")
         return EXIT_YES
     out.write("no\n")
@@ -442,7 +443,8 @@ def _cmd_render(args, out, err) -> int:
     return EXIT_YES
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache  # built once, on the first call
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tik", description="exact 2-interval graph toolkit"
     )
@@ -473,9 +475,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
 
     p = sub.add_parser("transform", help="class transformations")
-    p.add_argument("op", choices=[
-        "ca-to-balanced", "ca-to-unit", "stretch", "dilate", "unit-to-xx",
-    ])
+    p.add_argument("op", choices=_TRANSFORMS)
     # a value like -1/2 is an argument, not an option
     p._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
     p.add_argument("--cut", help="cut point for the circular transforms")
@@ -484,7 +484,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
 
     p = sub.add_parser("reduce", help="hardness reduction instances")
-    p.add_argument("op", choices=["hc-balanced", "coloring-simplicial"])
+    p.add_argument("op", choices=_REDUCTIONS)
     p.add_argument("--k", type=int)
     p.add_argument("--cycle", help="comma-separated Hamiltonian cycle")
     p.add_argument("--emit", help="write the witness realization JSON here")
@@ -518,11 +518,10 @@ _COMMANDS = {
 def cli_main(argv=None, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser = _build_parser()
     try:
         # argparse writes help to sys.stdout and usage errors to sys.stderr
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            args = parser.parse_args(argv)
+            args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_ERROR if exc.code not in (0, None) else EXIT_YES
     try:

@@ -294,7 +294,7 @@ class CircularArcRep:
 # --- intersection graphs ---------------------------------------------------
 
 
-def sweep_keys(ivs) -> tuple[int, list[tuple[int, int, int]]]:
+def _sweep_keys(ivs) -> tuple[int, list[tuple[int, int, int]]]:
     """The common denominator of the intervals' endpoints, and each
     interval's `_key` over it: ints, which sort far faster than Fractions,
     in the sweep order of `_overlaps`."""
@@ -306,16 +306,24 @@ def sweep_keys(ivs) -> tuple[int, list[tuple[int, int, int]]]:
     return den, [(_rescale(lo, den // d), _rescale(hi, den // d), den) for lo, hi, d in keys]
 
 
+def _events(ids, ivs) -> list[tuple[int, object]]:
+    """Every end of the intervals `ivs` as (sweep key, id), ids in the
+    order of `ivs`, sorted: the sweep order, ties broken by id.  A start's
+    key is odd and an end's even, so the key gives the kind."""
+    _, keys = _sweep_keys(ivs)
+    events = []
+    for iid, (lo, hi, _) in zip(ids, keys):
+        events += (lo, iid), (hi, iid)
+    events.sort()
+    return events
+
+
 def event_word(intervals: dict) -> list[tuple]:
     """The event word of {id: Interval}: every start as (id, OPEN) and end
     as (id, CLOSE), in the sweep order of `_overlaps`, ties (two starts or
     two ends at one key) broken by id."""
-    _, keys = sweep_keys(intervals.values())
-    events = []
-    for iid, (lo, hi, _) in zip(intervals, keys):
-        events += (lo, iid, OPEN), (hi, iid, CLOSE)
-    events.sort()
-    return [(iid, kind) for _, iid, kind in events]
+    return [(iid, OPEN if key & 1 else CLOSE)
+            for key, iid in _events(intervals, intervals.values())]
 
 
 def _overlaps(pieces) -> list[tuple]:
@@ -326,14 +334,9 @@ def _overlaps(pieces) -> list[tuple]:
     start: the order of x - eps, x, x, x + eps with starts before ends at x.
     So two intervals meet iff one starts while the other is active.
     """
-    _, keys = sweep_keys([iv for _, iv in pieces])
-    events = []
-    for i, (lo, hi, _) in enumerate(keys):
-        events += (lo, i), (hi, i)
-    events.sort()
     active: set[int] = set()
     pairs = []
-    for point, i in events:
+    for point, i in _events(range(len(pieces)), [iv for _, iv in pieces]):
         if point & 1:  # a start
             key = pieces[i][0]
             pairs.extend((pieces[j][0], key) for j in active)
@@ -500,7 +503,7 @@ def contiguity(rep: Representation) -> Contiguity:
     maximal uncovered gaps strictly inside the span."""
     if len(rep) == 0:
         raise ModelError("contiguity undefined for an empty representation")
-    den, keys = sweep_keys(map(_THIRD, rep._ground))
+    den, keys = _sweep_keys(map(_THIRD, rep._ground))
     keys.sort()
     holes: list[Interval] = []
     reach = keys[0][1]
@@ -521,7 +524,7 @@ def contiguity(rep: Representation) -> Contiguity:
 # --- transformations used across modules ------------------------------------
 
 
-def affine(rep: Representation, scale, shift) -> Representation:
+def affine(rep: Representation, scale, shift=0) -> Representation:
     """Map every endpoint e to scale*e + shift.  Intersection graph is
     unchanged (scale must be positive)."""
     scale, shift = q(scale), q(shift)

@@ -29,7 +29,6 @@ from .model import (
     event_word,
     family_check,
     q,
-    sweep_keys,
     two_interval,
     xx_two_interval,
 )
@@ -41,13 +40,14 @@ class TransformError(ValueError):
 # --- circle cutting -----------------------------------------------------------
 
 
-def _cut_positions(ca: CircularArcRep, p: Fraction):
-    """Cut the circle at p: each arc, turned by -p, is cut by
-    `Arc.segments` at the wrap point, which closes the cut ends.  An arc
-    through p gives a head [0, end] and a tail [start, C], the others one
-    interval.  Returns (through, whole) keyed by label."""
+def _cut_positions(ca: CircularArcRep, cut):
+    """Cut the circle at `cut`, by default `generic_cut_point`: each arc,
+    turned by -cut, is cut by `Arc.segments` at the wrap point, which
+    closes the cut ends.  An arc through the cut gives a head [0, end] and
+    a tail [start, C], the others one interval.  Returns (through, whole)
+    keyed by label."""
     c = ca.circumference
-    p = q(p)
+    p = generic_cut_point(ca) if cut is None else q(cut)
     if not (0 <= p < c):
         raise TransformError("cut point must lie in [0, circumference)")
     through: dict[str, tuple[Interval, Interval]] = {}
@@ -90,12 +90,12 @@ def generic_cut_point(ca: CircularArcRep) -> Fraction:
     return best_mid
 
 
-def balanced_from_circular_arc(ca: CircularArcRep, p) -> Representation:
-    """Cut the circle at p; arcs through p become 2-intervals whose shorter
-    side is extended outward to match the longer; the rest are halved at
-    their midpoint (left half open at the split, so the halves stay
-    disjoint)."""
-    through, whole = _cut_positions(ca, q(p))
+def balanced_from_circular_arc(ca: CircularArcRep, cut=None) -> Representation:
+    """Cut the circle at `cut` (by default `generic_cut_point`); arcs
+    through the cut become 2-intervals whose shorter side is extended
+    outward to match the longer; the rest are halved at their midpoint
+    (left half open at the split, so the halves stay disjoint)."""
+    through, whole = _cut_positions(ca, cut)
     items: dict[str, TwoInterval] = {}
     for v, (head, tail) in through.items():
         lh, lt = head.length, tail.length
@@ -116,35 +116,35 @@ def balanced_from_circular_arc(ca: CircularArcRep, p) -> Representation:
 
 def proper_circular_arc_check(ca: CircularArcRep) -> None:
     """Raise TransformError if some arc contains another: the word check
-    of `unit_from_proper_circular_arc` at a generic cut point, since
+    of `unit_from_proper_circular_arc` at its default cut, since
     properness does not depend on the cut (design notes: "Cut pieces")."""
-    unit_from_proper_circular_arc(ca, generic_cut_point(ca))
+    unit_from_proper_circular_arc(ca)
 
 
-def unit_from_proper_circular_arc(ca: CircularArcRep, p) -> Representation:
-    """Cut a proper circular-arc representation at p, pad single intervals
-    with far-away partners, and unitize the pieces' event word;
-    TransformError if some arc contains another.
+def unit_from_proper_circular_arc(ca: CircularArcRep, cut=None) -> Representation:
+    """Cut a proper circular-arc representation at `cut` (by default
+    `generic_cut_point`), pad single intervals with far-away partners, and
+    unitize the pieces' event word; TransformError if some arc contains
+    another.
 
     The cut pieces tie at the cut: every head starts at 0 and every tail
     ends at C.  The word opens the heads in the order their tails open
     and closes the tails in that order too, which keeps the pieces proper
     (as stretching the heads left and the tails right would); the other
     events keep the sweep order, and each padding partner opens and closes
-    after them all.  The arcs are proper iff the pieces' other ends are
-    untied and the word is FIFO (design notes: "Cut pieces")."""
-    through, whole = _cut_positions(ca, q(p))
+    after them all.  The arcs are proper iff no two of them tie at an end
+    and the word is FIFO (design notes: "Cut pieces")."""
+    through, whole = _cut_positions(ca, cut)
+    # a piece's end off the cut is an arc's end turned by -cut, so the
+    # pieces tie there iff the arcs tie
+    _untied((v, end) for v, a in sorted(ca.arcs.items())
+            for end in ((a.start, a.start_closed, OPEN), (a.end, a.end_closed, CLOSE)))
     pieces = {(v, side): iv for v, halves in through.items()
               for side, iv in enumerate(halves)}
     pieces.update(((v, 0), iv) for v, iv in whole.items())
-    _, keys = sweep_keys(pieces.values())
-    # a cut arc's piece has its cut end at index `side`: the heads' starts
-    # at 0 and the tails' ends at C tie by construction
-    _untied(((v, side), key[i]) for (v, side), key in zip(pieces, keys)
-            for i in (0, 1) if v not in through or i != side)
     # the heads' opens come first in the sweep order, the tails' closes last
-    cut = len(through)
-    inner = event_word(pieces)[cut:2 * len(pieces) - cut]
+    heads = len(through)
+    inner = event_word(pieces)[heads:2 * len(pieces) - heads]
     tails = [iid for iid, _ in inner if iid[1]]  # the tails' opens, in order
     word = [((v, 0), OPEN) for v, _ in tails] + inner + [(iid, CLOSE) for iid in tails]
     for v in sorted(whole):
@@ -168,18 +168,18 @@ def proper_to_unit_interval(intervals: dict) -> dict:
     word is FIFO (design notes: "Unitization by difference constraints"):
     two starts or two ends at one key put one interval within the other,
     and `fifo_starts` refuses every other containment."""
-    _, keys = sweep_keys(intervals.values())
-    _untied((v, key[i]) for v, key in zip(intervals, keys) for i in (0, 1))
+    _untied((v, end) for v, iv in intervals.items()
+            for end in ((iv.lo, iv.lo_closed, OPEN), (iv.hi, iv.hi_closed, CLOSE)))
     return _unitize(event_word(intervals))
 
 
 def _untied(ends) -> None:
-    # TransformError if two of the (id, sweep key) pairs `ends` share a
-    # key: two starts or two ends at one key put one interval within the
-    # other (a start and an end never share a key)
-    first = {}  # key -> the first id with an end there
-    for v, key in ends:
-        u = first.setdefault(key, v)
+    # TransformError if two of the (id, end) pairs `ends` share an end,
+    # an end being (value, closedness, OPEN or CLOSE): two starts or two
+    # ends at one key put one interval within the other
+    first = {}  # end -> the first id with that end
+    for v, end in ends:
+        u = first.setdefault(end, v)
         if u != v:
             raise TransformError(f"containment: {u!r} and {v!r} tie at an end")
 

@@ -132,6 +132,22 @@ def test_c03_xx_class_separation():
     assert ok
 
 
+def test_xx2_strictly_inside_xx3_on_eight_vertices():
+    # G_B: K_{4,4} on {v0..v3} x {v4..v7} plus v4v7, v5v7 and v6v7, an
+    # xx(2) nonmember past the default budget and an xx(3) member
+    t = time.perf_counter()
+    edges = [(f"v{a}", f"v{b}") for a in range(4) for b in range(4, 8)]
+    g = Graph.build([f"v{i}" for i in range(8)],
+                    edges + [("v4", "v7"), ("v5", "v7"), ("v6", "v7")])
+    out2 = _recognize(g, XX(2), 2 * 10**7)
+    out3 = _recognize(g, XX(3), 10**7)
+    _report("(2,2) vs (3,3) separation on G_B", out2.is_nonmember() and out3.is_member(),
+            t, f"xx2={out2.kind}/{out2.nodes_used} xx3={out3.kind}/{out3.nodes_used}")
+    assert (out2.kind, out2.nodes_used) == ("nonmember", 14_474_021)
+    assert (out3.kind, out3.nodes_used) == ("member", 4_800)
+    _verify_member(g, XX(3), out3)
+
+
 def test_c04_domino_separators():
     t = time.perf_counter()
     d = domino()

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import mixed_star_rep, random_circular_rep, random_closed_rep, random_graph
 import tik
-from tik import gadgets, graphs, io_cli, model, simplicial
+from tik import gadgets, graphs, io_cli, model, simplicial, transforms
 from tik.gadgets import k53_balanced_realization
 from tik.graphs import complete_bipartite, path, to_edge_list
 from tik.io_cli import (
@@ -283,9 +283,13 @@ def test_cli_check_matches_the_library(tmp_path, g):
     (["check", "all-k-simplicial"], "--k"),
     (["check", "k1t-free", "--k", "3"], "--t"),
     (["check", "k-colorable", "--t", "3"], "--k"),
+    (["transform", "dilate", "--shift", "1"], "--factor"),
+    (["reduce", "coloring-simplicial", "--emit", "x.json"], "--k"),
 ], ids=lambda v: "-".join(v) if isinstance(v, list) else None)
 def test_cli_names_the_options_it_needs(tmp_path, argv, flags):
-    if argv[0] == "check":
+    # a missing option is named before a stray one, and before the input
+    # (here not JSON) is read
+    if argv[0] in ("check", "transform", "reduce"):
         path = tmp_path / "p3.edges"
         path.write_text("a b\nb c\n")
         argv = argv + [str(path)]
@@ -379,27 +383,60 @@ def test_cli_recognize_emit_failure_writes_no_verdict(tmp_path):
     assert err.startswith("error: ") and "Is a directory" in err
 
 
-@pytest.mark.parametrize("extra", [
-    ["--emit", "x.json"], ["--cycle", "v1,v2"],
-    ["--emit", "x.json", "--cycle", "v1,v2"],
-], ids=["emit", "cycle", "both"])
-def test_cli_reduce_coloring_rejects_hc_options(tmp_path, extra):
-    # --emit and --cycle belong to hc-balanced alone; another op must not
-    # ignore them and write nothing
-    c5 = tmp_path / "c5.edges"
-    c5.write_text(to_edge_list(graphs.cycle(5)))
-    extra = [str(tmp_path / a) if a == "x.json" else a for a in extra]
-    argv = ["reduce", "coloring-simplicial", "--k", "2", *extra, str(c5)]
-    assert run_cli(argv) == (
-        EXIT_ERROR, "", "error: coloring-simplicial takes no --emit or --cycle\n")
+def _assert_takes_no(tmp_path, argv, taken):
+    # one rule for every op command: options are checked before the input
+    # is read (IN names no file) or a file written, and an op given one
+    # that only other ops of its command take names each, in table order
+    names = {"IN": str(tmp_path / "missing"), "x.json": str(tmp_path / "x.json")}
+    argv = [names.get(a, a) for a in argv]
+    assert run_cli(argv) == (EXIT_ERROR, "", f"error: {argv[1]} takes no {taken}\n")
     assert not (tmp_path / "x.json").exists()
 
 
+OPTION_RULE_CASES = [
+    (["gen", "k53", "--n", "5"], "--n"),
+    (["gen", "cycle", "--n", "5", "--m", "2", "--k", "2", "--x", "1"], "--k or --m or --x"),
+    (["gen", "kneser", "--n", "6", "--k", "2", "--m", "3"], "--m"),
+    (["gen", "complete-bipartite", "--m", "2", "--n", "3", "--k", "1", "--x", "2"],
+     "--k or --x"),
+    (["gen", "xx-separator", "--x", "2", "--n", "5"], "--n"),
+    (["realize", "k53", "--x", "2"], "--x"),
+    (["check", "k1t-free", "--t", "3", "--k", "2", "IN"], "--k"),
+    (["check", "k-colorable", "--k", "2", "--t", "3", "IN"], "--t"),
+    (["check", "all-k-simplicial", "--t", "3", "--k", "2", "IN"], "--t"),
+    (["transform", "ca-to-balanced", "--cut", "1/2", "--shift", "1", "IN"], "--shift"),
+    (["transform", "stretch", "--shift", "1", "--factor", "2", "--cut", "1", "IN"],
+     "--cut or --factor or --shift"),
+    (["reduce", "hc-balanced", "--k", "2", "IN"], "--k"),
+    (["reduce", "hc-balanced", "--cycle", "v1,v2", "--emit", "x.json", "--k", "2", "IN"],
+     "--k"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, taken", OPTION_RULE_CASES,
+    ids=["-".join(a.strip("-") for a in argv if a not in ("IN", "x.json"))
+         for argv, _ in OPTION_RULE_CASES])
+def test_cli_ops_take_only_their_own_options(tmp_path, argv, taken):
+    _assert_takes_no(tmp_path, argv, taken)
+
+
+@pytest.mark.parametrize("extra, taken", [
+    (["--emit", "x.json"], "--emit"), (["--cycle", "v1,v2"], "--cycle"),
+    (["--emit", "x.json", "--cycle", "v1,v2"], "--emit or --cycle"),
+], ids=["emit", "cycle", "both"])
+def test_cli_reduce_coloring_rejects_hc_options(tmp_path, extra, taken):
+    # --emit and --cycle belong to hc-balanced alone; another op must not
+    # ignore them and write nothing
+    _assert_takes_no(tmp_path, ["reduce", "coloring-simplicial", "--k", "2", *extra, "IN"],
+                     taken)
+
+
 @pytest.mark.parametrize("op, extra, taken", [
-    ("stretch", ["--factor", "2"], "--factor or --shift"),
-    ("unit-to-xx", ["--shift", "1"], "--factor or --shift"),
-    ("ca-to-balanced", ["--shift", "1/2"], "--factor or --shift"),
-    ("ca-to-unit", ["--cut", "1/2", "--factor", "2"], "--factor or --shift"),
+    ("stretch", ["--factor", "2"], "--factor"),
+    ("unit-to-xx", ["--shift", "1"], "--shift"),
+    ("ca-to-balanced", ["--shift", "1/2"], "--shift"),
+    ("ca-to-unit", ["--cut", "1/2", "--factor", "2"], "--factor"),
     ("dilate", ["--factor", "2", "--cut", "1"], "--cut"),
     ("stretch", ["--cut", "1"], "--cut"),
     ("unit-to-xx", ["--cut", "1"], "--cut"),
@@ -408,10 +445,7 @@ def test_cli_reduce_coloring_rejects_hc_options(tmp_path, extra):
 def test_cli_transform_rejects_options_of_other_ops(tmp_path, op, extra, taken):
     # --cut belongs to the ca-to-* ops and --factor / --shift to dilate;
     # another op must not ignore them
-    path = tmp_path / "rep.json"
-    path.write_text(KIND_INPUTS["pairs"])
-    assert run_cli(["transform", op, *extra, str(path)]) == (
-        EXIT_ERROR, "", f"error: {op} takes no {taken}\n")
+    _assert_takes_no(tmp_path, ["transform", op, *extra, "IN"], taken)
 
 
 def test_cli_dilate_reads_negative_rationals(tmp_path):
@@ -471,6 +505,17 @@ def test_cli_unit_to_xx_rejects_mixed_closedness(tmp_path, a, b):
     path.write_text(dump_json(representation_to_json(rep)))
     code, _, err = run_cli(["transform", "unit-to-xx", str(path)])
     assert code == EXIT_ERROR and "not a unit representation" in err
+
+
+def test_cli_ca_to_balanced_default_cut(tmp_path):
+    # without --cut the transform cuts where the library does by default
+    ca_path = tmp_path / "arcs.json"
+    for seed in range(20):
+        ca = random_circular_rep(random.Random(seed), 6)
+        ca_path.write_text(dump_json(circular_to_json(ca)))
+        code, out, err = run_cli(["transform", "ca-to-balanced", str(ca_path)])
+        assert (code, err) == (EXIT_YES, ""), seed
+        assert parse_representation(out) == transforms.balanced_from_circular_arc(ca)
 
 
 def test_cli_ca_to_balanced_arc_ending_open_at_zero(tmp_path):
@@ -603,6 +648,19 @@ def test_cli_parser_messages_use_the_given_streams(capsys, argv, code, stream, t
     assert text in {"out": out, "err": err}[stream]
     assert {"out": err, "err": out}[stream] == ""
     assert capsys.readouterr() == ("", "")
+
+
+def test_cli_parser_is_built_once_and_keeps_no_streams(capsys):
+    # the one parser serves every call: each call's help and usage errors
+    # go to that call's streams only
+    help_code, help_out, help_err = run_cli(["--help"])
+    code, out, err = run_cli(["recognize", "--family", "nope", "x"])
+    assert (help_code, help_err) == (EXIT_YES, "")
+    assert help_out.startswith("usage: tik") and "exact 2-interval graph toolkit" in help_out
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err.startswith("usage: tik recognize") and "invalid choice: 'nope'" in err
+    assert capsys.readouterr() == ("", "")
+    assert io_cli._parser() is io_cli._parser()
 
 
 @pytest.mark.parametrize("argv", [

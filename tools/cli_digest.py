@@ -50,6 +50,11 @@ INPUTS = {
         '"big": {"start": "7", "end": "3"}, "small": {"start": "8", "end": "2"},'
         '"far": {"start": "4", "end": "6"}}}'
     ),
+    "tied-arcs.json": (
+        '{"circumference": "8", "arcs": {'
+        '"a": {"start": "1", "end": "4"}, "b": {"start": "1", "end": "3"},'
+        '"c": {"start": "5", "end": "7"}}}'
+    ),
     "nested.json": '{"circumference": "8", "arcs": {"a": {"start": "0", "end": "9"}}}',
     "list.json": "[1, 2]",
     "broken.json": "{nope",
@@ -91,6 +96,7 @@ SCRIPT = [
     "realize xx-separator",
     "realize xx-separator --x 0",
     "realize bogus",
+    "realize k53 --x 2",
 ] + [
     f"recognize {family} {graph}"
     for graph in ("p3.edges", "c5.edges", "k23.edges", "domino.edges", "lone.edges")
@@ -129,6 +135,7 @@ SCRIPT = [
     "transform ca-to-unit c5-arcs.json",
     "transform ca-to-unit nested-arcs.json",
     "transform ca-to-unit --cut 9 cut-nest.json",
+    "transform ca-to-unit tied-arcs.json",
     "transform ca-to-balanced k53.json",
     "transform stretch sep2.json",
     "transform dilate --factor 1 --shift 7 sep2.json > sep2-shifted.json",
@@ -150,6 +157,7 @@ SCRIPT = [
     "transform dilate --factor 2 --cut 1 k53.json",
     "transform dilate --factor 2 --shift -1/2 k53.json",
     "transform dilate --factor -1/2 k53.json",
+    "transform ca-to-balanced --cut 1/2 --shift 1 arcs.json",
     "reduce hc-balanced k33.edges",
     "reduce hc-balanced --cycle s1,t1,s2,t2,s3,t3 --emit witness.json k33.edges",
     "reduce hc-balanced --cycle s1,s2,t1,t2,s3,t3 k33.edges",
@@ -159,6 +167,7 @@ SCRIPT = [
     "reduce coloring-simplicial --k 2 --emit x.json --cycle v1,v2 c5.edges",
     "reduce coloring-simplicial --k 0 c5.edges",
     "reduce coloring-simplicial c5.edges",
+    "reduce hc-balanced --k 2 k33.edges",
 ] + [
     f"check {op} {graph}"
     for graph in ("p3.edges", "c5.edges", "w5.edges", "petersen.edges", "k53.edges")
@@ -170,6 +179,7 @@ SCRIPT = [
     "check all-k-simplicial c5.edges",
     "check all-k-simplicial --k 0 c5.edges",
     "check k1t-free --k 3 c5.edges",
+    "check k1t-free --t 3 --k 2 c5.edges",
     "check k1t-free --t 0 c5.edges",
     "check k-colorable --t 3 c5.edges",
     "check k-colorable --k -1 c5.edges",
