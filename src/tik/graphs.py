@@ -20,6 +20,9 @@ class Graph:
 
     ``vertices`` keeps declaration order (it drives the deterministic
     branch order of the exact solvers); equality and hashing ignore it.
+    Construction validates the labels and edges; the adjacency sets are
+    built on the first `neighbors`, `degree` or `has_edge` call and kept,
+    so a graph that is only compared or listed never builds them.
     """
 
     vertices: tuple[str, ...]
@@ -41,11 +44,18 @@ class Graph:
                 raise GraphError(f"edge {(u, v)!r} not in canonical order")
             if u not in seen or v not in seen:
                 raise GraphError(f"edge {(u, v)!r} mentions undeclared vertex")
-        adj = {v: set() for v in self.vertices}
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        object.__setattr__(self, "_adj", {v: frozenset(ns) for v, ns in adj.items()})
+
+    def _adjacency(self) -> dict[str, frozenset[str]]:
+        # built on the first query: many graphs are only compared
+        adj = self._adj
+        if adj is None:
+            sets = {v: set() for v in self.vertices}
+            for u, v in self.edges:
+                sets[u].add(v)
+                sets[v].add(u)
+            adj = {v: frozenset(ns) for v, ns in sets.items()}
+            object.__setattr__(self, "_adj", adj)
+        return adj
 
     @staticmethod
     def build(vertices, edges) -> "Graph":
@@ -67,13 +77,13 @@ class Graph:
         return len(self.vertices)
 
     def neighbors(self, v: str) -> frozenset[str]:
-        return self._adj[v]
+        return self._adjacency()[v]
 
     def degree(self, v: str) -> int:
-        return len(self._adj[v])
+        return len(self._adjacency()[v])
 
     def has_edge(self, u: str, v: str) -> bool:
-        return v in self._adj[u]
+        return v in self._adjacency()[u]
 
     def sorted_vertices(self) -> list[str]:
         return sorted(self.vertices)

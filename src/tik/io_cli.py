@@ -296,7 +296,7 @@ def _hc_balanced(g, err, emit=None, cycle=None) -> Graph:
     first, its span noted on err and, with emit, written there: a command
     that fails writes no result."""
     inst = reductions.hc_to_balanced_instance(g)
-    if cycle:
+    if cycle is not None:
         rep = reductions.ham_cycle_realization(inst, cycle.split(","))
         claimed = 13273 + 241 * inst.n
         err.write(
@@ -416,7 +416,7 @@ def _cmd_transform(args, out, err) -> int:
 
 def _cmd_reduce(args, out, err) -> int:
     reduce = _bind(_REDUCTIONS, args.op, args)
-    if args.emit and not args.cycle:
+    if args.emit and args.cycle is None:
         raise FormatError("--emit needs --cycle")
     g = parse_graph(_read_input(args.input))
     out.write(graphs.to_edge_list(reduce(g, err)))

@@ -15,7 +15,8 @@ from operator import attrgetter, itemgetter
 
 from .graphs import Graph
 
-_KEY, _THIRD = attrgetter("_key"), itemgetter(2)  # read in C by the sweeps
+# read in C by the sweeps
+_KEY, _SECOND, _THIRD = attrgetter("_key"), itemgetter(1), itemgetter(2)
 
 OPEN, CLOSE = 0, 1  # the kinds of an event word's events
 
@@ -150,7 +151,10 @@ class TwoInterval:
     right: Interval
 
     def __post_init__(self):
-        a_lo, a_hi, b_lo, b_hi = _pair_keys(self.left, self.right)
+        a_lo, a_hi, a_den = self.left._key
+        b_lo, b_hi, b_den = self.right._key
+        if a_den != b_den:
+            a_lo, a_hi, b_lo, b_hi = _pair_keys(self.left, self.right)
         if a_lo < b_hi and b_lo < a_hi:
             raise ModelError(f"2-interval halves intersect: {self.left} {self.right}")
         if a_lo >> 2 > b_lo >> 2:
@@ -303,27 +307,37 @@ def _sweep_keys(ivs) -> tuple[int, list[tuple[int, int, int]]]:
     if len(dens) < 2:  # the keys share one denominator already
         return (dens.pop() if dens else 1), keys
     den = math.lcm(*dens)
-    return den, [(_rescale(lo, den // d), _rescale(hi, den // d), den) for lo, hi, d in keys]
+    out = []
+    for lo, hi, d in keys:  # `_rescale` of both ends, inline
+        m = den // d
+        out.append(((lo >> 2) * m << 2 | lo & 3, (hi >> 2) * m << 2 | hi & 3, den))
+    return den, out
 
 
-def _events(ids, ivs) -> list[tuple[int, object]]:
-    """Every end of the intervals `ivs` as (sweep key, id), ids in the
-    order of `ivs`, sorted: the sweep order, ties broken by id.  A start's
-    key is odd and an end's even, so the key gives the kind."""
+def _events(ivs) -> tuple[int, list[int]]:
+    """b, the bit length of the number of intervals in the iterable `ivs`,
+    and every end of them as the int key << b | i, i the index of its
+    interval in `ivs`, sorted: the sweep order, ties broken by index.  As
+    0 <= i < 2**b, these ints order like the pairs (key, i), negative keys
+    included; bit b is the key's parity, set on a start."""
     _, keys = _sweep_keys(ivs)
+    b = len(keys).bit_length()
     events = []
-    for iid, (lo, hi, _) in zip(ids, keys):
-        events += (lo, iid), (hi, iid)
+    for i, (lo, hi, _) in enumerate(keys):
+        events += lo << b | i, hi << b | i
     events.sort()
-    return events
+    return b, events
 
 
 def event_word(intervals: dict) -> list[tuple]:
     """The event word of {id: Interval}: every start as (id, OPEN) and end
     as (id, CLOSE), in the sweep order of `_overlaps`, ties (two starts or
-    two ends at one key) broken by id."""
-    return [(iid, OPEN if key & 1 else CLOSE)
-            for key, iid in _events(intervals, intervals.values())]
+    two ends at one key) broken by id: the events are built over the ids
+    in sorted order, so a tie's indices order as its ids."""
+    ids = sorted(intervals)
+    b, events = _events(map(intervals.__getitem__, ids))
+    mask, start = (1 << b) - 1, 1 << b
+    return [(ids[e & mask], OPEN if e & start else CLOSE) for e in events]
 
 
 def _overlaps(pieces) -> list[tuple]:
@@ -334,12 +348,17 @@ def _overlaps(pieces) -> list[tuple]:
     start: the order of x - eps, x, x, x + eps with starts before ends at x.
     So two intervals meet iff one starts while the other is active.
     """
+    labels = [key for key, _ in pieces]
+    b, events = _events(map(_SECOND, pieces))
+    mask, start = (1 << b) - 1, 1 << b
     active: set[int] = set()
     pairs = []
-    for point, i in _events(range(len(pieces)), [iv for _, iv in pieces]):
-        if point & 1:  # a start
-            key = pieces[i][0]
-            pairs.extend((pieces[j][0], key) for j in active)
+    for e in events:
+        i = e & mask
+        if e & start:  # a start
+            key = labels[i]
+            for j in active:  # mostly none or one: a loop, not a generator
+                pairs.append((labels[j], key))
             active.add(i)
         else:
             active.discard(i)

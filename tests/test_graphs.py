@@ -267,6 +267,49 @@ def test_is_triangle_free_3regular():
     assert not is_triangle_free_3regular(cycle(5))
 
 
+@pytest.mark.parametrize("vertices, edges, message", [
+    (("a", "b", "a"), [], "duplicate vertex label 'a'"),
+    (("a", "b"), [("a", "a")], "self-loop at 'a'"),
+    (("a", "b"), [("b", "a")], "edge ('b', 'a') not in canonical order"),
+    (("a", "b"), [("a", "c")], "edge ('a', 'c') mentions undeclared vertex"),
+], ids=["duplicate", "self-loop", "non-canonical", "undeclared"])
+def test_graph_construction_errors(vertices, edges, message):
+    # construction validates, although it builds no adjacency
+    with pytest.raises(GraphError) as info:
+        Graph(vertices, frozenset(edges))
+    assert str(info.value) == message
+
+
+def test_adjacency_on_first_use_matches_eager_reference():
+    import copy
+    import pickle
+
+    rng = random.Random(3204)
+    cases = [Graph((), frozenset()), Graph.build(["x"], [])]
+    cases += [random_graph(rng, rng.randint(1, 12), rng.random()) for _ in range(80)]
+    for g in cases:
+        reference = {v: set() for v in g.vertices}
+        for u, v in g.edges:
+            reference[u].add(v)
+            reference[v].add(u)
+        fresh = [g, copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))]
+        assert all(twin._adj is None for twin in fresh)  # nothing built yet
+        queried = [copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))]
+        for twin in fresh + queried:
+            assert twin == g and hash(twin) == hash(g)
+            for u in g.vertices:
+                assert twin.neighbors(u) == frozenset(reference[u])
+                assert twin.degree(u) == len(reference[u])
+                for v in g.vertices:
+                    assert twin.has_edge(u, v) == (v in reference[u])
+            with pytest.raises(KeyError):
+                twin.neighbors("absent")
+            assert twin._adj is not None  # built once, then kept
+        assert hash(g) == hash((frozenset(g.vertices), g.edges))
+        assert Graph(tuple(reversed(g.vertices)), g.edges) == g
+        assert repr(g) == f"Graph(vertices={g.vertices!r}, edges={g.edges!r})"
+
+
 def test_graph_equality_is_labeled():
     g1 = from_edge_list("a b")
     g2 = from_edge_list("b a")

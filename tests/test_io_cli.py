@@ -373,6 +373,19 @@ def test_cli_reduce_bad_cycle_writes_no_instance(tmp_path):
         EXIT_ERROR, "", "error: cycle step 's1' -> 's2' is not an edge\n")
 
 
+@pytest.mark.parametrize("extra", [[], ["--emit", "witness.json"]], ids=["no-emit", "emit"])
+def test_cli_reduce_empty_cycle_is_a_cycle(tmp_path, extra):
+    # an empty --cycle is a given cycle that visits no vertex, not a
+    # missing one: the witness step rejects it, with or without --emit
+    k33 = tmp_path / "k33.edges"
+    k33.write_text(to_edge_list(complete_bipartite(3, 3)))
+    extra = [str(tmp_path / e) if e.endswith(".json") else e for e in extra]
+    argv = ["reduce", "hc-balanced", "--cycle", "", *extra, str(k33)]
+    assert run_cli(argv) == (
+        EXIT_ERROR, "", "error: cycle must visit every base vertex exactly once\n")
+    assert not (tmp_path / "witness.json").exists()
+
+
 def test_cli_recognize_emit_failure_writes_no_verdict(tmp_path):
     # --emit into a directory fails; the verdict line must not go out first
     p3 = tmp_path / "p3.edges"

@@ -745,3 +745,113 @@ def test_xx_rescaled_to_unit_lengths():
     assert family_check(scaled, UNIT).ok
     assert family_check(scaled, BALANCED).ok
     assert intersection_graph(scaled) == intersection_graph(rep)
+
+
+# --- the packed sweep against the tuple sweep it replaced ----------------------
+
+def _tuple_events(ids, ivs):
+    # every end as (sweep key, id), sorted: the event builder before ends
+    # were packed into ints
+    keys = [iv._key for iv in ivs]
+    den = math.lcm(*{d for _, _, d in keys})
+    events = []
+    for iid, (lo, hi, d) in zip(ids, keys):
+        events += (model._rescale(lo, den // d), iid), (model._rescale(hi, den // d), iid)
+    events.sort()
+    return events
+
+
+def _tuple_event_word(intervals):
+    return [(iid, model.OPEN if key & 1 else model.CLOSE)
+            for key, iid in _tuple_events(intervals, intervals.values())]
+
+
+def _tuple_overlaps(pieces):
+    active = set()
+    pairs = []
+    for point, i in _tuple_events(range(len(pieces)), [iv for _, iv in pieces]):
+        if point & 1:
+            key = pieces[i][0]
+            pairs.extend((pieces[j][0], key) for j in active)
+            active.add(i)
+        else:
+            active.discard(i)
+    return pairs
+
+
+# denominators 1 to 4 on [-3, 3]: about 40 values, so ends tie and touch
+_SWEEP_GRID = sorted({Fraction(k, d) for d in (1, 2, 3, 4) for k in range(-3 * d, 3 * d + 1)})
+
+
+def _sweep_interval(rng):
+    lo, hi = sorted(rng.choices(_SWEEP_GRID, k=2))
+    if lo == hi or rng.random() < 0.1:
+        return Interval(lo, lo)  # a closed point
+    return Interval(lo, hi, rng.random() < 0.5, rng.random() < 0.5)
+
+
+def test_packed_sweep_matches_tuple_sweep():
+    # the same pairs in the same order, and the same event words, from
+    # dicts inserted out of id order; sizes cross several bit lengths
+    rng = random.Random(3201)
+    touching, ties, shuffled = set(), 0, 0
+    for _ in range(1500):
+        n = rng.randint(0, 40)
+        ivs = [_sweep_interval(rng) for _ in range(n)]
+        pieces = [(f"v{rng.randint(0, 9)}", iv) for iv in ivs]  # labels repeat
+        assert model._overlaps(pieces) == _tuple_overlaps(pieces), pieces
+        ids = [(rng.choice("abc"), i) for i in range(n)]
+        rng.shuffle(ids)
+        intervals = dict(zip(ids, ivs))
+        shuffled += list(intervals) != sorted(intervals)
+        assert model.event_word(intervals) == _tuple_event_word(intervals), intervals
+        keys = [key for key, _ in _tuple_events(range(n), ivs)]
+        ties += len(set(keys)) < len(keys)
+        touching.update((a.hi_closed, b.lo_closed) for a in ivs for b in ivs
+                        if a is not b and a.hi == b.lo)
+    assert touching == {(False, False), (False, True), (True, False), (True, True)}
+    assert ties > 1000 and shuffled > 1000, (ties, shuffled)
+
+
+def test_packed_sweep_matches_tuple_sweep_on_arc_segments():
+    # the cut pieces of arcs with every closedness: closed cut ends at 0
+    # and C, and arcs ending open at 0
+    rng = random.Random(3202)
+    for _ in range(400):
+        ca = random_circular_rep(rng, rng.randint(1, 12))
+        ca = CircularArcRep(ca.circumference, {
+            v: Arc(a.start, a.end, rng.random() < 0.5, rng.random() < 0.5)
+            for v, a in ca.arcs.items()})
+        c = ca.circumference
+        pieces = [(v, seg) for v in ca.labels() for seg in ca[v].segments(c)]
+        assert model._overlaps(pieces) == _tuple_overlaps(pieces), ca.arcs
+        segments = {(v, i): seg for i, (v, seg) in enumerate(pieces)}
+        assert model.event_word(segments) == _tuple_event_word(segments), ca.arcs
+
+
+def _ladder(k, mobius):
+    # the prism over C_k (k rungs) or the Möbius ladder on k vertices
+    if mobius:
+        vs = [f"m{i}" for i in range(k)]
+        es = [(vs[i], vs[(i + 1) % k]) for i in range(k)]
+        return Graph.build(vs, es + [(vs[i], vs[i + k // 2]) for i in range(k // 2)])
+    a, b = [f"a{i}" for i in range(k)], [f"b{i}" for i in range(k)]
+    es = [(x[i], x[(i + 1) % k]) for x in (a, b) for i in range(k)]
+    return Graph.build(a + b, es + list(zip(a, b)))
+
+
+def test_packed_sweep_on_hamiltonicity_witnesses():
+    from tik.reductions import (
+        find_hamiltonian_cycle,
+        ham_cycle_realization,
+        hc_to_balanced_instance,
+    )
+
+    bases = [_ladder(k, False) for k in range(4, 13)]
+    bases += [_ladder(k, True) for k in range(8, 25, 2)]
+    for g in bases:
+        inst = hc_to_balanced_instance(g)
+        rep = ham_cycle_realization(inst, find_hamiltonian_cycle(g))
+        assert intersection_graph(rep) == inst.graph
+        pieces = [(v, iv) for v, _, iv in rep.ground_set()]
+        assert model._overlaps(pieces) == _tuple_overlaps(pieces)

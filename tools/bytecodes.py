@@ -1,9 +1,11 @@
 """Opcode counts of a fixed list of searches, a work measure that does not
 vary from run to run.
 
-Runs each search below, one intersection graph, the neighbour-mask
-solvers outside the search and three batches of transforms (proper
-circular-arc -> unit, unit -> open integer (2n,2n), (x,x) -> (x+1,x+1))
+Runs each search below, one Hamiltonicity witness build (expansion,
+realization and balanced check), one intersection graph, the
+neighbour-mask solvers outside the search and three batches of
+transforms (proper circular-arc -> unit, unit -> open integer (2n,2n),
+(x,x) -> (x+1,x+1))
 under `sys.settrace` with `f_trace_opcodes` set on every frame and
 prints the number of bytecode instructions the interpreter executed for
 it, with its answer (a search's node count among it):
@@ -16,7 +18,7 @@ version, so two versions of the search loop compare by them.  To count
 another version, point PYTHONPATH at its `src`.  The counts include
 the work a search hands to other modules (its set-up, certificates) but
 not the time spent inside C functions, so they size interpreter work,
-not wall time.  All nineteen lines take about 30 s traced.
+not wall time.  All twenty lines take about 30 s traced.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from tik.model import (
     Arc,
     CircularArcRep,
     contiguity,
+    family_check,
     intersection_graph,
     q,
 )
@@ -76,16 +79,35 @@ def _enumeration(g, family, budget, visitor=lambda rep: None):
     return call
 
 
-def _prism_witness():
-    # prism(30) and the balanced realization of its Hamiltonicity
-    # expansion, 565 vertices
+def _prism30():
     k = 30
     a = [f"a{i}" for i in range(k)]
     b = [f"b{i}" for i in range(k)]
-    prism = Graph.build(a + b, [(x[i], x[(i + 1) % k]) for x in (a, b)
-                                for i in range(k)] + list(zip(a, b)))
+    return Graph.build(a + b, [(x[i], x[(i + 1) % k]) for x in (a, b)
+                               for i in range(k)] + list(zip(a, b)))
+
+
+def _prism_witness():
+    # prism(30) and the balanced realization of its Hamiltonicity
+    # expansion, 565 vertices
+    prism = _prism30()
     return prism, ham_cycle_realization(hamiltonicity_expansion(prism),
                                         find_hamiltonian_cycle(prism))
+
+
+def _prism_witness_build():
+    # the cycle is found untraced; the expansion, its realization and the
+    # balanced check are counted
+    prism = _prism30()
+    cycle = find_hamiltonian_cycle(prism)
+
+    def call():
+        inst = hamiltonicity_expansion(prism)
+        rep = ham_cycle_realization(inst, cycle)
+        balanced = family_check(rep, BALANCED).ok
+        return (f"vertices={inst.graph.n} edges={len(inst.graph.edges)} "
+                f"span={rep.span().length} balanced={balanced}")
+    return call
 
 
 def _prism_witness_graph():
@@ -177,9 +199,9 @@ def _integer_xx_stretch():
 
 
 def searches():
-    """(name, call) pairs; each call runs one search (the last five, one
-    intersection graph, the mask solvers outside the search and three
-    batches of transforms) and describes its answer."""
+    """(name, call) pairs; each call runs one search (the last six, one
+    witness build, one intersection graph, the mask solvers outside the
+    search and three batches of transforms) and describes its answer."""
     return (
         ("wheel(7)/unit 10^5", _recognition(wheel(7), UNIT, 10**5)),
         ("wheel(9)/unit 10^5", _recognition(wheel(9), UNIT, 10**5)),
@@ -203,6 +225,7 @@ def searches():
         ("path(60)/unit", _recognition(path(60), UNIT, 10**7)),
         # non-FIFO opens of a vertex's second slot
         ("path(300)/2interval", _recognition(path(300), TWO_INTERVAL, 10**7)),
+        ("prism(30) witness build", _prism_witness_build()),
         ("prism(30) witness intersection_graph", _prism_witness_graph()),
         ("prism(30) witness masks: 4-simplicial, K1,5, HC", _mask_solvers()),
         ("proper circular-arc -> unit (100 closed models)", _proper_arc_units()),

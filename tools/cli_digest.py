@@ -162,6 +162,8 @@ SCRIPT = [
     "reduce hc-balanced --cycle s1,t1,s2,t2,s3,t3 --emit witness.json k33.edges",
     "reduce hc-balanced --cycle s1,s2,t1,t2,s3,t3 k33.edges",
     "reduce hc-balanced --emit no-cycle.json k33.edges",
+    "reduce hc-balanced --cycle= k33.edges",
+    "reduce hc-balanced --cycle= --emit empty-cycle.json k33.edges",
     "reduce hc-balanced c5.edges",
     "reduce coloring-simplicial --k 2 c5.edges",
     "reduce coloring-simplicial --k 2 --emit x.json --cycle v1,v2 c5.edges",
