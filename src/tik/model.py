@@ -169,8 +169,11 @@ class TwoInterval:
 
 def two_interval(a: Interval, b: Interval) -> TwoInterval:
     """Build a TwoInterval from two disjoint intervals in either order."""
-    a_lo, _, b_lo, _ = _pair_keys(a, b)
-    if b_lo < a_lo:
+    a_lo, _, a_den = a._key
+    b_lo, _, b_den = b._key
+    # the starts over the denominator a_den·b_den, in the sweep order
+    # (`_rescale` of each, inline)
+    if ((b_lo >> 2) * a_den << 2 | b_lo & 3) < ((a_lo >> 2) * b_den << 2 | a_lo & 3):
         a, b = b, a
     return TwoInterval(a, b)
 
@@ -338,6 +341,28 @@ def event_word(intervals: dict) -> list[tuple]:
     b, events = _events(map(intervals.__getitem__, ids))
     mask, start = (1 << b) - 1, 1 << b
     return [(ids[e & mask], OPEN if e & start else CLOSE) for e in events]
+
+
+def word_ends(word) -> dict:
+    """The reader of the event-word format `event_word` builds: {id:
+    [open position, close position]} of a word of (id, OPEN) and (id,
+    CLOSE) events, each id opened once and closed at most once, after its
+    open.  An interval that never closes (a cut arc's suffix) keeps None
+    as its close."""
+    ends = {}
+    for i, (iid, kind) in enumerate(word):
+        if kind == OPEN:
+            if iid in ends:
+                raise ModelError(f"interval {iid!r} opened twice")
+            ends[iid] = [i, None]
+        elif kind == CLOSE:
+            at = ends.get(iid)
+            if at is None or at[1] is not None:
+                raise ModelError(f"interval {iid!r} closed out of order")
+            at[1] = i
+        else:
+            raise ModelError(f"bad event kind {kind!r}")
+    return ends
 
 
 def _overlaps(pieces) -> list[tuple]:
@@ -574,9 +599,8 @@ def normalize(rep: Representation) -> Representation:
         if not (iv.lo_closed and iv.hi_closed):
             raise ModelError("normalize is defined for the all-closed model only")
         ground[v, side] = iv
-    pos = {event: i for i, event in enumerate(event_word(ground))}
+    ends = word_ends(event_word(ground))
     return Representation({
-        v: two_interval(*(Interval(pos[(v, side), OPEN], pos[(v, side), CLOSE])
-                          for side in (0, 1)))
+        v: two_interval(Interval(*ends[v, 0]), Interval(*ends[v, 1]))
         for v in rep.labels()
     })

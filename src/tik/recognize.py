@@ -56,6 +56,7 @@ from .model import (
     Representation,
     TwoInterval,
     q,
+    word_ends,
     xx_two_interval,
 )
 
@@ -142,73 +143,45 @@ class _Counter:
 # --- order words and metric feasibility -------------------------------------
 
 
-def check_word(word) -> None:
-    """Validate an order word: each interval id appears exactly twice,
-    open before close."""
-    state = {}
-    for iid, kind in word:
-        if kind not in (OPEN, CLOSE):
-            raise RecognizeError(f"bad event kind {kind!r}")
-        prev = state.get(iid, 0)
-        if kind == OPEN:
-            if prev != 0:
-                raise RecognizeError(f"interval {iid!r} opened twice")
-            state[iid] = 1
-        else:
-            if prev != 1:
-                raise RecognizeError(f"interval {iid!r} closed out of order")
-            state[iid] = 2
-    bad = [iid for iid, s in state.items() if s != 2]
-    if bad:
-        raise RecognizeError(f"intervals never closed: {bad!r}")
-
-
-def order_feasible(word, pairing):
+def order_feasible(word):
     """Decide whether rational endpoint values realize the strict event
-    order of a balanced word, where `pairing` maps each vertex to the ids
-    of its two intervals, which must get equal lengths.
+    order of a balanced word, whose interval ids are (v, 0) and (v, 1)
+    for each vertex v: v's two intervals must get equal lengths.
 
     Solved as an exact LP over the gaps between consecutive events.  The
     length equalities A g = 0 have a solution with every gap g > 0 iff
     they have one with g >= 1 (scale it), so each gap is written 1 + h
-    with h >= 0, and each vertex keeps one row
+    with h >= 0, and each vertex keeps one row, in the order of the
+    vertices' reprs,
     sum_left h - sum_right h = |right gaps| - |left gaps|
     (negated where needed so its right-hand side is >= 0).  Returns
-    {event: value}, the prefix sums of the gaps, or None.
+    {interval id: (lo, hi)}, its ends as prefix sums of the gaps, or
+    None.
 
     Unit and unit-interval words need no LP: every FIFO word unitizes
     (see _OrderSearch._realize).
     """
-    word = list(word)
-    check_word(word)
-    m = len(word)
-    if m == 0:
+    ends = word_ends(word)
+    bad = [iid for iid, (_, hi) in ends.items() if hi is None]
+    if bad:
+        raise RecognizeError(f"intervals never closed: {bad!r}")
+    for iid in ends:
+        if type(iid) is not tuple or len(iid) != 2 or iid[1] not in (0, 1):
+            raise RecognizeError(f"interval id {iid!r} is not a pair (vertex, 0 or 1)")
+        if (iid[0], 1 - iid[1]) not in ends:
+            raise RecognizeError(f"vertex {iid[0]!r} has one interval")
+    if not ends:
         return {}
-    index = {event: i for i, event in enumerate(word)}
 
-    def gap_range(iid):
-        return range(index[(iid, OPEN)], index[(iid, CLOSE)])
-
-    n_gaps = m - 1
+    n_gaps = 2 * len(ends) - 1  # every interval opens and closes once
     a_eq, b_eq = [], []
-    for v in sorted(pairing, key=repr):
-        try:
-            left, right = pairing[v]
-        except (TypeError, ValueError):
-            raise RecognizeError(
-                f"pairing of {v!r} must be two interval ids, got {pairing[v]!r}"
-            ) from None
-        if left == right:
-            raise RecognizeError(f"pairing of {v!r} names interval {left!r} twice")
-        for iid in (left, right):
-            if (iid, OPEN) not in index:
-                raise RecognizeError(
-                    f"pairing of {v!r} names interval {iid!r}, which is not in the word"
-                )
+    for v in sorted({v for v, _ in ends}, key=repr):
         row = [0] * n_gaps
-        for gi in gap_range(left):
+        lo, hi = ends[(v, 0)]
+        for gi in range(lo, hi):
             row[gi] += 1
-        for gi in gap_range(right):
+        lo, hi = ends[(v, 1)]
+        for gi in range(lo, hi):
             row[gi] -= 1
         rhs = -sum(row)
         if rhs < 0:
@@ -224,12 +197,12 @@ def order_feasible(word, pairing):
     # prefix sums of the gaps 1 + h in ints over the lcm of h's
     # denominators, one Fraction per event
     den = math.lcm(*(x.denominator for x in h))
-    values = {word[0]: Fraction(0)}
+    at = [Fraction(0)]
     acc = 0
-    for event, x in zip(word[1:], h):
+    for x in h:
         acc += den + x.numerator * (den // x.denominator)
-        values[event] = Fraction(acc, den)
-    return values
+        at.append(Fraction(acc, den))
+    return {iid: (at[lo], at[hi]) for iid, (lo, hi) in ends.items()}
 
 
 # --- search engines ------------------------------------------------------------
@@ -577,20 +550,15 @@ class _OrderSearch(_Search):
         # every family reads its interval ends once, then builds the
         # certificate from them
         if self.family.kind == "balanced":
-            pairing = {v: ((v, 0), (v, 1)) for v in range(self.n)}
-            values = order_feasible(self.word, pairing)
-            if values is None:
-                return None
-            ends = {iid: (at, values[(iid, CLOSE)])
-                    for (iid, kind), at in values.items() if kind == OPEN}
-            return self._pieces(ends, 1)
+            ends = order_feasible(self.word)
+            return None if ends is None else self._pieces(ends, 1)
         if self.fifo:
             # the unitization of the word's position intervals, in units
             # of 1/d (design notes: "Unitization by difference constraints")
             d = len(self.word)
             order, starts = transforms.fifo_starts(self.word, 1, d)
             return self._pieces({iid: (a, a + d) for iid, a in zip(order, starts)}, d)
-        ends = _position_ends(self.word)
+        ends = word_ends(self.word)
         if self.family.kind != "circular-arc":
             return self._pieces(ends, 1)
         # glue the cut back: a cut arc runs from its suffix's open around
@@ -630,18 +598,6 @@ class _OrderSearch(_Search):
                 items[labels[v]] = TwoInterval(piece(*ends[(v, 0)]),
                                                piece(lo, lo + d))
         return Representation(items)
-
-
-def _position_ends(word):
-    # {interval id: [open position, close position]}; an interval that
-    # never closes (a cut arc's suffix) keeps None as its close
-    ends = {}
-    for i, (iid, kind) in enumerate(word):
-        if kind == OPEN:
-            ends[iid] = [i, None]
-        else:
-            ends[iid][1] = i
-    return ends
 
 
 # --- integer-placement engine for (x,x) --------------------------------------

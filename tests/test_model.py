@@ -486,6 +486,62 @@ def test_interval_pairs_match_fraction_reference():
     assert min(kinds.values()) >= 100, kinds
 
 
+def _reference_two_interval(a, b):
+    # two_interval as it was: both intervals' ends over one denominator to
+    # order the halves, then TwoInterval
+    a_lo, _, b_lo, _ = model._pair_keys(a, b)
+    if b_lo < a_lo:
+        a, b = b, a
+    return model.TwoInterval(a, b)
+
+
+def test_two_interval_orders_by_the_start_keys(monkeypatch):
+    # two_interval orders the halves from the two start keys alone: the
+    # reference's choice and TwoInterval's errors, on random pairs over
+    # denominators 1 to 4 with negative ends, and on equal start values in
+    # every closedness mix; _pair_keys runs at most once a call, in
+    # TwoInterval where the denominators differ
+    rng = random.Random(3304)
+    ends = sorted({Fraction(k, d) for d in (1, 2, 3, 4) for k in range(-4 * d, 4 * d + 1)})
+    mixes = [(lo_closed, hi_closed) for lo_closed in (True, False)
+             for hi_closed in (True, False)]
+    pairs = []
+    for _ in range(3000):
+        lo, hi = sorted(rng.choices(ends, k=2))
+        a = Interval(lo, hi) if lo == hi else Interval(lo, hi, *rng.choice(mixes))
+        lo, hi = sorted(rng.choices(ends, k=2))
+        b = Interval(lo, hi) if lo == hi else Interval(lo, hi, *rng.choice(mixes))
+        pairs.append((a, b))
+    for start in (Fraction(-3, 2), Fraction(0), Fraction(1, 3)):
+        his = [start] + [start + Fraction(k, d) for d in (1, 2, 3, 4) for k in (1, 2)]
+        shapes = [Interval(start, start)] + [Interval(start, hi, *mix) for hi in his[1:]
+                                             for mix in mixes]
+        pairs += [(a, b) for a in shapes for b in shapes]
+    calls, pair_keys = [0], model._pair_keys
+
+    def counted(a, b):
+        calls[0] += 1
+        return pair_keys(a, b)
+
+    kinds = {"ordered": 0, "swapped": 0, "error": 0, "tie": 0}
+    for a, b in pairs:
+        expected = _construction_error(lambda: _reference_two_interval(a, b))
+        monkeypatch.setattr(model, "_pair_keys", counted)
+        calls[0] = 0
+        got = _construction_error(lambda: two_interval(a, b))
+        assert calls[0] <= 1, (a, b)
+        monkeypatch.undo()
+        assert got == expected, (a, b)
+        kinds["tie"] += a.lo == b.lo
+        if expected is not None:
+            kinds["error"] += 1
+            continue
+        ti, ref = two_interval(a, b), _reference_two_interval(a, b)
+        assert ti.left is ref.left and ti.right is ref.right, (a, b)
+        kinds["ordered" if ti.left is a else "swapped"] += 1
+    assert min(kinds.values()) >= 100, kinds
+
+
 def _grid_rep(rng, n):
     items = {}
     while len(items) < n:

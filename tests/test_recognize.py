@@ -2,6 +2,7 @@ import bisect
 import hashlib
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -49,7 +50,6 @@ from tik.recognize import (
     RecognizeError,
     _Counter,
     _OrderSearch,
-    check_word,
     enumerate_realizations,
     order_feasible,
     recognize,
@@ -60,14 +60,167 @@ BIG = Budget(10**7)
 
 # --- order words ---------------------------------------------------------------
 
+# the event-word readers and the balanced LP as they were before
+# `model.word_ends` became the one reader of the format, kept as the
+# references the tests below compare against
 
-def test_check_word_rejects_malformed():
-    with pytest.raises(RecognizeError):
-        check_word([("a", OPEN), ("a", OPEN)])
-    with pytest.raises(RecognizeError):
-        check_word([("a", CLOSE)])
-    with pytest.raises(RecognizeError):
-        check_word([("a", OPEN)])
+
+def _reference_check_word(word):
+    # each interval id appears exactly twice, open before close
+    state = {}
+    for iid, kind in word:
+        if kind not in (OPEN, CLOSE):
+            raise RecognizeError(f"bad event kind {kind!r}")
+        prev = state.get(iid, 0)
+        if kind == OPEN:
+            if prev != 0:
+                raise RecognizeError(f"interval {iid!r} opened twice")
+            state[iid] = 1
+        else:
+            if prev != 1:
+                raise RecognizeError(f"interval {iid!r} closed out of order")
+            state[iid] = 2
+    bad = [iid for iid, s in state.items() if s != 2]
+    if bad:
+        raise RecognizeError(f"intervals never closed: {bad!r}")
+
+
+def _reference_position_ends(word):
+    # {interval id: [open position, close position or None]}
+    ends = {}
+    for i, (iid, kind) in enumerate(word):
+        if kind == OPEN:
+            ends[iid] = [i, None]
+        else:
+            ends[iid][1] = i
+    return ends
+
+
+def _reference_order_feasible(word, pairing):
+    # {event: value} or None; `pairing` maps each vertex to its two ids
+    from tik import lp
+
+    word = list(word)
+    _reference_check_word(word)
+    m = len(word)
+    if m == 0:
+        return {}
+    index = {event: i for i, event in enumerate(word)}
+
+    def gap_range(iid):
+        return range(index[(iid, OPEN)], index[(iid, CLOSE)])
+
+    n_gaps = m - 1
+    a_eq, b_eq = [], []
+    for v in sorted(pairing, key=repr):
+        left, right = pairing[v]
+        row = [0] * n_gaps
+        for gi in gap_range(left):
+            row[gi] += 1
+        for gi in gap_range(right):
+            row[gi] -= 1
+        rhs = -sum(row)
+        if rhs < 0:
+            row = [-a for a in row]
+            rhs = -rhs
+        a_eq.append(row)
+        b_eq.append(rhs)
+    status, h, _ = lp.solve_lp([0] * n_gaps, [], [], a_eq, b_eq)
+    if status != lp.OPTIMAL:
+        return None
+    den = math.lcm(*(x.denominator for x in h))
+    values = {word[0]: Fraction(0)}
+    acc = 0
+    for event, x in zip(word[1:], h):
+        acc += den + x.numerator * (den // x.denominator)
+        values[event] = Fraction(acc, den)
+    return values
+
+
+def _reference_ends(word):
+    # the reference LP on the pairing {v: ((v, 0), (v, 1))} of the word's
+    # ids, its values turned into ends as the balanced leaf turned them
+    pairing = {v: ((v, 0), (v, 1)) for (v, _), _ in word}
+    values = _reference_order_feasible(word, pairing)
+    if values is None:
+        return None
+    return {iid: (at, values[(iid, CLOSE)])
+            for (iid, kind), at in values.items() if kind == OPEN}
+
+
+MALFORMED_WORDS = [
+    [("a", OPEN), ("a", 2)],  # bad event kind
+    [("a", OPEN), ("a", OPEN)],  # opened twice
+    [("a", OPEN), ("a", CLOSE), ("a", OPEN)],  # opened again
+    [("a", CLOSE)],  # closed before it opened
+    [("a", OPEN), ("a", CLOSE), ("a", CLOSE)],  # closed twice
+]
+
+
+def test_word_ends_rejects_malformed():
+    # word_ends raises the reference's messages; an interval that never
+    # closes keeps None, and order_feasible rejects it with the reference's
+    # message
+    for word in MALFORMED_WORDS:
+        with pytest.raises(RecognizeError) as expected:
+            _reference_check_word(word)
+        with pytest.raises(model.ModelError) as got:
+            model.word_ends(word)
+        assert str(got.value) == str(expected.value), word
+    word = [(("v", 0), OPEN), (("v", 0), CLOSE), (("v", 1), OPEN)]
+    assert model.word_ends(word) == {("v", 0): [0, 1], ("v", 1): [2, None]}
+    with pytest.raises(RecognizeError) as expected:
+        _reference_check_word(word)
+    with pytest.raises(RecognizeError) as got:
+        order_feasible(word)
+    assert str(got.value) == str(expected.value) == "intervals never closed: [('v', 1)]"
+
+
+def _random_intervals(rng, k):
+    # k intervals with ends over denominators 1..4 on [-3, 3], every
+    # closedness mix, ties and closed points among them
+    ends = sorted({Fraction(a, d) for d in (1, 2, 3, 4) for a in range(-3 * d, 3 * d + 1)})
+    ivs = {}
+    while len(ivs) < k:
+        lo, hi = sorted(rng.choices(ends, k=2))
+        closed = (True, True) if lo == hi else (rng.random() < 0.5, rng.random() < 0.5)
+        ivs[(rng.randrange(k), len(ivs))] = model.Interval(lo, hi, *closed)
+    return ivs
+
+
+def test_word_ends_equals_the_position_reader(monkeypatch):
+    # on every leaf word of the 2interval, interval and circular-arc
+    # searches over the graphs on at most five vertices (circular-arc
+    # leaves hold suffixes that never close), the 2interval enumerations
+    # on at most three, and 500 event words of random interval systems
+    from conftest import nonisomorphic_graphs
+    from tik import recognize as engine
+
+    words = []
+
+    def keep(word):
+        words.append(list(word))
+        return model.word_ends(word)
+
+    monkeypatch.setattr(engine, "word_ends", keep)
+    for n in range(1, 6):
+        for g in nonisomorphic_graphs(n):
+            for family in (TWO_INTERVAL, INTERVAL_CLASS, CIRCULAR_ARC):
+                recognize(g, family, Budget(10**5))
+            if n <= 3:
+                enumerate_realizations(g, TWO_INTERVAL, BIG, lambda rep: None)
+    monkeypatch.undo()
+    rng = random.Random(3301)
+    for _ in range(500):
+        word = model.event_word(_random_intervals(rng, rng.randint(0, 12)))
+        _reference_check_word(word)
+        words.append(word)
+    unclosed = 0
+    for word in words:
+        ends = model.word_ends(word)
+        assert list(ends.items()) == list(_reference_position_ends(word).items()), word
+        unclosed += any(hi is None for _, hi in ends.values())
+    assert len(words) > 1000 and unclosed > 20, (len(words), unclosed)
 
 
 def word_intervals(word):
@@ -206,12 +359,12 @@ def test_unit_certificate_touching_endpoints_survive():
     assert intersection_graph(transforms.unit_rep_to_integer_xx(out.certificate)) == g
 
 
-def test_order_feasible_balanced_needs_pairing():
+def test_order_feasible_takes_the_word_alone():
+    # the two intervals of a vertex v are read off the ids (v, 0), (v, 1)
     word = [(("v", 0), OPEN), (("v", 0), CLOSE), (("v", 1), OPEN), (("v", 1), CLOSE)]
+    assert order_feasible(word) == {("v", 0): (0, 1), ("v", 1): (2, 3)}
     with pytest.raises(TypeError):
-        order_feasible(word)
-    values = order_feasible(word, {"v": (("v", 0), ("v", 1))})
-    assert values is not None
+        order_feasible(word, {"v": (("v", 0), ("v", 1))})
 
 
 def _chain_word(k, closed=True):
@@ -227,60 +380,74 @@ def _chain_word(k, closed=True):
         rights = [((0, 1), OPEN), ((0, 1), CLOSE), ((k - 1, 1), OPEN), ((k - 1, 1), CLOSE)]
     for v in range(1, k - 1):
         rights += [((v, 1), OPEN), ((v, 1), CLOSE)]
-    return lefts + rights, {v: ((v, 0), (v, 1)) for v in range(k)}
+    return lefts + rights
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_order_feasible_balanced_chain_contradiction(k):
     # len 0 < len 1 < ... < len k-1 < len 0: infeasible; opening the
     # cycle makes the same lefts feasible
-    word, pairing = _chain_word(k)
-    assert order_feasible(word, pairing) is None
-    word, pairing = _chain_word(k, closed=False)
-    assert order_feasible(word, pairing) is not None
+    assert order_feasible(_chain_word(k)) is None
+    assert order_feasible(_chain_word(k, closed=False)) is not None
 
 
-@pytest.mark.parametrize("pair, message", [
-    ((("v", 0), ("x", 1)), "not in the word"),
-    ((("v", 0), ("v", 0)), "twice"),
-    ((("v", 0),), "two interval ids"),
-], ids=["missing-interval", "self-pair", "one-tuple"])
-def test_order_feasible_rejects_bad_pairing(pair, message):
-    word = [(("v", 0), OPEN), (("v", 0), CLOSE), (("v", 1), OPEN), (("v", 1), CLOSE)]
-    with pytest.raises(RecognizeError, match=message):
-        order_feasible(word, {"v": pair})
+def _closed_pairs(*ids):
+    # each id opened and closed in turn
+    return [(iid, kind) for iid in ids for kind in (OPEN, CLOSE)]
 
 
-def _words_of_balanced_reps():
+@pytest.mark.parametrize("word, error, message", [
+    (_closed_pairs(("v", 0), ("x", 1)), RecognizeError, "'v' has one interval"),
+    (_closed_pairs(("v", 0), ("v", 0)), model.ModelError, "opened twice"),
+    (_closed_pairs(("v",), ("v", 1)), RecognizeError, r"\('v',\) is not a pair"),
+    (_closed_pairs(("v", 0)), RecognizeError, "'v' has one interval"),
+    (_closed_pairs(("v", 1)), RecognizeError, "'v' has one interval"),
+    (_closed_pairs(("v", 2), ("v", 0)), RecognizeError, r"\('v', 2\) is not a pair"),
+    (_closed_pairs(("v", 0), ("v", 1), ("v", 0, 1)), RecognizeError, "is not a pair"),
+    (_closed_pairs("v0", "v1"), RecognizeError, "'v0' is not a pair"),
+    (_closed_pairs(7), RecognizeError, "7 is not a pair"),
+    (_closed_pairs((0, 0), (0, 1), (1, 0)), RecognizeError, "1 has one interval"),
+], ids=["missing-interval", "self-pair", "one-tuple", "one-slot", "slot-1-alone",
+        "slot-2", "three-tuple", "two-letter-strings", "int", "last-vertex-one-slot"])
+def test_order_feasible_rejects_bad_pairing(word, error, message):
+    # the ids must be exactly (v, 0) and (v, 1) for each vertex v; an id
+    # named twice is a malformed word.  "v0" would unpack as a pair
+    with pytest.raises(error, match=message):
+        order_feasible(word)
+
+
+def _words_of_balanced_reps(max_n=6, scale=1, seed=5):
     # 300 words read off random balanced representations with distinct
-    # endpoints, with their pairings
-    rng = random.Random(5)
+    # endpoints on 1..max_n vertices; `scale` widens the ranges the ends
+    # are drawn from, so that many vertices still find distinct ones
+    rng = random.Random(seed)
     for _ in range(300):
-        n = rng.randint(1, 6)
+        n = rng.randint(1, max_n)
         while True:
             ends = {}
             for v in range(n):
-                length = rng.randint(1, 12)
-                a = rng.randint(0, 60)
-                b = a + length + rng.randint(1, 12)
+                length = rng.randint(1, 12 * scale)
+                a = rng.randint(0, 60 * scale)
+                b = a + length + rng.randint(1, 12 * scale)
                 ends[((v, 0), OPEN)], ends[((v, 0), CLOSE)] = a, a + length
                 ends[((v, 1), OPEN)], ends[((v, 1), CLOSE)] = b, b + length
             if len(set(ends.values())) == len(ends):
                 break
-        yield sorted(ends, key=ends.get), {v: ((v, 0), (v, 1)) for v in range(n)}
+        yield sorted(ends, key=ends.get)
 
 
 def test_order_feasible_accepts_words_of_balanced_reps():
     # every word read off a balanced representation with distinct
-    # endpoints is feasible; the returned values keep the order strict
-    # and the lengths balanced
-    for word, pairing in _words_of_balanced_reps():
-        values = order_feasible(word, pairing)
-        assert values is not None, word
-        assert all(values[a] < values[b] for a, b in zip(word, word[1:]))
-        for left, right in pairing.values():
-            assert (values[(left, CLOSE)] - values[(left, OPEN)]
-                    == values[(right, CLOSE)] - values[(right, OPEN)])
+    # endpoints is feasible; the returned ends keep the order strict and
+    # the lengths balanced
+    for word in _words_of_balanced_reps():
+        ends = order_feasible(word)
+        assert ends is not None, word
+        values = [ends[iid][kind] for iid, kind in word]  # OPEN is 0, CLOSE 1
+        assert all(a < b for a, b in zip(values, values[1:]))
+        for (v, slot), (lo, hi) in ends.items():
+            other_lo, other_hi = ends[(v, 1 - slot)]
+            assert hi - lo == other_hi - other_lo
 
 
 # balanced members whose searches reach leaves that order_feasible, the
@@ -305,10 +472,10 @@ def test_balanced_leaves_rejected_by_the_lp(monkeypatch):
 
     answers = []
 
-    def spy(word, pairing):
-        values = order_feasible(word, pairing)
-        answers.append(values is not None)
-        return values
+    def spy(word):
+        ends = order_feasible(word)
+        answers.append(ends is not None)
+        return ends
 
     monkeypatch.setattr(engine, "order_feasible", spy)
     for g, nodes, leaves in ((LP_REJECTS_9, 5_967, 7), (LP_REJECTS_10, 9_269, 5)):
@@ -342,27 +509,34 @@ def _parse_word(text):
         iid = tuple(map(int, token.split(".")))
         word.append((iid, CLOSE if iid in opened else OPEN))
         opened.add(iid)
-    return word, {v: ((v, 0), (v, 1)) for v, _ in opened}
+    return word
 
 
-def test_order_feasible_prefix_sums_match_fraction_sums(monkeypatch):
-    # the integer prefix sums give the dict a Fraction sum over the LP's
-    # gaps gives, on the 300 words above, a word with gaps of 1/2 and every
-    # leaf word of the two balanced searches whose LP rejects leaves
-    from tik import lp
+def _lp_rejects_leaf_words(monkeypatch):
+    # every leaf word of the balanced searches of LP_REJECTS_9 and
+    # LP_REJECTS_10, in the order they are reached
     from tik import recognize as engine
 
-    leaves = [_parse_word(HALVES_WORD)]
+    leaves = []
 
-    def keep(word, pairing):
-        leaves.append((list(word), pairing))
-        return order_feasible(word, pairing)
+    def keep(word):
+        leaves.append(list(word))
+        return order_feasible(word)
 
     monkeypatch.setattr(engine, "order_feasible", keep)
     for g in (LP_REJECTS_9, LP_REJECTS_10):
         recognize(g, BALANCED, BIG)
     monkeypatch.undo()
+    return leaves
 
+
+def test_order_feasible_prefix_sums_match_fraction_sums(monkeypatch):
+    # the integer prefix sums give the ends a Fraction sum over the LP's
+    # gaps gives, on the 300 words above, a word with gaps of 1/2 and every
+    # leaf word of the two balanced searches whose LP rejects leaves
+    from tik import lp
+
+    leaves = [_parse_word(HALVES_WORD)] + _lp_rejects_leaf_words(monkeypatch)
     solved, solve = [], lp.solve_lp
 
     def spy(*args):
@@ -371,19 +545,69 @@ def test_order_feasible_prefix_sums_match_fraction_sums(monkeypatch):
 
     monkeypatch.setattr(lp, "solve_lp", spy)
     fractional = rejected = 0
-    for word, pairing in list(_words_of_balanced_reps()) + leaves:
+    for word in list(_words_of_balanced_reps()) + leaves:
         solved.clear()
-        values = order_feasible(word, pairing)
+        ends = order_feasible(word)
         (status, h, _), = solved
         if status != lp.OPTIMAL:
-            assert values is None
+            assert ends is None
             rejected += 1
             continue
-        assert values == _fraction_prefix_sums(word, h), word
-        assert list(values) == word
-        assert all(type(x) is Fraction for x in values.values())
+        values = _fraction_prefix_sums(word, h)
+        assert ends == {iid: (values[iid, OPEN], values[iid, CLOSE])
+                        for iid, kind in word if kind == OPEN}, word
+        assert list(ends) == [iid for iid, kind in word if kind == OPEN]
+        assert all(type(x) is Fraction for pair in ends.values() for x in pair)
         fractional += any(x.denominator > 1 for x in h)
     assert (rejected, fractional) == (10, 1)
+
+
+def test_order_feasible_equals_the_pairing_reference(monkeypatch):
+    # the LP that reads each vertex's pair off the ids solves the pairing
+    # reference's LP, rows in the same order, and gives its ends, in its
+    # order, on 300 random balanced words on 1 to 12 vertices (from 11 on,
+    # repr sorts vertex 10 before 2), on HALVES_WORD and on every leaf word
+    # of the two searches whose LP rejects leaves; balanced searches answer
+    # alike with the reference at their leaves
+    from tik import lp
+    from tik import recognize as engine
+
+    words = (list(_words_of_balanced_reps(12, 50, 3302)) + [_parse_word(HALVES_WORD)]
+             + _lp_rejects_leaf_words(monkeypatch))
+    lps, solve = [], lp.solve_lp
+
+    def spy(*args):
+        lps.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(lp, "solve_lp", spy)
+    rejected = many = 0
+    for word in words:
+        lps.clear()
+        ends = order_feasible(word)
+        expected = _reference_ends(word)
+        assert lps[0] == lps[1], word
+        assert ends == expected, word
+        if ends is None:
+            rejected += 1
+        else:
+            assert list(ends) == list(expected), word
+        many += len(word) >= 44
+    assert rejected == 10 and many > 40, (rejected, many)
+
+    graphs = (LP_REJECTS_9, LP_REJECTS_10, complete_bipartite(2, 3), k44_minus_e(),
+              xx_separator(2).graph)
+    monkeypatch.undo()
+    answers = []
+    for reference in (False, True):
+        if reference:
+            monkeypatch.setattr(engine, "order_feasible", _reference_ends)
+        answers.append([])
+        for g in graphs:
+            out = recognize(g, BALANCED, Budget(10**5))
+            answers[-1].append((out.kind, out.nodes_used, _cert_json(out.certificate)))
+    assert answers[0] == answers[1]
+    assert [kind for kind, _, _ in answers[0]].count("member") >= 3
 
 
 # --- recognize: basics -----------------------------------------------------------
@@ -960,6 +1184,28 @@ def test_refuted_table_equals_full_search(monkeypatch):
             entered[record_after != off] = 0
             run(g, family, budget)
         assert entered[True] * factor < entered[False], (family, entered)
+
+
+def test_balanced_table_on_random_graphs(monkeypatch):
+    # balanced searches past five vertices: 1,000 seeded random graphs on 8
+    # and 9 vertices answer alike, node counts and certificates included,
+    # with the table at its default, recording from the first node and
+    # recording nothing; 202 of them charge over RECORD_AFTER nodes
+    from tik import recognize as engine
+
+    rng = random.Random(3303)
+    settings = (engine.RECORD_AFTER, 0, float("inf"))
+    past = 0
+    for _ in range(1000):
+        g = random_graph(rng, rng.choice((8, 9)), rng.uniform(0.3, 0.6))
+        answers = []
+        for record_after in settings:
+            monkeypatch.setattr(engine, "RECORD_AFTER", record_after)
+            out = recognize(g, BALANCED, Budget(10**5))
+            answers.append((out.kind, out.nodes_used, _cert_json(out.certificate)))
+        assert answers[0] == answers[1] == answers[2], g
+        past += out.nodes_used > settings[0]
+    assert past >= 150, past
 
 
 def test_record_policy_table_sizes(monkeypatch):

@@ -37,7 +37,7 @@ def test_order_feasible_calls_solve_lp_positionally(monkeypatch):
 
     monkeypatch.setattr(lp, "solve_lp", spy)
     word = [(("v", 0), OPEN), (("v", 0), CLOSE), (("v", 1), OPEN), (("v", 1), CLOSE)]
-    assert order_feasible(word, {"v": (("v", 0), ("v", 1))}) is not None
+    assert order_feasible(word) is not None
     [(args, kwargs, result)] = calls
     assert len(args) == 5 and not kwargs
     # one balance row over the three gaps

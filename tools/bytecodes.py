@@ -18,7 +18,7 @@ version, so two versions of the search loop compare by them.  To count
 another version, point PYTHONPATH at its `src`.  The counts include
 the work a search hands to other modules (its set-up, certificates) but
 not the time spent inside C functions, so they size interpreter work,
-not wall time.  All twenty lines take about 30 s traced.
+not wall time.  All twenty-one lines take about 30 s traced.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from tik.graphs import (
     complement,
     complete_bipartite,
     cycle,
+    from_edge_list,
     path,
     petersen,
     wheel,
@@ -63,6 +64,14 @@ from tik.transforms import (
     unit_from_proper_circular_arc,
     unit_rep_to_integer_xx,
 )
+
+
+# a balanced member whose search reaches five leaves and whose LP rejects
+# the first four, at 9,269 nodes (LP_REJECTS_10 in tests/test_recognize.py)
+LP_REJECTS_10 = from_edge_list("v1 v10\nv1 v2\nv1 v8\nv2 v10\nv5 v10\n"
+                               "v6 v10\nv7 v10\nv8 v10\nv2 v4\nv3 v4\n"
+                               "v3 v5\nv3 v7\nv4 v5\nv4 v6\nv5 v8\nv6 v8\n"
+                               "v6 v9\n")
 
 
 def _recognition(g, family, budget):
@@ -209,6 +218,8 @@ def searches():
          _recognition(xx_separator(2).graph, XX(2), 10**4)),
         ("xx_separator(2)/balanced 10^5",
          _recognition(xx_separator(2).graph, BALANCED, 10**5)),
+        # balanced leaves the LP rejects
+        ("LP_REJECTS_10/balanced", _recognition(LP_REJECTS_10, BALANCED, 10**5)),
         ("K4,4/circular-arc", _recognition(complete_bipartite(4, 4), CIRCULAR_ARC, 10**7)),
         ("petersen/circular-arc", _recognition(petersen(), CIRCULAR_ARC, 10**7)),
         # about half of its entered nodes have a cut arc's suffix pinned;
