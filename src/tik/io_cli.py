@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import gadgets, graphs, model, recognize, reductions, simplicial, transforms
-from .graphs import Graph, GraphError
+from .graphs import Graph
 from .model import (
     Arc,
     CircularArcRep,
@@ -239,16 +239,6 @@ def emit_svg(rep: Representation) -> str:
 # --- CLI ---------------------------------------------------------------------------
 
 
-def _family_from_args(args) -> FamilySelector:
-    if args.family == "xx":
-        if args.x is None:
-            raise FormatError("family xx needs --x")
-        return model.XX(args.x)
-    if args.x is not None:
-        raise FormatError("--x only applies to family xx")
-    return FamilySelector(args.family)
-
-
 # name -> (builder, the options it needs, then any it may take); the
 # builder takes the needed ones in order, after the input for a check, a
 # transform or a reduction, and the others by name when given.  Each table
@@ -380,7 +370,7 @@ def _cmd_realize(args, out, err) -> int:
 
 def _cmd_verify(args, out, err) -> int:
     rep = parse_representation(_read_input(args.input))
-    family = _family_from_args(args)
+    family = FamilySelector(args.family, args.x)
     verdict = model.family_check(rep, family)
     if verdict.ok:
         out.write("pass\n")
@@ -396,7 +386,7 @@ _VERDICT_EXIT = {
 
 def _cmd_recognize(args, out, err) -> int:
     g = parse_graph(_read_input(args.input))
-    family = _family_from_args(args)
+    family = FamilySelector(args.family, args.x)
     outcome = recognize.recognize(g, family, recognize.Budget(args.budget))
     # the certificate is written first: a command that fails writes no result
     if outcome.is_member() and args.emit:
@@ -526,7 +516,7 @@ def cli_main(argv=None, out=None, err=None) -> int:
         return EXIT_ERROR if exc.code not in (0, None) else EXIT_YES
     try:
         return _COMMANDS[args.command](args, out, err)
-    except (FormatError, GraphError, ModelError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # FormatError, GraphError, ModelError too
         err.write(f"error: {exc}\n")
         return EXIT_ERROR
     except Exception as exc:  # a crash must never read as a verdict

@@ -108,18 +108,6 @@ class SearchOutcome:
         return self.kind == "inconclusive"
 
 
-def member(cert, nodes) -> SearchOutcome:
-    return SearchOutcome("member", cert, nodes)
-
-
-def nonmember(nodes) -> SearchOutcome:
-    return SearchOutcome("nonmember", None, nodes)
-
-
-def inconclusive(nodes) -> SearchOutcome:
-    return SearchOutcome("inconclusive", None, nodes)
-
-
 class _BudgetExhausted(Exception):
     pass
 
@@ -981,28 +969,32 @@ def _run(search):
     return found, True
 
 
+def _engine(g: Graph, family: FamilySelector, counter: _Counter, visitor=None):
+    """The search for g in family: the placement engine for xx, the
+    order engine for every other family."""
+    if family.kind == "xx":
+        return _XXSearch(g, family.x, counter, visitor=visitor)
+    return _OrderSearch(g, family, counter, visitor=visitor)
+
+
 def recognize(g: Graph, family: FamilySelector, budget: Budget) -> SearchOutcome:
     """Budgeted exact membership search; see module docstring."""
     if g.n == 0:
         raise RecognizeError("recognize needs a nonempty graph")
 
     counter = _Counter(budget.max_nodes)
-    if family.kind == "xx":
-        search = _XXSearch(g, family.x, counter)
-    elif family.kind == "circular-arc":
-        core, stripped = _strip_universal(g)
-        if core.n == 0:
-            base = CircularArcRep(q(1), {})
-            return member(_readd_universal(base, stripped), counter.nodes)
-        search = _OrderSearch(core, family, counter)
-    else:
-        search = _OrderSearch(g, family, counter)
-    cert, exhausted = _run(search)
-    if cert is not None:
-        if family.kind == "circular-arc":
-            cert = _readd_universal(cert, stripped)
-        return member(cert, counter.nodes)
-    return nonmember(counter.nodes) if exhausted else inconclusive(counter.nodes)
+    if family.kind == "circular-arc":
+        g, stripped = _strip_universal(g)
+        if g.n == 0:
+            return SearchOutcome("member", _readd_universal(
+                CircularArcRep(q(1), {}), stripped), counter.nodes)
+    cert, exhausted = _run(_engine(g, family, counter))
+    if cert is None:
+        return SearchOutcome("nonmember" if exhausted else "inconclusive",
+                             None, counter.nodes)
+    if family.kind == "circular-arc":
+        cert = _readd_universal(cert, stripped)
+    return SearchOutcome("member", cert, counter.nodes)
 
 
 @dataclass(frozen=True)
@@ -1026,13 +1018,10 @@ def enumerate_realizations(g: Graph, family: FamilySelector, budget: Budget,
     states")."""
     if g.n == 0:
         raise RecognizeError("enumerate_realizations needs a nonempty graph")
-    counter = _Counter(budget.max_nodes)
-    if family.kind == "xx":
-        search = _XXSearch(g, family.x, counter, visitor=visitor)
-    elif family.kind == "2interval":
-        search = _OrderSearch(g, family, counter, visitor=visitor)
-    else:
+    if family.kind not in ("xx", "2interval"):
         raise RecognizeError(f"enumerate_realizations does not handle {family}")
+    counter = _Counter(budget.max_nodes)
+    search = _engine(g, family, counter, visitor)
     _, complete = _run(search)
     return Enumeration(complete=complete, count=search.count,
                        nodes_used=counter.nodes)

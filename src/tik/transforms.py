@@ -69,25 +69,17 @@ def _cut_positions(ca: CircularArcRep, cut):
 
 
 def generic_cut_point(ca: CircularArcRep) -> Fraction:
-    """Midpoint of the widest endpoint-free stretch of the circle."""
+    """Midpoint of the widest endpoint-free stretch of the circle, the
+    first in the order of its start.  `Arc` has start != end, so a model
+    with arcs has two points at least and every gap is positive."""
     c = ca.circumference
     points = sorted({arc.start for arc in ca.arcs.values()}
                     | {arc.end for arc in ca.arcs.values()})
     if not points:
         return c / 2
-    best_gap = None
-    best_mid = None
-    for i, a in enumerate(points):
-        b = points[(i + 1) % len(points)]
-        width = (b - a) % c
-        if width == 0:
-            continue
-        if best_gap is None or width > best_gap:
-            best_gap = width
-            best_mid = (a + width / 2) % c
-    if best_mid is None:
-        raise TransformError("cannot pick a generic cut point")
-    return best_mid
+    gaps = ((a, (b - a) % c) for a, b in zip(points, points[1:] + points[:1]))
+    a, width = max(gaps, key=lambda gap: gap[1])
+    return (a + width / 2) % c
 
 
 def balanced_from_circular_arc(ca: CircularArcRep, cut=None) -> Representation:

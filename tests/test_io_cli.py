@@ -1,9 +1,12 @@
+import argparse
+import importlib.util
 import io
 import json
 import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -644,6 +647,113 @@ def test_cli_usage_errors():
     assert code == EXIT_ERROR
     code, _, err = run_cli(["gen", "kneser"])
     assert code == EXIT_ERROR and "kneser" in err
+
+
+def _family_from_args_reference(args):
+    """The family check `verify` and `recognize` made before they built
+    the `FamilySelector`, which makes the same check."""
+    if args.family == "xx":
+        if args.x is None:
+            raise FormatError("family xx needs --x")
+        return model.XX(args.x)
+    if args.x is not None:
+        raise FormatError("--x only applies to family xx")
+    return model.FamilySelector(args.family)
+
+
+def test_family_selector_matches_family_from_args_reference():
+    # the same family or a ValueError for every --family/--x pair; only
+    # the reference's own two messages became FamilySelector's
+    changed = 0
+    for kind in model.FAMILY_KINDS:
+        for x in (None, -1, 0, 1, 2, 7):
+            args = argparse.Namespace(family=kind, x=x)
+            try:
+                expected = _family_from_args_reference(args)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as got:
+                    model.FamilySelector(kind, x)
+                if isinstance(exc, FormatError):
+                    changed += 1
+                    assert str(got.value) == (
+                        "xx family needs an int x >= 1, got None" if kind == "xx"
+                        else f"family {kind!r} takes no x parameter")
+                else:
+                    assert str(got.value) == str(exc)
+                continue
+            assert model.FamilySelector(kind, x) == expected
+    assert changed == 1 + 5 * (len(model.FAMILY_KINDS) - 1)
+
+
+@pytest.mark.parametrize("command", ["recognize", "verify"])
+@pytest.mark.parametrize("flags, text", [
+    (["--family", "xx"], "error: xx family needs an int x >= 1, got None\n"),
+    (["--family", "unit", "--x", "2"], "error: family 'unit' takes no x parameter\n"),
+], ids=["xx-without-x", "x-with-unit"])
+def test_cli_family_is_checked_by_family_selector(tmp_path, command, flags, text):
+    inputs = {"recognize": "a b\nb c\n", "verify": run_cli(["realize", "k53"])[1]}
+    path = tmp_path / "input"
+    path.write_text(inputs[command])
+    assert run_cli([command, *flags, str(path)]) == (EXIT_ERROR, "", text)
+
+
+def test_cli_gen_json():
+    g = graphs.cycle(4)
+    code, out, err = run_cli(["gen", "cycle", "--n", "4", "--format", "json"])
+    assert (code, err) == (EXIT_YES, "")
+    assert out == dump_json({"vertices": list(g.sorted_vertices()),
+                             "edges": [list(e) for e in g.sorted_edges()]})
+    obj = json.loads(out)
+    assert graphs.Graph.build(obj["vertices"], [tuple(e) for e in obj["edges"]]) == g
+
+
+def test_cli_recognize_circular_arc_emits_arcs(tmp_path):
+    # the hub is peeled and comes back as a near-full arc
+    g = graphs.wheel(5)
+    edges = tmp_path / "wheel.edges"
+    edges.write_text(to_edge_list(g))
+    cert = tmp_path / "cert.json"
+    code, out, err = run_cli(
+        ["recognize", "--family", "circular-arc", "--emit", str(cert), str(edges)])
+    assert (code, err) == (EXIT_YES, "") and out.startswith("member nodes=")
+    ca = parse_representation(cert.read_text())
+    assert isinstance(ca, model.CircularArcRep)
+    assert cert.read_text() == dump_json(circular_to_json(ca))
+    assert model.circular_intersection_graph(ca) == g
+
+
+def _ends(lo, hi):
+    return {"lo": lo, "hi": hi, "lo_closed": True, "hi_closed": True}
+
+
+@pytest.mark.parametrize("obj, message", [
+    ([1, 2], "top-level JSON value must be an object"),
+    ({"vertices": {"a": {"left": _ends("0", "1")}}}, "/vertices/a must have left and right"),
+    ({"vertices": {"a": {"left": _ends("0", "2"), "right": _ends("1", "3")}}},
+     "/vertices/a: 2-interval halves intersect: [0, 2] [1, 3]"),
+], ids=["array", "no-right", "halves-intersect"])
+def test_parse_representation_rejects_malformed_vertices(obj, message):
+    with pytest.raises(FormatError) as got:
+        parse_representation(json.dumps(obj))
+    assert str(got.value) == message
+
+
+@pytest.mark.skipif(
+    sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
+    reason="argparse's help texts differ between Python versions")
+def test_cli_digest_pinned(monkeypatch):
+    # one sha256 over every answer of tools/cli_digest.py's invocations:
+    # a change to anything the CLI prints must re-pin it on purpose
+    # (`tools/cli_digest.py --verbose` on both versions shows which
+    # invocations changed)
+    tool = Path(__file__).resolve().parent.parent / "tools" / "cli_digest.py"
+    spec = importlib.util.spec_from_file_location("cli_digest", tool)
+    cli_digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(cli_digest)
+    monkeypatch.setenv("COLUMNS", "80")
+    assert cli_digest.digest() == (
+        "18ac54dc173a3a47e3bc35ff14ea052d442b9420112a571fc25dc98dfa48bc2b"
+        "  347 invocations, 30 files")
 
 
 @pytest.mark.parametrize("argv, code, stream, text", [

@@ -367,6 +367,11 @@ def test_order_feasible_takes_the_word_alone():
         order_feasible(word, {"v": (("v", 0), ("v", 1))})
 
 
+def test_order_feasible_of_the_empty_word():
+    # no vertex, no rows: the empty word is feasible with no ends
+    assert order_feasible([]) == {}
+
+
 def _chain_word(k, closed=True):
     # vertices 0..k-1: the left intervals nest, 0 innermost, so each is
     # strictly shorter than the next; with `closed`, the right interval of

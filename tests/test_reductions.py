@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from conftest import nonisomorphic_graphs, random_graph
 from tik import model
 from tik.gadgets import hamiltonicity_expansion
 from tik.graphs import (
+    Coloring,
     Graph,
     complement,
     complete_bipartite,
@@ -26,7 +28,7 @@ from tik.reductions import (
     universal_vertex_of,
     witness_roundtrip,
 )
-from tik.simplicial import all_k_simplicial
+from tik.simplicial import CliquePartitionWitness, all_k_simplicial
 
 
 def cube_graph() -> Graph:
@@ -220,6 +222,121 @@ def test_partition_to_coloring_rejects_bad_parts():
     # v1,v2 adjacent in C4, hence nonadjacent in the complement: not a clique
     with pytest.raises(ReductionError):
         partition_to_coloring(g, k, bad)
+
+
+def _partition_to_coloring_reference(g, k, witness):
+    """`partition_to_coloring` with the label, clique and cover checks it
+    made itself before `Coloring.validates` decided them."""
+    instance = coloring_to_simplicial_instance(g, k)
+    u = universal_vertex_of(instance, g)
+    if u not in witness.parts:
+        raise ReductionError("witness lacks the universal vertex")
+    partition = witness.parts[u]
+    if len(partition) > k:
+        raise ReductionError("partition at the universal vertex uses too many parts")
+    seen = set()
+    assignment = {}
+    for color, part in enumerate(partition):
+        for w in part:
+            if w in seen or w not in set(g.vertices):
+                raise ReductionError("partition is not a partition of V(g)")
+            seen.add(w)
+            assignment[w] = color
+        for a, b in itertools.combinations(part, 2):
+            if not instance.has_edge(a, b):
+                raise ReductionError(f"part {part!r} is not a clique in the instance")
+    if seen != set(g.vertices):
+        raise ReductionError("partition does not cover V(g)")
+    coloring = Coloring(assignment)
+    if not coloring.validates(g, k):
+        raise ReductionError("derived coloring does not validate")
+    return coloring
+
+
+def _random_partition(rng, g, k, u):
+    """Parts at u from a proper k-coloring or a random assignment to 0 to
+    k + 1 parts, then each fault with chance 1/6: a vertex repeated, an
+    unknown label, u itself in a part, a vertex left out, an empty part
+    added.  Returns the parts and the faults made."""
+    coloring = k_colorable(g, k) if rng.random() < 0.5 else None
+    if coloring is not None:
+        parts = [[] for _ in range(k)]
+        for v, c in coloring.assignment.items():
+            parts[c].append(v)
+    else:
+        parts = [[] for _ in range(rng.randint(0, k + 1))]
+        for v in g.vertices:
+            if parts:
+                rng.choice(parts).append(v)
+    faults = set()
+    for fault, label in (("repeat", None), ("unknown", "zz"), ("universal", u)):
+        if parts and rng.random() < 1 / 6:
+            rng.choice(parts).append(label or rng.choice(g.vertices))
+            faults.add(fault)
+    if any(parts) and rng.random() < 1 / 6:
+        rng.choice([p for p in parts if p]).pop()
+        faults.add("missing")
+    if rng.random() < 1 / 6:
+        parts.insert(rng.randint(0, len(parts)), [])
+        faults.add("empty")
+    for p in parts:
+        rng.shuffle(p)
+    return tuple(tuple(p) for p in parts), faults
+
+
+def test_partition_to_coloring_matches_reference():
+    # the checks Coloring.validates makes give the same answers and the
+    # same coloring as the parent's own label, clique and cover checks
+    rng = random.Random(3402)
+    accepted = 0
+    faults = {f: 0 for f in ("repeat", "unknown", "universal", "missing", "empty")}
+    too_many = without_u = 0
+    for _ in range(6000):
+        g = random_graph(rng, rng.randint(1, 6), rng.choice([0.2, 0.4, 0.6]))
+        k = rng.randint(1, 4)
+        u = universal_vertex_of(coloring_to_simplicial_instance(g, k), g)
+        parts, made = _random_partition(rng, g, k, u)
+        for f in made:
+            faults[f] += 1
+        too_many += len(parts) > k
+        at = u if rng.random() < 0.95 else "elsewhere"
+        without_u += at != u
+        witness = CliquePartitionWitness({at: parts})
+        try:
+            expected = _partition_to_coloring_reference(g, k, witness)
+        except ReductionError:
+            with pytest.raises(ReductionError):
+                partition_to_coloring(g, k, witness)
+            continue
+        got = partition_to_coloring(g, k, witness)
+        assert got == expected and list(got.assignment) == list(expected.assignment)
+        accepted += 1
+    assert 1000 < accepted < 5000, accepted
+    assert min(faults.values()) > 500 and too_many > 500 and without_u > 100, (
+        faults, too_many, without_u)
+
+
+def test_partition_to_coloring_keeps_its_own_checks():
+    # the universal vertex, the part count (an empty part counts) and a
+    # repeated vertex are checked first; an edge inside a part, a label
+    # outside V(g) and a vertex in no part fail the derived coloring
+    g = Graph.build(["a0", "a1", "a2"], [("a0", "a1")])
+    k = 2
+    u = universal_vertex_of(coloring_to_simplicial_instance(g, k), g)
+    cases = [
+        ({"a0": (("a1",),)}, "witness lacks the universal vertex"),
+        ({u: ((), ("a0",), ())}, "uses too many parts"),
+        ({u: (("a0", "a2"), ("a1", "a2"))}, "is not a partition of V"),
+        ({u: (("a0", "a1"), ("a2",))}, "derived coloring does not validate"),
+        ({u: (("a0", "zz"), ("a1", "a2"))}, "derived coloring does not validate"),
+        ({u: (("a0", u), ("a1", "a2"))}, "derived coloring does not validate"),
+        ({u: (("a0",), ("a1",))}, "derived coloring does not validate"),
+    ]
+    for parts, message in cases:
+        with pytest.raises(ReductionError, match=message):
+            partition_to_coloring(g, k, CliquePartitionWitness(parts))
+    assert partition_to_coloring(g, k, CliquePartitionWitness(
+        {u: (("a0", "a2"), ("a1",))})) == Coloring({"a0": 0, "a2": 0, "a1": 1})
 
 
 def test_witness_roundtrip_rejects_unknown():

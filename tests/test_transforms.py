@@ -302,6 +302,63 @@ def test_unit_from_proper_circular_arc_randomized():
         assert intersection_graph(rep) == circular_intersection_graph(ca)
 
 
+def _generic_cut_point_reference(ca):
+    """The loop `generic_cut_point` replaced: the first widest gap in the
+    order of its start, skipping empty gaps, and an error when none is
+    left."""
+    c = ca.circumference
+    points = sorted({arc.start for arc in ca.arcs.values()}
+                    | {arc.end for arc in ca.arcs.values()})
+    if not points:
+        return c / 2
+    best_gap = None
+    best_mid = None
+    for i, a in enumerate(points):
+        b = points[(i + 1) % len(points)]
+        width = (b - a) % c
+        if width == 0:
+            continue
+        if best_gap is None or width > best_gap:
+            best_gap = width
+            best_mid = (a + width / 2) % c
+    if best_mid is None:
+        raise TransformError("cannot pick a generic cut point")
+    return best_mid
+
+
+def test_generic_cut_point_matches_loop_reference():
+    # ends on a grid of m steps round circles of several circumferences,
+    # so that two or more gaps are often the widest
+    rng = random.Random(3401)
+    tied = 0
+    for _ in range(20000):
+        c = q(rng.choice([1, 2, 3, 6])) / rng.choice([1, 2])
+        m = rng.choice([4, 6, 8])
+        arcs = {}
+        for i in range(rng.randint(0, 6)):
+            start, end = rng.sample(range(m), 2)
+            arcs[f"v{i}"] = Arc(c * start / m, c * end / m)
+        ca = CircularArcRep(c, arcs)
+        got = generic_cut_point(ca)
+        assert type(got) is Fraction and got == _generic_cut_point_reference(ca), arcs
+        points = sorted({e for arc in arcs.values() for e in (arc.start, arc.end)})
+        widths = [(b - a) % c for a, b in zip(points, points[1:] + points[:1])]
+        tied += widths.count(max(widths, default=None)) > 1
+    assert tied > 5000, tied
+
+
+def test_generic_cut_point_without_arcs_is_half_the_circle():
+    assert generic_cut_point(CircularArcRep(q(7), {})) == Fraction(7, 2)
+
+
+def test_fifo_starts_rejects_an_infeasible_reach():
+    # two intersecting intervals cannot start a step apart within reach 0
+    word = [("a", model.OPEN), ("b", model.OPEN), ("a", model.CLOSE), ("b", model.CLOSE)]
+    assert transforms.fifo_starts(word, 1, 1) == (["a", "b"], [0, 1])
+    with pytest.raises(TransformError, match="admits no grid placement"):
+        transforms.fifo_starts(word, 1, 0)
+
+
 def test_proper_to_unit_staggered_frozen():
     units = proper_to_unit_interval({
         "a": Interval(q(0), q(10)),
