@@ -276,10 +276,6 @@ def k_colorable(g: Graph, k: int) -> Coloring | None:
     if k < 0:
         raise GraphError("k must be >= 0")
     vs = list(g.vertices)
-    if not vs:
-        return Coloring({})
-    if k == 0:
-        return None
     nbrs = neighbour_masks(g, vs)
     classes = [0] * k  # the colored vertices of each color, as a mask
     colors: list[int] = []  # the colors of vertices 0, 1, ..., in order

@@ -184,12 +184,41 @@ def xx_two_interval(a, b, x) -> TwoInterval:
     return two_interval(Interval(a, a + x, False, False), Interval(b, b + x, False, False))
 
 
-class Representation:
+class _LabelledMap:
+    """A map label -> piece, copied when built and never changed: what
+    `Representation` and `CircularArcRep` share.  Each sets `_map` in its
+    own `__init__`, as a `super().__init__` call would cost every leaf
+    certificate of a search one more call."""
+
+    _map: dict
+
+    def labels(self) -> list[str]:
+        return sorted(self._map)
+
+    def __len__(self):
+        return len(self._map)
+
+    def __getitem__(self, label: str):
+        return self._map[label]
+
+    def __contains__(self, label: str) -> bool:
+        return label in self._map
+
+    def __eq__(self, other):
+        # equal only to a map of its own class; arcs also compare their
+        # circumference
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._map == other._map and (getattr(self, "circumference", None)
+                                            == getattr(other, "circumference", None))
+
+
+class Representation(_LabelledMap):
     """Map vertex label -> TwoInterval.  Immutable, so its ground set is
     built once."""
 
     def __init__(self, items: dict[str, TwoInterval]):
-        self._items = items = dict(items)
+        self._map = items = dict(items)
         ground = []
         for v in sorted(items):
             ti = items[v]
@@ -198,24 +227,7 @@ class Representation:
 
     @property
     def items(self) -> dict[str, TwoInterval]:
-        return dict(self._items)
-
-    def labels(self) -> list[str]:
-        return sorted(self._items)
-
-    def __len__(self):
-        return len(self._items)
-
-    def __getitem__(self, label: str) -> TwoInterval:
-        return self._items[label]
-
-    def __contains__(self, label: str) -> bool:
-        return label in self._items
-
-    def __eq__(self, other):
-        if not isinstance(other, Representation):
-            return NotImplemented
-        return self._items == other._items
+        return dict(self._map)
 
     def ground_set(self) -> list[tuple[str, int, Interval]]:
         """All intervals as (label, side, interval), side 0 = left, 1 = right,
@@ -223,7 +235,7 @@ class Representation:
         return list(self._ground)
 
     def span(self) -> Interval:
-        if not self._items:
+        if not self._map:
             raise ModelError("empty representation has no span")
         ground = self._ground
         return Interval(min(iv.lo for _, _, iv in ground), max(iv.hi for _, _, iv in ground))
@@ -264,7 +276,7 @@ class Arc:
         return any(seg.contains_point(x) for seg in self.segments(circumference))
 
 
-class CircularArcRep:
+class CircularArcRep(_LabelledMap):
     """Arcs on a circle of rational circumference."""
 
     def __init__(self, circumference, arcs: dict[str, Arc]):
@@ -275,27 +287,11 @@ class CircularArcRep:
             for x in (a.start, a.end):
                 if not (0 <= x < self.circumference):
                     raise ModelError(f"arc endpoint {q_str(x)} of {v!r} outside [0, C)")
-        self._arcs = dict(arcs)
+        self._map = dict(arcs)
 
     @property
     def arcs(self) -> dict[str, Arc]:
-        return dict(self._arcs)
-
-    def labels(self) -> list[str]:
-        return sorted(self._arcs)
-
-    def __len__(self):
-        return len(self._arcs)
-
-    def __getitem__(self, label: str) -> Arc:
-        return self._arcs[label]
-
-    def __eq__(self, other):
-        if not isinstance(other, CircularArcRep):
-            return NotImplemented
-        return (
-            self.circumference == other.circumference and self._arcs == other._arcs
-        )
+        return dict(self._map)
 
 
 # --- intersection graphs ---------------------------------------------------
@@ -519,10 +515,7 @@ def family_check(rep, family: FamilySelector) -> Verdict:
                 return _fail(f"{v!r} has interval of length {q_str(iv.length)} != {x}")
         return PASS
 
-    if family.kind == "interval":
-        return _padding_rights(rep)
-
-    raise ModelError(f"unhandled family {family}")
+    return _padding_rights(rep)  # interval, the one kind left
 
 
 def _padding_rights(rep: Representation) -> Verdict:

@@ -320,6 +320,19 @@ class _Search:
             self.count += 1
         return rep
 
+    def _certificate(self, keys, build):
+        # the leaf's Representation: vertex v's TwoInterval is build(*key)
+        # of the v-th key, made once per search, as an enumeration meets
+        # the same key in many leaves
+        pieces = self.pieces
+        items = {}
+        for label, key in zip(self.labels, keys):
+            pair = pieces.get(key)
+            if pair is None:
+                pair = pieces[key] = build(*key)
+            items[label] = pair
+        return Representation(items)
+
 
 # --- order-enumeration engine ------------------------------------------------
 
@@ -561,30 +574,23 @@ class _OrderSearch(_Search):
         # ints, or the LP's Fractions with d = 1.  A vertex's slot 0 closes
         # before its slot 1 opens, so the pieces are in order; a one-slot
         # vertex gets a far-away dummy right at top + 2 + 2v
-        labels = self.labels
         if d == 1:
             piece = Interval  # it makes Fractions of int ends itself
         else:
             def piece(lo, hi):
                 return Interval(Fraction(lo, d), Fraction(hi, d))
 
-        items = {}
         if not self.one_slot:
-            # an enumeration meets the same pair of ends in many leaves
-            pieces = self.pieces
-            for v in range(self.n):
-                left, right = ends[(v, 0)], ends[(v, 1)]
-                key = (*left, *right)
-                pair = pieces.get(key)
-                if pair is None:
-                    pair = pieces[key] = TwoInterval(piece(*left), piece(*right))
-                items[labels[v]] = pair
-        else:
-            top = max(hi for _, hi in ends.values())
-            for v in range(self.n):
-                lo = top + (2 + 2 * v) * d
-                items[labels[v]] = TwoInterval(piece(*ends[(v, 0)]),
-                                               piece(lo, lo + d))
+            return self._certificate(
+                [(*ends[v, 0], *ends[v, 1]) for v in range(self.n)],
+                lambda lo, hi, lo2, hi2: TwoInterval(piece(lo, hi), piece(lo2, hi2)))
+        labels = self.labels
+        items = {}
+        top = max(hi for _, hi in ends.values())
+        for v in range(self.n):
+            lo = top + (2 + 2 * v) * d
+            items[labels[v]] = TwoInterval(piece(*ends[(v, 0)]),
+                                           piece(lo, lo + d))
         return Representation(items)
 
 
@@ -843,13 +849,7 @@ class _XXSearch(_Search):
 
     def _realize(self):
         x = self.x
-        items = {}
-        for v in range(self.n):
-            key = tuple(self.pos[v])
-            if key not in self.pieces:
-                self.pieces[key] = xx_two_interval(*key, x)
-            items[self.labels[v]] = self.pieces[key]
-        return Representation(items)
+        return self._certificate(map(tuple, self.pos), lambda a, b: xx_two_interval(a, b, x))
 
 
 def _uint_array(top):

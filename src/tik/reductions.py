@@ -185,7 +185,7 @@ def coloring_to_partition(g: Graph, k: int, coloring: Coloring) -> CliquePartiti
     if not coloring.validates(g, k):
         raise ReductionError("coloring does not validate on the base graph")
     instance = coloring_to_simplicial_instance(g, k)
-    u = universal_vertex_of(instance, g)
+    u = graphs.fresh_label(g, "v")
     parts: dict[str, tuple[tuple[str, ...], ...]] = {}
     classes = [tuple(c) for c in coloring.classes() if c]
     parts[u] = tuple(classes)
@@ -211,8 +211,9 @@ def partition_to_coloring(g: Graph, k: int,
                           witness: CliquePartitionWitness) -> Coloring:
     """Read a k-coloring of g off the witness partition at the universal
     vertex: members of one clique of the complement share a color."""
-    instance = coloring_to_simplicial_instance(g, k)
-    u = universal_vertex_of(instance, g)
+    if k < 1:
+        raise ReductionError("k must be >= 1")
+    u = graphs.fresh_label(g, "v")  # the instance's universal vertex
     if u not in witness.parts:
         raise ReductionError("witness lacks the universal vertex")
     partition = witness.parts[u]

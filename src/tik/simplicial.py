@@ -46,15 +46,10 @@ def all_k_simplicial(g: Graph, k: int) -> CliquePartitionWitness | None:
         raise graphs.GraphError("k must be >= 1")
     parts = {}
     for v in sorted(g.vertices):
-        nbhd = sorted(g.neighbors(v))
-        local = graphs.complement(g.induced(nbhd))
-        coloring = graphs.k_colorable(local, k)
+        coloring = graphs.k_colorable(graphs.complement(g.induced(g.neighbors(v))), k)
         if coloring is None:
             return None
-        groups: dict[int, list[str]] = {}
-        for u in nbhd:
-            groups.setdefault(coloring.assignment[u], []).append(u)
-        parts[v] = tuple(tuple(sorted(grp)) for _, grp in sorted(groups.items()))
+        parts[v] = tuple(map(tuple, coloring.classes()))
     return CliquePartitionWitness(parts)
 
 

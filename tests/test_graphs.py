@@ -162,6 +162,54 @@ def test_k_colorable_edge_cases():
     assert k_colorable(lone, 1) is not None
 
 
+def _k_colorable_with_early_returns(g: Graph, k: int) -> Coloring | None:
+    """k_colorable with the empty-graph and k = 0 returns it once made
+    before its search loop, kept as the reference for the loop alone."""
+    if k < 0:
+        raise GraphError("k must be >= 0")
+    vs = list(g.vertices)
+    if not vs:
+        return Coloring({})
+    if k == 0:
+        return None
+    nbrs = neighbour_masks(g, vs)
+    classes = [0] * k
+    colors: list[int] = []
+    used = [0]
+    c = 0
+    while len(colors) < len(vs):
+        i = len(colors)
+        limit = min(k, used[i] + 1)
+        while c < limit and classes[c] & nbrs[i]:
+            c += 1
+        if c < limit:
+            colors.append(c)
+            classes[c] |= 1 << i
+            used.append(max(used[i], c + 1))
+            c = 0
+        elif colors:
+            c = colors.pop()
+            classes[c] ^= 1 << (i - 1)
+            used.pop()
+            c += 1
+        else:
+            return None
+    return Coloring(dict(zip(vs, colors)))
+
+
+def test_k_colorable_needs_no_early_returns():
+    graphs = [Graph.build([], [])] + [g for n in range(1, 7) for g in nonisomorphic_graphs(n)]
+    colored = 0
+    for g in graphs:
+        for k in range(5):
+            got, expected = k_colorable(g, k), _k_colorable_with_early_returns(g, k)
+            assert got == expected, (g, k)
+            assert got is None or list(got.assignment) == list(expected.assignment)
+            colored += got is not None
+    assert k_colorable(Graph.build([], []), 0) == Coloring({})
+    assert 0 < colored < 5 * len(graphs)
+
+
 def test_k_colorable_against_brute_force():
     rng = random.Random(23)
     for _ in range(60):

@@ -756,6 +756,21 @@ def test_cli_digest_pinned(monkeypatch):
         "  347 invocations, 30 files")
 
 
+def test_cli_digest_restores_columns(monkeypatch):
+    # argparse's help is wrapped at 80 columns during the digest only; the
+    # caller's COLUMNS, or its absence, is back afterwards
+    tool = Path(__file__).resolve().parent.parent / "tools" / "cli_digest.py"
+    spec = importlib.util.spec_from_file_location("cli_digest", tool)
+    cli_digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(cli_digest)
+    monkeypatch.delenv("COLUMNS", raising=False)
+    cli_digest.digest()
+    assert "COLUMNS" not in os.environ
+    monkeypatch.setenv("COLUMNS", "123")
+    cli_digest.digest()
+    assert os.environ["COLUMNS"] == "123"
+
+
 @pytest.mark.parametrize("argv, code, stream, text", [
     (["recognize", "--family", "nope", "x"], EXIT_ERROR, "err", "invalid choice: 'nope'"),
     (["bogus"], EXIT_ERROR, "err", "usage: tik"),

@@ -99,6 +99,38 @@ def test_two_interval_invariants():
     assert ti.left.lo == 0  # normalized orientation
 
 
+def test_labelled_maps():
+    # Representation and CircularArcRep keep one labelled map: a copy of the
+    # given dict, read by len, labels, [] and in, handed out as a fresh copy
+    # by items / arcs, and equal only to a map of its own class (arcs also
+    # compare their circumference)
+    pieces = {"b": two_interval(interval(2, 3), interval(6, 7)),
+              "a": two_interval(interval(0, 1), interval(4, 5))}
+    arcs = {"b": Arc(q(2), q(3)), "a": Arc(q(7), q(1))}
+    for make, given, public in ((Representation, pieces, "items"),
+                                (lambda m: CircularArcRep(q(8), m), arcs, "arcs")):
+        source = dict(given)
+        m = make(source)
+        source["c"] = given["a"]
+        assert len(m) == 2 and m.labels() == ["a", "b"]
+        assert m["a"] is given["a"] and "b" in m and "c" not in m
+        with pytest.raises(KeyError):
+            m["c"]
+        got = getattr(m, public)
+        assert got == given
+        got.clear()
+        assert getattr(m, public) == given and len(m) == 2
+        assert m == make(dict(reversed(given.items())))
+        assert m != make({"a": given["a"]}) and m != make({})
+        assert m != given and given != m
+        with pytest.raises(TypeError):
+            hash(m)
+    rep, ca = Representation(pieces), CircularArcRep(q(8), arcs)
+    assert rep != ca and ca != rep
+    assert Representation({}) != CircularArcRep(q(8), {})
+    assert ca != CircularArcRep(q(9), arcs) and ca == CircularArcRep(8, arcs)
+
+
 def test_intersection_graph_fixture():
     assert intersection_graph(k53_balanced_realization()) == k53()
 

@@ -339,6 +339,19 @@ def test_partition_to_coloring_keeps_its_own_checks():
         {u: (("a0", "a2"), ("a1",))})) == Coloring({"a0": 0, "a2": 0, "a1": 1})
 
 
+def test_partition_to_coloring_needs_k_at_least_1():
+    # the universal vertex is named without building the instance, and
+    # k < 1 still gets the instance's message
+    g = Graph.build(["a0", "v"], [("a0", "v")])
+    u = universal_vertex_of(coloring_to_simplicial_instance(g, 1), g)
+    assert u == "v0"
+    witness = CliquePartitionWitness({u: (("a0",), ("v",))})
+    for k in (0, -1):
+        with pytest.raises(ReductionError, match="k must be >= 1"):
+            partition_to_coloring(g, k, witness)
+    assert partition_to_coloring(g, 2, witness) == Coloring({"a0": 0, "v": 1})
+
+
 def test_witness_roundtrip_rejects_unknown():
     with pytest.raises(ReductionError):
         witness_roundtrip(cycle(4), 2, object())

@@ -2,18 +2,23 @@ import random
 
 import pytest
 
-from conftest import random_graph
+from conftest import nonisomorphic_graphs, random_graph
+from tik.gadgets import hamiltonicity_expansion
 from tik.graphs import (
+    Graph,
     GraphError,
     add_universal,
     complement,
     complete_bipartite,
     cycle,
+    k_colorable,
     kneser,
     line_graph,
     petersen,
     wheel,
 )
+from tik.model import intersection_graph
+from tik.reductions import find_hamiltonian_cycle, ham_cycle_realization
 from tik.simplicial import CliquePartitionWitness, all_k_simplicial, k1t_free
 
 
@@ -107,3 +112,47 @@ def test_witness_rejects_bad_partition():
     })
     # opposite rim vertices are not adjacent, so a single part is not a clique
     assert not bad.validates(g, 2)
+
+
+def _all_k_simplicial_regrouping(g: Graph, k: int) -> CliquePartitionWitness | None:
+    """all_k_simplicial with each vertex's parts regrouped from the
+    coloring's assignment over its sorted neighbourhood, kept as the
+    reference for the parts read off `Coloring.classes`."""
+    if k < 1:
+        raise GraphError("k must be >= 1")
+    parts = {}
+    for v in sorted(g.vertices):
+        nbhd = sorted(g.neighbors(v))
+        local = complement(g.induced(nbhd))
+        coloring = k_colorable(local, k)
+        if coloring is None:
+            return None
+        groups: dict[int, list[str]] = {}
+        for u in nbhd:
+            groups.setdefault(coloring.assignment[u], []).append(u)
+        parts[v] = tuple(tuple(sorted(grp)) for _, grp in sorted(groups.items()))
+    return CliquePartitionWitness(parts)
+
+
+def _prism30_witness_graph() -> Graph:
+    # the intersection graph of the balanced realization of prism(30)'s
+    # Hamiltonicity expansion, 565 vertices
+    a = [f"a{i}" for i in range(30)]
+    b = [f"b{i}" for i in range(30)]
+    prism = Graph.build(a + b, [(x[i], x[(i + 1) % 30]) for x in (a, b)
+                                for i in range(30)] + list(zip(a, b)))
+    rep = ham_cycle_realization(hamiltonicity_expansion(prism), find_hamiltonian_cycle(prism))
+    return intersection_graph(rep)
+
+
+def test_all_k_simplicial_parts_are_the_coloring_classes():
+    graphs = [Graph.build([], [])] + [g for n in range(1, 7) for g in nonisomorphic_graphs(n)]
+    graphs += [wheel(n) for n in range(5, 12)] + [_prism30_witness_graph()]
+    found = 0
+    for g in graphs:
+        for k in range(1, 5):
+            got, expected = all_k_simplicial(g, k), _all_k_simplicial_regrouping(g, k)
+            assert got == expected, (g, k)
+            assert got is None or list(got.parts) == list(expected.parts)
+            found += got is not None
+    assert 0 < found < 4 * len(graphs)

@@ -3,7 +3,8 @@ vary from run to run.
 
 Runs each search below, one Hamiltonicity witness build (expansion,
 realization and balanced check), one intersection graph, the
-neighbour-mask solvers outside the search and three batches of
+neighbour-mask solvers outside the search, one round trip between a
+3-coloring and an all-3-simplicial witness and three batches of
 transforms (proper circular-arc -> unit, unit -> open integer (2n,2n),
 (x,x) -> (x+1,x+1))
 under `sys.settrace` with `f_trace_opcodes` set on every frame and
@@ -18,7 +19,7 @@ version, so two versions of the search loop compare by them.  To count
 another version, point PYTHONPATH at its `src`.  The counts include
 the work a search hands to other modules (its set-up, certificates) but
 not the time spent inside C functions, so they size interpreter work,
-not wall time.  All twenty-one lines take about 30 s traced.
+not wall time.  All twenty-two lines take about 30 s traced.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from tik.graphs import (
     complete_bipartite,
     cycle,
     from_edge_list,
+    k_colorable,
     path,
     petersen,
     wheel,
@@ -54,7 +56,12 @@ from tik.model import (
     q,
 )
 from tik.recognize import Budget, enumerate_realizations, recognize
-from tik.reductions import find_hamiltonian_cycle, ham_cycle_realization
+from tik.reductions import (
+    coloring_to_simplicial_instance,
+    find_hamiltonian_cycle,
+    ham_cycle_realization,
+    witness_roundtrip,
+)
 from tik.simplicial import all_k_simplicial, k1t_free
 from tik.transforms import (
     TransformError,
@@ -144,6 +151,20 @@ def _mask_solvers():
     return call
 
 
+def _coloring_roundtrip():
+    # cycle(41)'s 3-coloring and its all-3-simplicial instance's witness,
+    # each carried across the reduction
+    g = cycle(41)
+
+    def call():
+        partition = witness_roundtrip(g, 3, k_colorable(g, 3))
+        witness = all_k_simplicial(coloring_to_simplicial_instance(g, 3), 3)
+        coloring = witness_roundtrip(g, 3, witness)
+        text = repr((sorted(partition.parts.items()), sorted(coloring.assignment.items())))
+        return f"sha256={hashlib.sha256(text.encode()).hexdigest()[:16]}"
+    return call
+
+
 def _proper_arc_models():
     # 100 closed proper circular-arc models on 4 to 14 arcs with their cut
     # points: half of one length at distinct half-integer starts, half of
@@ -208,9 +229,10 @@ def _integer_xx_stretch():
 
 
 def searches():
-    """(name, call) pairs; each call runs one search (the last six, one
+    """(name, call) pairs; each call runs one search (the last seven, one
     witness build, one intersection graph, the mask solvers outside the
-    search and three batches of transforms) and describes its answer."""
+    search, one coloring round trip and three batches of transforms) and
+    describes its answer."""
     return (
         ("wheel(7)/unit 10^5", _recognition(wheel(7), UNIT, 10**5)),
         ("wheel(9)/unit 10^5", _recognition(wheel(9), UNIT, 10**5)),
@@ -239,6 +261,7 @@ def searches():
         ("prism(30) witness build", _prism_witness_build()),
         ("prism(30) witness intersection_graph", _prism_witness_graph()),
         ("prism(30) witness masks: 4-simplicial, K1,5, HC", _mask_solvers()),
+        ("cycle(41) 3-coloring <-> all-3-simplicial", _coloring_roundtrip()),
         ("proper circular-arc -> unit (100 closed models)", _proper_arc_units()),
         ("unit -> (2n,2n) (100 unit models)", _unit_integer_xx()),
         ("(x,x) -> (x+1,x+1) (100 (2n,2n) models)", _integer_xx_stretch()),

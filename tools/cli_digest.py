@@ -217,6 +217,7 @@ def _run(argv):
 def digest(verbose: bool = False) -> str:
     h = hashlib.sha256()
     home = os.getcwd()
+    columns = os.environ.get("COLUMNS")
     os.environ["COLUMNS"] = "80"  # argparse wraps help to the terminal
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
@@ -241,6 +242,10 @@ def digest(verbose: bool = False) -> str:
                     h.update(repr((name, fh.read())).encode())
         finally:
             os.chdir(home)
+            if columns is None:
+                del os.environ["COLUMNS"]
+            else:
+                os.environ["COLUMNS"] = columns
     return f"{h.hexdigest()}  {len(SCRIPT)} invocations, {len(names)} files"
 
 
