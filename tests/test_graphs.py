@@ -206,7 +206,6 @@ def test_k_colorable_needs_no_early_returns():
             assert got == expected, (g, k)
             assert got is None or list(got.assignment) == list(expected.assignment)
             colored += got is not None
-    assert k_colorable(Graph.build([], []), 0) == Coloring({})
     assert 0 < colored < 5 * len(graphs)
 
 

@@ -340,8 +340,8 @@ def test_partition_to_coloring_keeps_its_own_checks():
 
 
 def test_partition_to_coloring_needs_k_at_least_1():
-    # the universal vertex is named without building the instance, and
-    # k < 1 still gets the instance's message
+    # the universal vertex is named as the instance names it (v0 here, as
+    # g has a v), and k < 1 still gets the instance's message
     g = Graph.build(["a0", "v"], [("a0", "v")])
     u = universal_vertex_of(coloring_to_simplicial_instance(g, 1), g)
     assert u == "v0"
