@@ -26,6 +26,15 @@ leaves too, and replays their leaves when the state comes back.  So
 verdicts, node counts, certificates and the order of visits are those
 of the full walk.
 
+`recognize` searches the quotient by true twins (u != v with N[u] =
+N[v]), each class contracted to its least label, and on a member answer
+gives every twin its class's pieces or arc.  Every family is hereditary
+and lets a vertex copy a twin, so the quotient is a member iff the graph
+is, and `nodes_used` counts the quotient's search; `SearchOutcome.route`
+says whether the graph had twins.  `enumerate_realizations` counts the
+graph's own realizations, so it searches the graph itself (design notes:
+"True twins").
+
 NonMember is returned only when the search space was provably exhausted
 within budget.  Every Member certificate re-verifies: family_check passes
 and its intersection graph equals the input under labeled equality.
@@ -97,6 +106,9 @@ class SearchOutcome:
     kind: str  # "member" | "nonmember" | "inconclusive"
     certificate: object = None
     nodes_used: int = 0
+    # how the answer was reached: "search", or "twins contracted to m"
+    # where g has true twins and its quotient, of order m, was searched
+    route: str = "search"
 
     def is_member(self):
         return self.kind == "member"
@@ -196,6 +208,11 @@ def order_feasible(word):
 # --- search engines ------------------------------------------------------------
 
 
+def _edge_count(adjm):
+    # the edges of the graph whose neighbour masks are adjm
+    return sum(map(int.bit_count, adjm)) >> 1
+
+
 class _Search:
     """State every engine shares: vertex labels, adjacency by vertex index
     as bitmasks, the node counter, and the visitor with the count of the
@@ -241,10 +258,10 @@ class _Search:
     # nodes charged at each, and its positions, 2n per leaf
     stamps = leaves = None
 
-    def __init__(self, g: Graph, counter: _Counter, visitor=None):
-        self.labels = sorted(g.vertices)
-        self.n = len(self.labels)
-        self.adjm = neighbour_masks(g, self.labels)
+    def __init__(self, labels, adjm, counter: _Counter, visitor=None):
+        self.labels = labels
+        self.n = len(labels)
+        self.adjm = adjm
         self.covered = [0] * self.n  # neighbours each vertex has met so far
         # the covered edges as one mask over edge indices, for the keys:
         # made when the first key is, then kept up to date by _flip_cover
@@ -257,7 +274,7 @@ class _Search:
         self.pieces = {}  # a leaf's TwoIntervals by endpoint key, built once
         self.alpha = {}  # {vertex mask: its independence number, capped at 5}
         self.room = clique_number_of_masks(self.adjm) - 1
-        self.slack = -len(g.edges)  # each engine adds room per move
+        self.slack = -_edge_count(adjm)  # each engine adds room per move
 
     def _flip_cover(self, v, newly):
         # mark the edges from v to the vertices of mask `newly` covered;
@@ -355,9 +372,9 @@ class _OrderSearch(_Search):
     suffixes, at the front of `open_list`, are the vertices of `cutmask`
     not in `unopened` (design notes: "Refuted states")."""
 
-    def __init__(self, g: Graph, family: FamilySelector, counter: _Counter,
+    def __init__(self, labels, adjm, family: FamilySelector, counter: _Counter,
                  visitor=None):
-        super().__init__(g, counter, visitor)
+        super().__init__(labels, adjm, counter, visitor)
         self.family = family
         # one slot per vertex; a cut arc has a second, its suffix
         self.one_slot = family.kind in ("interval", "unit-interval", "circular-arc")
@@ -610,8 +627,8 @@ class _XXSearch(_Search):
     the canonical space cover the whole window.
     """
 
-    def __init__(self, g: Graph, x: int, counter: _Counter, visitor=None):
-        super().__init__(g, counter, visitor)
+    def __init__(self, labels, adjm, x: int, counter: _Counter, visitor=None):
+        super().__init__(labels, adjm, counter, visitor)
         self.x = x
         self.moves = 2 * self.n  # one per copy
         self.slack += self.room * self.moves
@@ -623,7 +640,7 @@ class _XXSearch(_Search):
         # node a move enters
         self.window = 0
         # a key's fixed-width fields: the covered edges, placed and placed2
-        self.fixed_bits = len(g.edges) + 2 * self.n
+        self.fixed_bits = _edge_count(adjm) + 2 * self.n
         self.dist_bits = (x - 1).bit_length()
         # an enumeration also records the subtrees that reached leaves,
         # and replays them from its log of leaves (design notes: "Refuted
@@ -864,30 +881,6 @@ def _uint_array(top):
     return []
 
 
-def _strip_universal(g: Graph):
-    """Peel universal vertices; a graph is circular-arc iff the peeled
-    graph is (each one returns as a near-full arc).  Removing a universal
-    vertex leaves every other vertex's non-neighbours as they were, so
-    the vertices to peel are exactly g's universal ones."""
-    stripped = [v for v in sorted(g.vertices) if g.degree(v) == g.n - 1]
-    if not stripped:
-        return g, stripped
-    peeled = set(stripped)
-    return g.induced([w for w in g.vertices if w not in peeled]), stripped
-
-
-def _readd_universal(ca: CircularArcRep, stripped) -> CircularArcRep:
-    arcs = ca.arcs
-    c = ca.circumference
-    # near-full arc: covers every endpoint, missing only a sliver that
-    # contains no endpoint of any other arc
-    start = c - Fraction(1, 4)
-    end = c - Fraction(1, 2)
-    for v in stripped:
-        arcs[v] = Arc(start, end)
-    return CircularArcRep(c, arcs)
-
-
 # --- public operations --------------------------------------------------------
 
 
@@ -969,32 +962,100 @@ def _run(search):
     return found, True
 
 
-def _engine(g: Graph, family: FamilySelector, counter: _Counter, visitor=None):
-    """The search for g in family: the placement engine for xx, the
-    order engine for every other family."""
+def _masks(g: Graph):
+    """g's labels in sorted order, the order every search numbers its
+    vertices in, and their neighbour masks."""
+    labels = sorted(g.vertices)
+    return labels, neighbour_masks(g, labels)
+
+
+def _engine(labels, adjm, family: FamilySelector, counter: _Counter, visitor=None):
+    """The search for the graph of `_masks` in family: the placement
+    engine for xx, the order engine for every other family."""
     if family.kind == "xx":
-        return _XXSearch(g, family.x, counter, visitor=visitor)
-    return _OrderSearch(g, family, counter, visitor=visitor)
+        return _XXSearch(labels, adjm, family.x, counter, visitor=visitor)
+    return _OrderSearch(labels, adjm, family, counter, visitor=visitor)
+
+
+def _induced(adjm, keep):
+    # the neighbour masks of the subgraph on the ascending vertex list
+    # `keep`, its vertices numbered by their place in it
+    index = {v: i for i, v in enumerate(keep)}
+    kept = sum(1 << v for v in keep)
+    out = []
+    for v in keep:
+        mask, row = adjm[v] & kept, 0
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            row |= 1 << index[low.bit_length() - 1]
+        out.append(row)
+    return out
+
+
+def _lift(cert, labels, closed, least, peeled, family: FamilySelector):
+    """g's certificate from `cert`, the certificate of its quotient: each
+    twin v gets the pieces or arc of least[closed[v]], its class's least
+    vertex, and for circular-arc the peeled universal class's least
+    vertex returns first, as a near-full arc.  A twin of a one-slot
+    family gets its own dummy right interval past the whole certificate
+    (design notes: "True twins")."""
+    twins = [(labels[least[c]], labels[v]) for v, c in enumerate(closed) if least[c] != v]
+    if family.kind == "circular-arc":
+        arcs, c = cert.arcs, cert.circumference
+        if peeled is not None:
+            # covers every endpoint, missing only a sliver that contains
+            # no endpoint of any other arc
+            arcs[labels[peeled]] = Arc(c - Fraction(1, 4), c - Fraction(1, 2))
+        for rep, twin in twins:
+            arcs[twin] = arcs[rep]
+        return CircularArcRep(c, arcs)
+    items = cert.items
+    if family.kind in ("interval", "unit-interval"):
+        # past every end: the quotient's last vertex has the highest
+        # dummy (`_OrderSearch._pieces`)
+        top = math.ceil(items[labels[max(least.values())]].right.hi)
+        for k, (rep, twin) in enumerate(twins):
+            items[twin] = TwoInterval(items[rep].left,
+                                      Interval(top + 2 + 2 * k, top + 3 + 2 * k))
+    else:
+        for rep, twin in twins:
+            items[twin] = items[rep]
+    return Representation(items)
 
 
 def recognize(g: Graph, family: FamilySelector, budget: Budget) -> SearchOutcome:
-    """Budgeted exact membership search; see module docstring."""
+    """Budgeted exact membership search of g's quotient by its true twins,
+    each class contracted to its least label; see module docstring."""
     if g.n == 0:
         raise RecognizeError("recognize needs a nonempty graph")
-
+    labels, adjm = _masks(g)
+    n = len(labels)
+    # a class of true twins (u != v with N[u] = N[v]) is the vertices of
+    # one closed neighbourhood mask; `least` maps each mask to its least
+    # vertex (the later vertices are written first, the least last)
+    closed = [mask | 1 << v for v, mask in enumerate(adjm)]
+    least = dict(zip(reversed(closed), range(n - 1, -1, -1)))
+    route = "search" if len(least) == n else f"twins contracted to {len(least)}"
+    # circular-arc peels the universal vertices, one class: g is
+    # circular-arc iff the rest is (design notes: "Circular-arc on a cut")
+    peeled = least.get((1 << n) - 1) if family.kind == "circular-arc" else None
+    contracted = len(least) < n or peeled is not None
+    core = labels, adjm
+    if contracted:
+        keep = sorted(v for v in least.values() if v != peeled)
+        core = [labels[v] for v in keep], _induced(adjm, keep)
     counter = _Counter(budget.max_nodes)
-    if family.kind == "circular-arc":
-        g, stripped = _strip_universal(g)
-        if g.n == 0:
-            return SearchOutcome("member", _readd_universal(
-                CircularArcRep(q(1), {}), stripped), counter.nodes)
-    cert, exhausted = _run(_engine(g, family, counter))
+    if core[0]:
+        cert, exhausted = _run(_engine(*core, family, counter))
+    else:  # every vertex universal
+        cert = CircularArcRep(q(1), {})
     if cert is None:
         return SearchOutcome("nonmember" if exhausted else "inconclusive",
-                             None, counter.nodes)
-    if family.kind == "circular-arc":
-        cert = _readd_universal(cert, stripped)
-    return SearchOutcome("member", cert, counter.nodes)
+                             None, counter.nodes, route)
+    if contracted:
+        cert = _lift(cert, labels, closed, least, peeled, family)
+    return SearchOutcome("member", cert, counter.nodes, route)
 
 
 @dataclass(frozen=True)
@@ -1021,7 +1082,7 @@ def enumerate_realizations(g: Graph, family: FamilySelector, budget: Budget,
     if family.kind not in ("xx", "2interval"):
         raise RecognizeError(f"enumerate_realizations does not handle {family}")
     counter = _Counter(budget.max_nodes)
-    search = _engine(g, family, counter, visitor)
+    search = _engine(*_masks(g), family, counter, visitor)
     _, complete = _run(search)
     return Enumeration(complete=complete, count=search.count,
                        nodes_used=counter.nodes)

@@ -49,6 +49,7 @@ from tik.recognize import (
     Budget,
     RecognizeError,
     _Counter,
+    _masks,
     _OrderSearch,
     enumerate_realizations,
     order_feasible,
@@ -300,7 +301,7 @@ def _order_leaf(word, family):
     # the certificate the order engine builds at a leaf of a one-slot
     # family, for a word over intervals 0..k-1 as vertices v0..v{k-1}
     labels = tuple(f"v{i}" for i in range(len(word) // 2))
-    search = _OrderSearch(Graph(labels, frozenset()), family, _Counter(1))
+    search = _OrderSearch(*_masks(Graph(labels, frozenset())), family, _Counter(1))
     search.word = [((iid, 0), kind) for iid, kind in word]
     return search._realize()
 
@@ -686,7 +687,7 @@ def test_recognize_circular_universal_stripping():
 
 def _strip_universal_one_at_a_time(g):
     # the peel one vertex at a time: strip the lowest universal vertex and
-    # look again, until none is left; the reference for _strip_universal
+    # look again, until none is left
     stripped = []
     current = g
     while current.n > 0:
@@ -699,33 +700,40 @@ def _strip_universal_one_at_a_time(g):
     return current, stripped
 
 
-def test_strip_universal_peels_in_one_pass(monkeypatch):
+def test_circular_arc_searches_the_peeled_quotient(monkeypatch):
+    # recognize peels g's universal vertices, which are one class of true
+    # twins, and searches the least label of every other class: the
+    # labels of peeling one universal vertex at a time, then keeping the
+    # least vertex of each closed neighbourhood set of what is left
     from conftest import nonisomorphic_graphs
     from tik import graphs
-    from tik.recognize import _strip_universal
+    from tik import recognize as engine
 
-    calls = []
-    induced = Graph.induced
+    searched = []
+    build = engine._engine
 
-    def counted(self, labels):
-        calls.append(1)
-        return induced(self, labels)
+    def recorded(labels, adjm, family, counter, visitor=None):
+        searched.append(list(labels))
+        return build(labels, adjm, family, counter, visitor)
 
-    monkeypatch.setattr(Graph, "induced", counted)
-    for n in range(7):
+    monkeypatch.setattr(engine, "_engine", recorded)
+    for n in range(1, 7):
         for g in nonisomorphic_graphs(n):
             for hubs in range(3):
                 h = g
                 for _ in range(hubs):
                     h = graphs.add_universal(h, graphs.fresh_label(h, "u"))
-                expected = _strip_universal_one_at_a_time(h)
-                calls.clear()
-                got = _strip_universal(h)
-                assert got == expected, h
-                # induced once if anything is peeled, else not at all
-                assert len(calls) == (1 if expected[1] else 0), h
-                if not expected[1]:
-                    assert got[0] is h
+                core, stripped = _strip_universal_one_at_a_time(h)
+                closed = {v: core.neighbors(v) | {v} for v in core.vertices}
+                least = sorted({min(w for w in closed if closed[w] == closed[v])
+                                for v in closed})
+                searched.clear()
+                out = recognize(h, CIRCULAR_ARC, BIG)
+                assert searched == ([least] if least else []), h
+                m = len(least) + (1 if stripped else 0)  # the quotient's order
+                assert out.route == ("search" if m == h.n else f"twins contracted to {m}")
+                if out.is_member():
+                    assert_member_sound(out, h, CIRCULAR_ARC)
 
 
 def test_recognize_triangle_circular():
@@ -1292,9 +1300,9 @@ def test_engines_keep_compact_instance_dicts():
     from tik import recognize as engine
 
     g = wheel(5)
-    searches = [(engine._OrderSearch(g, family, engine._Counter(10)), 26)
+    searches = [(engine._OrderSearch(*_masks(g), family, engine._Counter(10)), 26)
                 for family in FAMILIES.values() if family.kind != "xx"]
-    searches += [(engine._XXSearch(g, 2, engine._Counter(10), visitor), ceiling)
+    searches += [(engine._XXSearch(*_masks(g), 2, engine._Counter(10), visitor), ceiling)
                  for visitor, ceiling in ((None, 23), (lambda rep: None, 25))]
     for search, ceiling in searches:
         attributes = sorted(vars(search))
@@ -1403,8 +1411,9 @@ def test_circular_cuts_contain_one_least_degree_vertex(monkeypatch):
     # the search tries exactly {c} with each clique of N(c), smallest
     # first, where c is the core's vertex of least degree, the lowest
     # label on ties; an isolated vertex leaves {c} the only cut, and a
-    # triangle beside a 4-cycle (not interval, so not circular-arc) has
-    # c = "a" in the triangle, with the edge bc in N(c)
+    # house beside a 4-cycle (neither is interval, so together they are
+    # not circular-arc) has c = "a", the roof, with the edge bc in N(c).
+    # The graphs have no true twins, so the core is searched as it is
     tried = []
     cliques = _OrderSearch._cliques
 
@@ -1417,8 +1426,9 @@ def test_circular_cuts_contain_one_least_degree_vertex(monkeypatch):
     lone = Graph.build(["a"] + sorted(domino().vertices), domino().edges)
     hub = Graph.build(sorted(domino().vertices) + ["hub"],
                       list(domino().edges) + [(v, "hub") for v in domino().vertices])
-    beside = Graph.build("abcwxyz", [("a", "b"), ("a", "c"), ("b", "c"), ("w", "x"),
-                                     ("x", "y"), ("y", "z"), ("z", "w")])
+    beside = Graph.build("abcdewxyz", [("a", "b"), ("a", "c"), ("b", "c"), ("b", "d"),
+                                       ("c", "e"), ("d", "e"), ("w", "x"), ("x", "y"),
+                                       ("y", "z"), ("z", "w")])
     k23, k44 = complete_bipartite(2, 3), complete_bipartite(4, 4)
     for g, core in ((lone, lone), (hub, domino()), (beside, beside), (k23, k23),
                     (petersen(), petersen()), (k44, k44)):
