@@ -107,7 +107,10 @@ class SearchOutcome:
     certificate: object = None
     nodes_used: int = 0
     # how the answer was reached: "search", or "twins contracted to m"
-    # where g has true twins and its quotient, of order m, was searched
+    # where g has true twins and m is its number of twin classes; the
+    # search runs on one vertex of each class, but circular-arc drops the
+    # universal class too, so it searches m - 1 vertices when g has one
+    # (wheel(5) answers "search" after searching its 5 rim vertices)
     route: str = "search"
 
     def is_member(self):
@@ -191,8 +194,8 @@ def order_feasible(word):
         b_eq.append(rhs)
 
     # positional: tikbench/spans.py unpacks these five arguments
-    status, h, _ = lp.solve_lp([0] * n_gaps, [], [], a_eq, b_eq)
-    if status != lp.OPTIMAL:
+    h = lp.solve_lp([0] * n_gaps, [], [], a_eq, b_eq)
+    if h is None:
         return None
     # prefix sums of the gaps 1 + h in ints over the lcm of h's
     # denominators, one Fraction per event

@@ -42,3 +42,24 @@ def test_order_feasible_calls_solve_lp_positionally(monkeypatch):
     assert len(args) == 5 and not kwargs
     # one balance row over the three gaps
     assert _spans()._info("lp.solve_lp", args, result) == {"rows": 1, "cols": 3}
+
+
+def test_solve_lp_info_on_an_infeasible_word(monkeypatch):
+    # the k = 2 chain of strict containments: (0, 0) contains (1, 0) and
+    # (1, 1) contains (0, 1), so equal halves would need |(0, 0)| >
+    # |(1, 0)| = |(1, 1)| > |(0, 1)| = |(0, 0)|; the LP returns None, and
+    # its span still reads two balance rows over the seven gaps
+    calls = []
+    real = lp.solve_lp
+
+    def spy(*args):
+        calls.append((args, real(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(lp, "solve_lp", spy)
+    word = [((0, 0), OPEN), ((1, 0), OPEN), ((1, 0), CLOSE), ((0, 0), CLOSE),
+            ((1, 1), OPEN), ((0, 1), OPEN), ((0, 1), CLOSE), ((1, 1), CLOSE)]
+    assert order_feasible(word) is None
+    [(args, result)] = calls
+    assert result is None
+    assert _spans()._info("lp.solve_lp", args, result) == {"rows": 2, "cols": 7}

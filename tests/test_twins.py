@@ -121,6 +121,15 @@ def test_circular_arc_with_universal_twins():
     assert_member_sound(out, k4, CIRCULAR_ARC)
 
 
+def test_circular_arc_route_counts_the_universal_class():
+    # route's m counts twin classes, the universal class among them, but
+    # circular-arc searches without that class: wheel(5) has no twins and
+    # answers "search" after searching its rim alone, in C5's 23 nodes
+    out = _check(graphs.wheel(5), CIRCULAR_ARC, Budget(10**7))
+    assert (out.kind, out.nodes_used, out.route) == ("member", 23, "search")
+    assert recognize(graphs.cycle(5), CIRCULAR_ARC, Budget(10**7)).nodes_used == 23
+
+
 def _k_minus(n, missing):
     # K_n on v00..v{n-1} minus the edges `missing`, given as index pairs
     labels = [f"v{i:02d}" for i in range(n)]
