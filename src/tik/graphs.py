@@ -124,7 +124,8 @@ class Coloring:
 
 def from_edge_list(text: str) -> Graph:
     """Parse the edge-list format: one 'u v' per line, '#' comments,
-    single-token lines declare isolated vertices."""
+    single-token lines declare isolated vertices.  A label may not start
+    with '#': written first on a line, it would read back as a comment."""
     vertices: list[str] = []
     seen: set[str] = set()
     edges: set[tuple[str, str]] = set()
@@ -139,6 +140,10 @@ def from_edge_list(text: str) -> Graph:
         if not line or line.startswith("#"):
             continue
         tokens = line.split()
+        if "#" in line:  # only inside a label, as comment lines were skipped
+            for t in tokens:
+                if t.startswith("#"):
+                    raise GraphError(f"line {lineno}: label {t!r} starts with '#', the comment mark")
         if len(tokens) == 1:
             declare(tokens[0])
         elif len(tokens) == 2:
@@ -154,9 +159,14 @@ def from_edge_list(text: str) -> Graph:
 
 
 def to_edge_list(g: Graph) -> str:
+    """g in the edge-list format, which `from_edge_list` reads back as g.
+    A label that would not read back (empty, holding whitespace, or
+    starting with '#') is a GraphError."""
     lines = []
     in_edge = {v for e in g.edges for v in e}
     for v in g.sorted_vertices():
+        if v.split() != [v] or v.startswith("#"):
+            raise GraphError(f"label {v!r} cannot be written as an edge-list token")
         if v not in in_edge:
             lines.append(v)
     for u, v in g.sorted_edges():

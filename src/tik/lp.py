@@ -35,16 +35,16 @@ def _integer_row(values):
 def solve_lp(c, a_ub, b_ub, a_eq, b_eq):
     """A vertex of  A_eq x = b_eq,  x >= 0  as a list of Fractions, or
     None when there is no solution.  Inputs are int or Fraction matrices;
-    b_eq entries must be >= 0 (callers arrange this).  The parameters are
-    those of  max c.x  s.t.  A_ub x <= b_ub,  A_eq x = b_eq,  x >= 0,  but
-    only feasibility is decided: c must be all zeros (it gives the number
-    of variables) and a_ub, b_ub empty."""
+    b_eq has one entry per row of a_eq, each >= 0 (callers arrange this).
+    The parameters are those of  max c.x  s.t.  A_ub x <= b_ub,  A_eq x =
+    b_eq,  x >= 0,  but only feasibility is decided: c must be all zeros
+    (it gives the number of variables) and a_ub, b_ub empty."""
     n = len(c)
     if any(c):
         raise ValueError("c must be all zeros: only feasibility is decided")
     if a_ub or b_ub:
         raise ValueError("a_ub and b_ub must be empty: write each row as an equality")
-    rows = list(zip(a_eq, b_eq))
+    rows = list(zip(a_eq, b_eq, strict=True))  # a ValueError unless one b per row
     if any(rhs < 0 for _, rhs in rows):
         raise ValueError("b_eq entries must be nonnegative")
     if any(len(coeffs) != n for coeffs, _ in rows):

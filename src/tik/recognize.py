@@ -27,12 +27,14 @@ verdicts, node counts, certificates and the order of visits are those
 of the full walk.
 
 `recognize` searches the quotient by true twins (u != v with N[u] =
-N[v]), each class contracted to its least label, and on a member answer
-gives every twin its class's pieces or arc.  Every family is hereditary
-and lets a vertex copy a twin, so the quotient is a member iff the graph
-is, and `nodes_used` counts the quotient's search; `SearchOutcome.route`
-says whether the graph had twins.  `enumerate_realizations` counts the
-graph's own realizations, so it searches the graph itself (design notes:
+N[v]): each engine vertex is a class of labels, its least first, and
+the leaf that answers writes every label of a class with the class's
+pieces or arc, a one-slot family giving each label a dummy of its own.
+Every family is hereditary and lets a vertex copy a twin, so the
+quotient is a member iff the graph is, and `nodes_used` counts the
+quotient's search; `SearchOutcome.route` says whether the graph had
+twins.  `enumerate_realizations` counts the graph's own realizations,
+so it searches the graph itself, each class one label (design notes:
 "True twins").
 
 NonMember is returned only when the search space was provably exhausted
@@ -217,14 +219,15 @@ def _edge_count(adjm):
 
 
 class _Search:
-    """State every engine shares: vertex labels, adjacency by vertex index
-    as bitmasks, the node counter, and the visitor with the count of the
-    realizations it was handed.  Vertex sets the engines keep per move
-    (covered neighbours, open, live or placed vertices) are int bitmasks
-    too, so their per-candidate tests are a few integer operations.  An
-    engine keeps only its move state and what it caches: nothing that
-    other state determines, and not the first realization or the stop
-    and record marks, which `_run` keeps.
+    """State every engine shares: each vertex's class of labels (a tuple,
+    its least first, whose labels a leaf's certificate all writes),
+    adjacency by vertex index as bitmasks, the node counter, and the
+    visitor with the count of the realizations it was handed.  Vertex
+    sets the engines keep per move (covered neighbours, open, live or
+    placed vertices) are int bitmasks too, so their per-candidate tests
+    are a few integer operations.  An engine keeps only its move state
+    and what it caches: nothing that other state determines, and not the
+    first realization or the stop and record marks, which `_run` keeps.
 
     An engine's `run` and `_dfs` are generators driven by `_run`: each
     yields once per move it makes, with the move applied, and resumes to
@@ -341,16 +344,17 @@ class _Search:
         return rep
 
     def _certificate(self, keys, build):
-        # the leaf's Representation: vertex v's TwoInterval is build(*key)
-        # of the v-th key, made once per search, as an enumeration meets
-        # the same key in many leaves
+        # the leaf's Representation: every label of vertex v's class gets
+        # build(*key) of the v-th key, made once per search, as an
+        # enumeration meets the same key in many leaves
         pieces = self.pieces
         items = {}
-        for label, key in zip(self.labels, keys):
+        for cls, key in zip(self.labels, keys):
             pair = pieces.get(key)
             if pair is None:
                 pair = pieces[key] = build(*key)
-            items[label] = pair
+            for label in cls:
+                items[label] = pair
         return Representation(items)
 
 
@@ -584,16 +588,20 @@ class _OrderSearch(_Search):
             return self._pieces(ends, 1)
         # glue the cut back: a cut arc runs from its suffix's open around
         # the circle to its prefix's close
-        return CircularArcRep(q(len(self.word)), {
-            self.labels[v]: Arc(ends[(v, self.cutmask >> v & 1)][0], ends[(v, 0)][1])
-            for v in range(self.n)
-        })
+        arcs = {}
+        for v, cls in enumerate(self.labels):
+            arc = Arc(ends[(v, self.cutmask >> v & 1)][0], ends[(v, 0)][1])
+            for label in cls:
+                arcs[label] = arc
+        return CircularArcRep(q(len(self.word)), arcs)
 
     def _pieces(self, ends, d):
         # the certificate of ends {interval id: (lo, hi)} in units of 1/d:
         # ints, or the LP's Fractions with d = 1.  A vertex's slot 0 closes
-        # before its slot 1 opens, so the pieces are in order; a one-slot
-        # vertex gets a far-away dummy right at top + 2 + 2v
+        # before its slot 1 opens, so the pieces are in order.  In a
+        # one-slot family every label of a class gets the class's interval
+        # and a far-away dummy right of its own: the i-th label written,
+        # [top + (2 + 2i)d, top + (3 + 2i)d]
         if d == 1:
             piece = Interval  # it makes Fractions of int ends itself
         else:
@@ -604,13 +612,14 @@ class _OrderSearch(_Search):
             return self._certificate(
                 [(*ends[v, 0], *ends[v, 1]) for v in range(self.n)],
                 lambda lo, hi, lo2, hi2: TwoInterval(piece(lo, hi), piece(lo2, hi2)))
-        labels = self.labels
         items = {}
-        top = max(hi for _, hi in ends.values())
-        for v in range(self.n):
-            lo = top + (2 + 2 * v) * d
-            items[labels[v]] = TwoInterval(piece(*ends[(v, 0)]),
-                                           piece(lo, lo + d))
+        step = 2 * d
+        lo = max(hi for _, hi in ends.values()) + step  # the next dummy's lo
+        for v, cls in enumerate(self.labels):
+            left = piece(*ends[(v, 0)])
+            for label in cls:
+                items[label] = TwoInterval(left, piece(lo, lo + d))
+                lo += step
         return Representation(items)
 
 
@@ -967,13 +976,15 @@ def _run(search):
 
 def _masks(g: Graph):
     """g's labels in sorted order, the order every search numbers its
-    vertices in, and their neighbour masks."""
+    vertices in, each as a class of one label, and their neighbour
+    masks."""
     labels = sorted(g.vertices)
-    return labels, neighbour_masks(g, labels)
+    return list(zip(labels)), neighbour_masks(g, labels)
 
 
 def _engine(labels, adjm, family: FamilySelector, counter: _Counter, visitor=None):
-    """The search for the graph of `_masks` in family: the placement
+    """The search in family for the classes `labels` with neighbour masks
+    `adjm`, as `_masks` or `recognize` gives them: the placement
     engine for xx, the order engine for every other family."""
     if family.kind == "xx":
         return _XXSearch(labels, adjm, family.x, counter, visitor=visitor)
@@ -996,40 +1007,10 @@ def _induced(adjm, keep):
     return out
 
 
-def _lift(cert, labels, closed, least, peeled, family: FamilySelector):
-    """g's certificate from `cert`, the certificate of its quotient: each
-    twin v gets the pieces or arc of least[closed[v]], its class's least
-    vertex, and for circular-arc the peeled universal class's least
-    vertex returns first, as a near-full arc.  A twin of a one-slot
-    family gets its own dummy right interval past the whole certificate
-    (design notes: "True twins")."""
-    twins = [(labels[least[c]], labels[v]) for v, c in enumerate(closed) if least[c] != v]
-    if family.kind == "circular-arc":
-        arcs, c = cert.arcs, cert.circumference
-        if peeled is not None:
-            # covers every endpoint, missing only a sliver that contains
-            # no endpoint of any other arc
-            arcs[labels[peeled]] = Arc(c - Fraction(1, 4), c - Fraction(1, 2))
-        for rep, twin in twins:
-            arcs[twin] = arcs[rep]
-        return CircularArcRep(c, arcs)
-    items = cert.items
-    if family.kind in ("interval", "unit-interval"):
-        # past every end: the quotient's last vertex has the highest
-        # dummy (`_OrderSearch._pieces`)
-        top = math.ceil(items[labels[max(least.values())]].right.hi)
-        for k, (rep, twin) in enumerate(twins):
-            items[twin] = TwoInterval(items[rep].left,
-                                      Interval(top + 2 + 2 * k, top + 3 + 2 * k))
-    else:
-        for rep, twin in twins:
-            items[twin] = items[rep]
-    return Representation(items)
-
-
 def recognize(g: Graph, family: FamilySelector, budget: Budget) -> SearchOutcome:
     """Budgeted exact membership search of g's quotient by its true twins,
-    each class contracted to its least label; see module docstring."""
+    each class one vertex whose labels the certificate all writes; see
+    module docstring."""
     if g.n == 0:
         raise RecognizeError("recognize needs a nonempty graph")
     labels, adjm = _masks(g)
@@ -1043,11 +1024,13 @@ def recognize(g: Graph, family: FamilySelector, budget: Budget) -> SearchOutcome
     # circular-arc peels the universal vertices, one class: g is
     # circular-arc iff the rest is (design notes: "Circular-arc on a cut")
     peeled = least.get((1 << n) - 1) if family.kind == "circular-arc" else None
-    contracted = len(least) < n or peeled is not None
     core = labels, adjm
-    if contracted:
+    if len(least) < n or peeled is not None:
+        classes = dict.fromkeys(closed, ())  # each mask's labels, its least first
+        for cls, mask in zip(labels, closed):
+            classes[mask] += cls
         keep = sorted(v for v in least.values() if v != peeled)
-        core = [labels[v] for v in keep], _induced(adjm, keep)
+        core = [classes[closed[v]] for v in keep], _induced(adjm, keep)
     counter = _Counter(budget.max_nodes)
     if core[0]:
         cert, exhausted = _run(_engine(*core, family, counter))
@@ -1056,8 +1039,15 @@ def recognize(g: Graph, family: FamilySelector, budget: Budget) -> SearchOutcome
     if cert is None:
         return SearchOutcome("nonmember" if exhausted else "inconclusive",
                              None, counter.nodes, route)
-    if contracted:
-        cert = _lift(cert, labels, closed, least, peeled, family)
+    if peeled is not None:
+        # the universal class comes back as one near-full arc: it covers
+        # every endpoint, missing only a sliver that contains no endpoint
+        # of any other arc
+        c, arcs = cert.circumference, cert.arcs
+        arc = Arc(c - Fraction(1, 4), c - Fraction(1, 2))
+        for label in classes[closed[peeled]]:
+            arcs[label] = arc
+        cert = CircularArcRep(c, arcs)
     return SearchOutcome("member", cert, counter.nodes, route)
 
 
@@ -1072,7 +1062,8 @@ def enumerate_realizations(g: Graph, family: FamilySelector, budget: Budget,
                            visitor) -> Enumeration:
     """Visit every realization in the canonical enumeration: all integer
     placements in the window up to translation (xx), or all consistent
-    order words (2interval).
+    order words (2interval).  `visitor` is called with each, and must be
+    callable.
 
     The visits, their order and the nodes charged before each are those
     of the full walk.  An xx enumeration does not walk a recorded subtree
@@ -1084,6 +1075,9 @@ def enumerate_realizations(g: Graph, family: FamilySelector, budget: Budget,
         raise RecognizeError("enumerate_realizations needs a nonempty graph")
     if family.kind not in ("xx", "2interval"):
         raise RecognizeError(f"enumerate_realizations does not handle {family}")
+    if not callable(visitor):
+        # without one, the search would stop at its first leaf
+        raise RecognizeError(f"enumerate_realizations needs a callable visitor, got {visitor!r}")
     counter = _Counter(budget.max_nodes)
     search = _engine(*_masks(g), family, counter, visitor)
     _, complete = _run(search)

@@ -60,6 +60,23 @@ def test_edge_list_roundtrip():
     assert from_edge_list(to_edge_list(g)) == g
 
 
+def test_edge_list_labels_read_back():
+    # '#b' after a first token is a label no writer can give back: written
+    # first on a line, as in "#b a", it reads as a comment
+    with pytest.raises(GraphError, match="line 1: label '#b' starts with '#'"):
+        from_edge_list("a #b\nc d")
+    with pytest.raises(GraphError, match="line 3: label '#'"):
+        from_edge_list("a b\n# comment\nc #")
+    for label in ("#b", "#", "", "a b", "a\tb", "a\nb", " a", "a\n", "a\x1cb", "a\u2028"):
+        for edges in ([], [("a0", label)]):
+            g = Graph.build(["a0", label], edges)
+            with pytest.raises(GraphError, match="cannot be written"):
+                to_edge_list(g)
+    # labels with a '#' inside read back
+    g = Graph.build(["a#", "b#c", "c"], [("a#", "b#c")])
+    assert from_edge_list(to_edge_list(g)) == g
+
+
 def test_complete_bipartite_counts():
     assert complete_bipartite(5, 3).n == 8
     assert len(complete_bipartite(5, 3).edges) == 15

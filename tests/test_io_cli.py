@@ -357,6 +357,16 @@ def test_cli_rejects_the_other_json_kind(tmp_path, argv, name):
                         f"got {kinds[1]} JSON\n")
 
 
+def test_cli_rejects_a_label_that_reads_as_a_comment(tmp_path):
+    # '#b' would come back first on a line of the instance, "#b a", which
+    # reads as a comment: the input is refused before anything is written
+    g = tmp_path / "hash.edges"
+    g.write_text("a #b\nc d\n")
+    argv = ["reduce", "coloring-simplicial", "--k", "2", str(g)]
+    assert run_cli(argv) == (
+        EXIT_ERROR, "", "error: line 1: label '#b' starts with '#', the comment mark\n")
+
+
 def test_cli_reduce_emit_needs_cycle(tmp_path):
     k33 = tmp_path / "k33.edges"
     k33.write_text(to_edge_list(complete_bipartite(3, 3)))

@@ -240,6 +240,11 @@ def test_rejects_bad_input():
         solve_lp([0, F(1, 2)], [], [], [[1, 1]], [1])
     with pytest.raises(ValueError, match="a_ub and b_ub must be empty"):
         solve_lp([0], [[1]], [1], [], [])
+    # a row without a right-hand side, or a right-hand side without a row
+    with pytest.raises(ValueError, match="zip"):
+        solve_lp([0], [], [], [[1], [1]], [1])
+    with pytest.raises(ValueError, match="zip"):
+        solve_lp([0], [], [], [[1]], [1, 1])
 
 
 def _random_word(rng, k):

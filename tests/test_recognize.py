@@ -702,9 +702,10 @@ def _strip_universal_one_at_a_time(g):
 
 def test_circular_arc_searches_the_peeled_quotient(monkeypatch):
     # recognize peels g's universal vertices, which are one class of true
-    # twins, and searches the least label of every other class: the
-    # labels of peeling one universal vertex at a time, then keeping the
-    # least vertex of each closed neighbourhood set of what is left
+    # twins, and searches every other class with its least label first:
+    # the representatives of peeling one universal vertex at a time, then
+    # keeping the least vertex of each closed neighbourhood set of what is
+    # left, and each with the labels of its set in order
     from conftest import nonisomorphic_graphs
     from tik import graphs
     from tik import recognize as engine
@@ -715,6 +716,9 @@ def test_circular_arc_searches_the_peeled_quotient(monkeypatch):
     def recorded(labels, adjm, family, counter, visitor=None):
         searched.append(list(labels))
         return build(labels, adjm, family, counter, visitor)
+
+    def representatives():
+        return [[cls[0] for cls in labels] for labels in searched]
 
     monkeypatch.setattr(engine, "_engine", recorded)
     for n in range(1, 7):
@@ -727,9 +731,12 @@ def test_circular_arc_searches_the_peeled_quotient(monkeypatch):
                 closed = {v: core.neighbors(v) | {v} for v in core.vertices}
                 least = sorted({min(w for w in closed if closed[w] == closed[v])
                                 for v in closed})
+                classes = [tuple(sorted(w for w in closed if closed[w] == closed[v]))
+                           for v in least]
                 searched.clear()
                 out = recognize(h, CIRCULAR_ARC, BIG)
-                assert searched == ([least] if least else []), h
+                assert representatives() == ([least] if least else []), h
+                assert searched == ([classes] if least else []), h
                 m = len(least) + (1 if stripped else 0)  # the quotient's order
                 assert out.route == ("search" if m == h.n else f"twins contracted to {m}")
                 if out.is_member():
@@ -888,6 +895,10 @@ def test_enumerate_xx_counts_min_zero():
 def test_enumerate_rejects_metric_families():
     with pytest.raises(RecognizeError):
         enumerate_realizations(path(2), UNIT, BIG, lambda rep: None)
+    # without a visitor the search would stop at its first leaf and claim
+    # a complete count of 0, where path(3) has 414 realizations as xx(2)
+    with pytest.raises(RecognizeError, match="callable visitor"):
+        enumerate_realizations(path(3), XX(2), BIG, None)
 
 
 def test_recognize_circular_single_vertex_and_complete():
@@ -1419,7 +1430,7 @@ def test_circular_cuts_contain_one_least_degree_vertex(monkeypatch):
 
     def recorded(search):
         for cut in cliques(search):
-            tried.append(frozenset(search.labels[v] for v in cut))
+            tried.append(frozenset(search.labels[v][0] for v in cut))
             yield cut
 
     monkeypatch.setattr(_OrderSearch, "_cliques", recorded)

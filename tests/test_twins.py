@@ -1,8 +1,9 @@
 """True twins: `recognize` searches the quotient by true twins (u != v
-with N[u] = N[v]) and copies its certificate back.  Every family is
-hereditary and lets a vertex copy a twin's pieces or arc, so the quotient
-is a member iff g is (design notes: "True twins").  These tests compare
-that with the search of g itself."""
+with N[u] = N[v]), and the leaf that answers writes every twin with its
+class's pieces or arc.  Every family is hereditary and lets a vertex copy
+a twin's pieces or arc, so the quotient is a member iff g is (design
+notes: "True twins").  These tests compare that with the search of g
+itself."""
 
 import random
 
@@ -19,6 +20,7 @@ from tik.model import (
     UNIT,
     UNIT_INTERVAL,
     XX,
+    intersects,
 )
 from tik.recognize import Budget, _Counter, _engine, _masks, _run, recognize
 
@@ -34,10 +36,15 @@ def _uncontracted(g, family, budget):
     return "nonmember" if exhausted else "inconclusive"
 
 
-def _quotient(g):
-    # the least label of each class of equal closed neighbourhoods
+def _representatives(g):
+    # each vertex's least true twin, itself included: the least label of
+    # its class of equal closed neighbourhoods
     closed = {v: g.neighbors(v) | {v} for v in g.vertices}
-    return g.induced({min(w for w in closed if closed[w] == closed[v]) for v in closed})
+    return {v: min(w for w in closed if closed[w] == closed[v]) for v in closed}
+
+
+def _quotient(g):
+    return g.induced(set(_representatives(g).values()))
 
 
 def _blow_up(g, sizes):
@@ -49,6 +56,23 @@ def _blow_up(g, sizes):
     return Graph.build([w for v in g.vertices for w in labels[v]], edges)
 
 
+def _assert_copied(cert, g, family):
+    # the copy rule: a twin has its representative's TwoInterval or Arc;
+    # in a one-slot family, its representative's left piece and a right
+    # piece that meets no other piece
+    one_slot = family in (INTERVAL_CLASS, UNIT_INTERVAL)
+    for v, rep in _representatives(g).items():
+        if v == rep:
+            continue
+        if not one_slot:
+            assert cert[v] == cert[rep], (g, family, v)
+            continue
+        assert cert[v].left == cert[rep].left, (g, family, v)
+        others = [cert[w].left for w in g.vertices]
+        others += [cert[w].right for w in g.vertices if w != v]
+        assert not any(intersects(cert[v].right, iv) for iv in others), (g, family, v)
+
+
 def _check(g, family, budget):
     # recognize on g against the uncontracted engine, and against
     # recognize on the quotient, which it must equal node for node
@@ -58,6 +82,7 @@ def _check(g, family, budget):
         assert out.kind == reference, (g, family)
     if out.is_member():
         assert_member_sound(out, g, family)
+        _assert_copied(out.certificate, g, family)
     q = _quotient(g)
     on_q = recognize(q, family, budget)
     assert (out.kind, out.nodes_used) == (on_q.kind, on_q.nodes_used), (g, family)

@@ -19,7 +19,7 @@ version, so two versions of the search loop compare by them.  To count
 another version, point PYTHONPATH at its `src`.  The counts include
 the work a search hands to other modules (its set-up, certificates) but
 not the time spent inside C functions, so they size interpreter work,
-not wall time.  All twenty-two lines take about 30 s traced.
+not wall time.  All twenty-three lines take about 30 s traced.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from __future__ import annotations
 import hashlib
 import random
 import sys
+from itertools import combinations
 
 from tik.gadgets import hamiltonicity_expansion, k44_minus_e, xx_separator
 from tik.graphs import (
@@ -86,6 +87,27 @@ def _recognition(g, family, budget):
         out = recognize(g, family, Budget(budget))
         return f"{out.kind} nodes={out.nodes_used}"
     return call
+
+
+def _recognitions(g, families, budget):
+    # one search per family, each answer with its route
+    def call():
+        outs = [(family, recognize(g, family, Budget(budget))) for family in families]
+        return "; ".join(f"{family.kind} {out.kind} nodes={out.nodes_used} ({out.route})"
+                         for family, out in outs)
+    return call
+
+
+def _twinned_path4():
+    # path(4) with v2 blown up into 3 true twins and v3 into 4: a copy of
+    # a vertex meets the vertex, its other copies and its neighbours'
+    # copies
+    g = path(4)
+    sizes = {"v2": 3, "v3": 4}
+    copies = {v: [v] + [f"{v}_{i}" for i in range(1, sizes.get(v, 1))] for v in g.vertices}
+    edges = [(a, b) for u, v in g.edges for a in copies[u] for b in copies[v]]
+    edges += [pair for c in copies.values() for pair in combinations(c, 2)]
+    return Graph.build([w for c in copies.values() for w in c], edges)
 
 
 def _enumeration(g, family, budget, visitor=lambda rep: None):
@@ -229,10 +251,10 @@ def _integer_xx_stretch():
 
 
 def searches():
-    """(name, call) pairs; each call runs one search (the last seven, one
-    witness build, one intersection graph, the mask solvers outside the
-    search, one coloring round trip and three batches of transforms) and
-    describes its answer."""
+    """(name, call) pairs; each call runs one search (one line runs four,
+    and the last seven run one witness build, one intersection graph, the
+    mask solvers outside the search, one coloring round trip and three
+    batches of transforms) and describes its answer."""
     return (
         ("wheel(7)/unit 10^5", _recognition(wheel(7), UNIT, 10**5)),
         ("wheel(9)/unit 10^5", _recognition(wheel(9), UNIT, 10**5)),
@@ -258,6 +280,10 @@ def searches():
         ("path(60)/unit", _recognition(path(60), UNIT, 10**7)),
         # non-FIFO opens of a vertex's second slot
         ("path(300)/2interval", _recognition(path(300), TWO_INTERVAL, 10**7)),
+        # members with twins: each certificate writes every twin at its leaf
+        ("path(4) twinned 3+4: 4 families",
+         _recognitions(_twinned_path4(), (INTERVAL_CLASS, UNIT_INTERVAL, UNIT, CIRCULAR_ARC),
+                       10**7)),
         ("prism(30) witness build", _prism_witness_build()),
         ("prism(30) witness intersection_graph", _prism_witness_graph()),
         ("prism(30) witness masks: 4-simplicial, K1,5, HC", _mask_solvers()),
